@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .allocations import (
     DEFAULT_SPACE_LIMIT,
@@ -21,7 +20,6 @@ from .allocations import (
     Partition,
     enumerate_partitions,
 )
-from .matchups import matchup_table
 
 Edge = tuple[int, int, int]  # (winner index, loser index, margin > 0)
 Cycle = tuple[Partition, Partition, Partition]
@@ -31,6 +29,8 @@ Cycle = tuple[Partition, Partition, Partition]
 class DominanceGraph:
     """Exhaustive pairwise classification of the capped strategy space.
 
+    The relation is the n x n ``margin`` matrix, computed once from the
+    nodes; edges, draws, adjacency bitmasks and counters are views of it.
     Every unordered node pair appears exactly once, either as a strict
     edge (with its positive win margin) or as a draw pair. Nodes are in
     lexicographically descending order, matching enumerate_partitions.
@@ -39,31 +39,32 @@ class DominanceGraph:
     budget: int
     k: int
     nodes: tuple[Partition, ...]
-    edges: tuple[Edge, ...]
-    draw_pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def margin(self) -> np.ndarray:
+        """margin[i, j] = cells node i takes from node j minus cells j takes from i."""
+        return _margins(self.nodes, self.nodes, self.budget)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Strict edges (winner, loser, margin), sorted by winner then loser."""
+        winners, losers = np.nonzero(self.margin > 0)
+        margins = self.margin[winners, losers]
+        return tuple(zip(winners.tolist(), losers.tolist(), margins.tolist()))
+
+    @cached_property
+    def draw_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Drawn pairs (i, j) with i < j, sorted."""
+        first, second = np.nonzero(np.triu(self.margin == 0, k=1))
+        return tuple(zip(first.tolist(), second.tolist()))
 
     @cached_property
     def _succ_masks(self) -> list[int]:
-        masks = [0] * len(self.nodes)
-        for w, l, _ in self.edges:
-            masks[w] |= 1 << l
-        return masks
+        return _row_bitmasks(self.margin > 0)
 
     @cached_property
     def _pred_masks(self) -> list[int]:
-        masks = [0] * len(self.nodes)
-        for w, l, _ in self.edges:
-            masks[l] |= 1 << w
-        return masks
-
-
-@dataclass(frozen=True)
-class CycleReport:
-    """Summary of the intransitive structure of a dominance graph."""
-
-    three_cycles: tuple[Cycle, ...]
-    scc_sizes: tuple[int, ...]
-    undominated: tuple[Partition, ...]
+        return _row_bitmasks(self.margin < 0)
 
 
 @dataclass(frozen=True)
@@ -80,35 +81,82 @@ class ClaimVerdict:
     k: int
 
 
-def _pairwise_wins(nodes: list[Partition], budget: int) -> np.ndarray:
-    """wins[i, j] = number of cells partition i takes from partition j.
+def _margins(
+    rows: Sequence[Allocation], cols: Sequence[Allocation], budget: int
+) -> np.ndarray:
+    """margin[i, j] = cells rows[i] takes from cols[j] minus cells cols[j] takes back.
 
-    Histogram trick: with face-count vectors C_i over values 0..budget,
-    wins[i, j] = sum_v C_i[v] * (#faces of j below v), a single matmul.
-    Counts are tiny, so float64 products are exact.
+    Histogram trick: a face showing v nets score[j, v] against cols[j], the
+    number of its faces below v minus the number above v, read off the
+    cumulative face-count histogram over values 0..budget. The margin is
+    the product of rows' histograms with that score table, summed one face
+    position at a time so the row histograms are never built. All
+    arithmetic is int64, so the counts are exact.
     """
-    n = len(nodes)
-    values = np.array([p.values for p in nodes], dtype=np.int64)
-    face_counts = np.zeros((n, budget + 1), dtype=np.float64)
-    for v in range(budget + 1):
-        face_counts[:, v] = (values == v).sum(axis=1)
-    below = np.zeros_like(face_counts)
-    below[:, 1:] = np.cumsum(face_counts, axis=1)[:, :-1]
-    return (face_counts @ below.T).astype(np.int64)
+    cols_values = np.array([a.values for a in cols], dtype=np.int64)
+    n_cols, k = cols_values.shape
+    width = budget + 1
+    offsets = np.arange(n_cols)[:, None] * width
+    counts = np.bincount((offsets + cols_values).ravel(), minlength=n_cols * width)
+    counts = counts.reshape(n_cols, width)
+    at_most = np.cumsum(counts, axis=1)
+    score = (at_most - counts) - (k - at_most)
+
+    rows_values = np.array([a.values for a in rows], dtype=np.int64)
+    margin = np.zeros((len(rows), n_cols), dtype=np.int64)
+    for face in rows_values.T:
+        margin += score[:, face].T
+    return margin
+
+
+def _row_bitmasks(adjacency: np.ndarray) -> list[int]:
+    """Row i of a boolean matrix as an int whose bit j is adjacency[i, j]."""
+    packed = np.packbits(adjacency, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _best_dominators(margin: np.ndarray) -> list[tuple[int, int] | None]:
+    """Per column j, (row, margin) of its largest positive margin, or None.
+
+    Ties go to the highest row index: with rows in descending node order,
+    that is the lexicographically smallest partition.
+    """
+    last = margin.shape[0] - 1
+    best_rows = last - np.argmax(margin[::-1], axis=0)
+    best = margin[best_rows, np.arange(margin.shape[1])]
+    return [
+        (row, value) if value > 0 else None
+        for row, value in zip(best_rows.tolist(), best.tolist())
+    ]
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reachable(root: int, adjacency: list[int], allowed: int) -> int:
+    """Bitmask of nodes reachable from ``root`` through nodes in ``allowed``."""
+    seen = frontier = 1 << root
+    while frontier:
+        step = 0
+        for i in _bits(frontier):
+            step |= adjacency[i]
+        frontier = step & allowed & ~seen
+        seen |= frontier
+    return seen
 
 
 def build_graph(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> DominanceGraph:
     """Classify every pair of capped partitions into strict edges and draws."""
-    nodes = enumerate_partitions(budget, k, limit)
-    wins = _pairwise_wins(nodes, budget)
-    margin = wins - wins.T
-    winner_idx, loser_idx = np.nonzero(margin > 0)
-    edges = tuple(
-        (int(w), int(l), int(margin[w, l])) for w, l in zip(winner_idx, loser_idx)
-    )
-    di, dj = np.nonzero(np.triu(margin == 0, k=1))
-    draws = tuple((int(i), int(j)) for i, j in zip(di, dj))
-    return DominanceGraph(budget, k, tuple(nodes), edges, draws)
+    graph = DominanceGraph(budget, k, tuple(enumerate_partitions(budget, k, limit)))
+    graph.margin  # computed eagerly: building the graph includes the matrix
+    return graph
 
 
 def find_three_cycles(graph: DominanceGraph) -> list[Cycle]:
@@ -138,27 +186,27 @@ def find_three_cycles(graph: DominanceGraph) -> list[Cycle]:
 
 
 def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]]:
-    """SCCs over strict edges as sorted index tuples, ordered by smallest member."""
-    n = len(graph.nodes)
-    if not graph.edges:
-        return [(i,) for i in range(n)]
-    rows = np.fromiter((w for w, _, _ in graph.edges), dtype=np.int64)
-    cols = np.fromiter((l for _, l, _ in graph.edges), dtype=np.int64)
-    data = np.ones(len(graph.edges), dtype=np.int8)
-    adjacency = csr_matrix((data, (rows, cols)), shape=(n, n))
-    _, labels = connected_components(adjacency, directed=True, connection="strong")
-    groups: dict[int, list[int]] = {}
-    for idx, label in enumerate(labels):
-        groups.setdefault(int(label), []).append(idx)
-    return sorted((tuple(g) for g in groups.values()), key=lambda g: g[0])
+    """SCCs over strict edges as sorted index tuples, ordered by smallest member.
+
+    Forward-backward search: the component of the lowest unassigned node
+    is what it reaches forward, searched backward from it within that set.
+    """
+    succ, pred = graph._succ_masks, graph._pred_masks
+    unassigned = (1 << len(graph.nodes)) - 1
+    components = []
+    while unassigned:
+        root = (unassigned & -unassigned).bit_length() - 1
+        forward = _reachable(root, succ, unassigned)
+        component = _reachable(root, pred, forward)
+        unassigned &= ~component
+        components.append(tuple(_bits(component)))
+    return components
 
 
 def undominated(graph: DominanceGraph) -> list[Partition]:
     """Nodes with no incoming strict edge, in node order."""
-    beaten = set()
-    for _, loser, _ in graph.edges:
-        beaten.add(loser)
-    return [p for i, p in enumerate(graph.nodes) if i not in beaten]
+    beaten = (graph.margin > 0).any(axis=0)
+    return [graph.nodes[i] for i in np.flatnonzero(~beaten).tolist()]
 
 
 def counter_strategy(
@@ -176,62 +224,19 @@ def counter_strategy(
         raise ValueError(
             f"counter search budget {budget} must equal the allocation's budget {a.budget}"
         )
-    best: tuple[Partition, int] | None = None
-    for candidate in enumerate_partitions(budget, a.k, limit):
-        table = matchup_table(candidate, a)
-        margin = table.wins_a - table.wins_b
-        if margin <= 0:
-            continue
-        if (
-            best is None
-            or margin > best[1]
-            or (margin == best[1] and candidate.values < best[0].values)
-        ):
-            best = (candidate, margin)
-    return best
+    candidates = enumerate_partitions(budget, a.k, limit)
+    (best,) = _best_dominators(_margins(candidates, [a], budget))
+    return None if best is None else (candidates[best[0]], best[1])
 
 
 def best_counters(graph: DominanceGraph) -> list[tuple[Partition, int] | None]:
     """Per node, the maximum-margin strict dominator (same tie-break), or None.
 
-    Same answer as running counter_strategy on every node, computed in one
-    pass over the edge list.
+    Same answer as running counter_strategy on every node, read off the
+    columns of the margin matrix.
     """
-    best: dict[int, tuple[int, int]] = {}  # loser -> (margin, winner index)
     nodes = graph.nodes
-    for w, l, m in graph.edges:
-        cur = best.get(l)
-        # Descending node order: larger index == lexicographically smaller value.
-        if cur is None or m > cur[0] or (m == cur[0] and w > cur[1]):
-            best[l] = (m, w)
     return [
-        (nodes[best[i][1]], best[i][0]) if i in best else None for i in range(len(nodes))
+        None if best is None else (nodes[best[0]], best[1])
+        for best in _best_dominators(graph.margin)
     ]
-
-
-def cycle_report(graph: DominanceGraph) -> CycleReport:
-    """Bundle the intransitivity summary for a built graph."""
-    sccs = strongly_connected_components(graph)
-    return CycleReport(
-        three_cycles=tuple(find_three_cycles(graph)),
-        scc_sizes=tuple(sorted((len(s) for s in sccs), reverse=True)),
-        undominated=tuple(undominated(graph)),
-    )
-
-
-def verify_universal_counter_claim(
-    budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
-) -> ClaimVerdict:
-    """Check whether every capped strategy has a same-cap strict dominator.
-
-    The outcome is reported, never assumed: undominated strategies are
-    returned as counterexamples when they exist.
-    """
-    graph = build_graph(budget, k, limit)
-    counterexamples = tuple(undominated(graph))
-    return ClaimVerdict(
-        holds=not counterexamples,
-        counterexamples=counterexamples,
-        budget=budget,
-        k=k,
-    )

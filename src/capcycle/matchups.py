@@ -55,16 +55,21 @@ class MatchupTable:
     k: int
 
 
+def require_same_k(a: Allocation, b: Allocation) -> None:
+    """Raise DimensionMismatchError unless both sides have the same k."""
+    if a.k != b.k:
+        raise DimensionMismatchError(
+            f"allocations have different category counts: {a.k} vs {b.k}"
+        )
+
+
 def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     """Compare every category of ``a`` against every category of ``b``.
 
     The budgets need not match; the cap constraint lives at enumeration
     time, not here.
     """
-    if a.k != b.k:
-        raise DimensionMismatchError(
-            f"allocations have different category counts: {a.k} vs {b.k}"
-        )
+    require_same_k(a, b)
     wins_a = wins_b = ties = 0
     rows = []
     for x in a.values:

@@ -242,13 +242,7 @@ def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
 def analysis_from_json_dict(payload: dict[str, Any]) -> AnalysisReport:
     """Rebuild an AnalysisReport from its JSON form (field-for-field equal)."""
     nodes = tuple(Partition(tuple(v)) for v in payload["nodes"])
-    graph = DominanceGraph(
-        budget=payload["budget"],
-        k=payload["k"],
-        nodes=nodes,
-        edges=tuple((e["winner"], e["loser"], e["margin"]) for e in payload["edges"]),
-        draw_pairs=tuple((i, j) for i, j in payload["draws"]),
-    )
+    graph = DominanceGraph(budget=payload["budget"], k=payload["k"], nodes=nodes)
     return AnalysisReport(
         graph=graph,
         composition_count=payload["composition_count"],

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .allocations import Allocation
-from .errors import AllTiesError, DimensionMismatchError
-from .matchups import Cell, TiePolicy, matchup_table
+from .errors import AllTiesError
+from .matchups import Cell, TiePolicy, matchup_table, require_same_k
 
 _MASK64 = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -52,10 +52,7 @@ def sample_cell(a: Allocation, b: Allocation, state: int) -> tuple[int, Cell]:
     Draws a's index first, then b's, each by rejection-sampled uniform
     draws over 0..k-1.
     """
-    if a.k != b.k:
-        raise DimensionMismatchError(
-            f"allocations have different category counts: {a.k} vs {b.k}"
-        )
+    require_same_k(a, b)
     threshold = _rejection_threshold(a.k)
     state, i = _uniform_index(state, a.k, threshold)
     state, j = _uniform_index(state, b.k, threshold)
@@ -136,16 +133,9 @@ def series_seed_states(seed: int, n_series: int) -> list[int]:
     return states
 
 
-def _require_same_k(a: Allocation, b: Allocation) -> None:
-    if a.k != b.k:
-        raise DimensionMismatchError(
-            f"allocations have different category counts: {a.k} vs {b.k}"
-        )
-
-
 def simulate_games(a: Allocation, b: Allocation, config: SimConfig) -> SeriesStats:
     """Play config.n_games games from the master seed and tally outcomes."""
-    _require_same_k(a, b)
+    require_same_k(a, b)
     table = matchup_table(a, b)
     reroll = config.tie_policy is TiePolicy.REROLL
     if reroll and table.wins_a + table.wins_b == 0:
@@ -185,7 +175,7 @@ def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesS
     """
     if config.best_of is None:
         raise ValueError("config.best_of must be set for series simulation")
-    _require_same_k(a, b)
+    require_same_k(a, b)
     table = matchup_table(a, b)
     if table.wins_a + table.wins_b == 0:
         raise AllTiesError("every cell ties; a best-of series can never be decided")

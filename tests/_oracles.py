@@ -85,8 +85,9 @@ def three_cycles(
     return sorted(seen)
 
 
-def scc_sizes(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-    """Component sizes (descending) via full reachability closure."""
+def strong_components(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, ...]]:
+    """Components as sorted index tuples, ordered by smallest member, via full
+    reachability closure."""
     reach = [[False] * n for _ in range(n)]
     for w, l, _ in edges:
         reach[w][l] = True
@@ -99,7 +100,7 @@ def scc_sizes(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
                     if row_m[j]:
                         row_i[j] = True
     assigned = [False] * n
-    sizes = []
+    components = []
     for i in range(n):
         if assigned[i]:
             continue
@@ -110,8 +111,13 @@ def scc_sizes(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
         ]
         for j in members:
             assigned[j] = True
-        sizes.append(len(members))
-    return sorted(sizes, reverse=True)
+        components.append(tuple(members))
+    return components
+
+
+def scc_sizes(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
+    """Component sizes, descending."""
+    return sorted((len(c) for c in strong_components(n, edges)), reverse=True)
 
 
 def undominated(

@@ -27,7 +27,6 @@ from capcycle import (
     strongly_connected_components,
     to_json_text,
     undominated,
-    verify_universal_counter_claim,
 )
 
 from . import _oracles
@@ -127,7 +126,7 @@ def test_acceptance_3_strategy_space_census():
 
 
 def test_acceptance_4_claim_verdict():
-    verdict = verify_universal_counter_claim(6, 3)
+    verdict = analyze(6, 3).claim
     failures = []
     if verdict.holds is not False:
         failures.append(f"holds: got {verdict.holds}, want False")

@@ -287,3 +287,17 @@ class TestUsageAndOutput:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip().splitlines()[0] == "6,0,0"
+
+    def test_cli_import_leaves_out_scipy(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, capcycle.cli; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -6,16 +6,15 @@ from capcycle import (
     Allocation,
     Partition,
     SpaceTooLargeError,
+    analyze,
     best_counters,
     build_graph,
     counter_strategy,
-    cycle_report,
     dominates,
     find_three_cycles,
     matchup_table,
     strongly_connected_components,
     undominated,
-    verify_universal_counter_claim,
 )
 
 from . import _oracles
@@ -155,11 +154,10 @@ class TestComponents:
     def test_sizes_match_oracle(self, space):
         budget, k = space
         graph = build_graph(budget, k)
-        sccs = strongly_connected_components(graph)
-        sizes = sorted((len(s) for s in sccs), reverse=True)
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
-        assert sizes == _oracles.scc_sizes(len(nodes), oracle_edges)
+        sccs = strongly_connected_components(graph)
+        assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
 
     def test_components_partition_nodes(self, graph_6_3):
         sccs = strongly_connected_components(graph_6_3)
@@ -247,29 +245,32 @@ class TestBestCounters:
     def test_agrees_with_counter_strategy(self, space):
         budget, k = space
         graph = build_graph(budget, k)
+        candidates = [p.values for p in graph.nodes]
         fast = best_counters(graph)
         for node, entry in zip(graph.nodes, fast):
             slow = counter_strategy(node)
-            if slow is None:
-                assert entry is None
+            expected = _oracles.counter(node.values, candidates)
+            if expected is None:
+                assert entry is None and slow is None
             else:
+                assert (entry[0].values, entry[1]) == expected
                 assert entry == slow
 
 
 class TestClaim:
     def test_showcase_fails_on_420(self):
-        verdict = verify_universal_counter_claim(6, 3)
+        verdict = analyze(6, 3).claim
         assert verdict.holds is False
         assert [p.values for p in verdict.counterexamples] == [(4, 2, 0)]
         assert verdict.budget == 6 and verdict.k == 3
 
     def test_single_strategy_space(self):
-        verdict = verify_universal_counter_claim(0, 1)
+        verdict = analyze(0, 1).claim
         assert verdict.holds is False
         assert [p.values for p in verdict.counterexamples] == [(0,)]
 
     def test_holds_at_budget_7(self):
-        verdict = verify_universal_counter_claim(7, 3)
+        verdict = analyze(7, 3).claim
         assert verdict.holds is True
         assert verdict.counterexamples == ()
 
@@ -280,15 +281,15 @@ class TestClaim:
     @given(small_spaces)
     def test_holds_iff_no_counterexamples(self, space):
         budget, k = space
-        verdict = verify_universal_counter_claim(budget, k)
+        verdict = analyze(budget, k).claim
         assert verdict.holds == (len(verdict.counterexamples) == 0)
         for p in verdict.counterexamples:
             assert counter_strategy(p) is None
 
 
-class TestCycleReport:
-    def test_showcase_bundle(self, graph_6_3):
-        report = cycle_report(graph_6_3)
+class TestAnalysisSummary:
+    def test_showcase_bundle(self):
+        report = analyze(6, 3)
         assert [tuple(p.values for p in c) for c in report.three_cycles] == CYCLES_6_3
         assert report.scc_sizes == (4, 1, 1, 1)
         assert [p.values for p in report.undominated] == [(4, 2, 0)]
