@@ -9,6 +9,8 @@ All functions work on bare tuples of ints, never on package types.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import comb
 
 MASK64 = 2**64 - 1
 
@@ -155,22 +157,36 @@ def splitmix64_outputs(seed: int, n: int) -> list[int]:
     return out
 
 
-def sim_games(
-    a: tuple[int, ...],
-    b: tuple[int, ...],
-    seed: int,
-    n_games: int,
-    reroll: bool,
-) -> tuple[int, int, int]:
-    """(a_wins, b_wins, ties) from an independent replay of game sampling.
+def splitmix64_seed_for(value: int, m: int) -> int:
+    """The seed whose output number m (from 0) is ``value``.
+
+    Inverts the finalizer: each xorshift by s is undone by repeating it
+    until the shifted bits run out, each odd multiplier by its inverse
+    modulo 2^64; then steps back m + 1 increments.
+    """
+
+    def unshift(z: int, s: int) -> int:
+        x = z
+        for _ in range(64 // s):
+            x = z ^ (x >> s)
+        return x
+
+    z = unshift(value & MASK64, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 2**64)) & MASK64
+    z = unshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & MASK64
+    z = unshift(z, 30)
+    return (z - (m + 1) * 0x9E3779B97F4A7C15) & MASK64
+
+
+def roll(a: tuple[int, ...], b: tuple[int, ...], state: int) -> tuple[int, int]:
+    """One joint roll: (new_state, +1 if a wins, -1 if b wins, 0 on a tie).
 
     Consumes one reference output per index draw, rejecting outputs at or
     above floor(2^64 / k) * k, and draws a's index before b's.
     """
     k = len(a)
     threshold = (2**64 // k) * k
-
-    state = seed & MASK64
 
     def draw_index() -> int:
         nonlocal state
@@ -180,15 +196,28 @@ def sim_games(
             if out < threshold:
                 return out % k
 
+    x = a[draw_index()]
+    y = b[draw_index()]
+    return state, (x > y) - (x < y)
+
+
+def sim_games(
+    a: tuple[int, ...],
+    b: tuple[int, ...],
+    seed: int,
+    n_games: int,
+    reroll: bool,
+) -> tuple[int, int, int]:
+    """(a_wins, b_wins, ties) from an independent replay of game sampling."""
+    state = seed & MASK64
     a_wins = b_wins = ties = 0
     games = 0
     while games < n_games:
-        x = a[draw_index()]
-        y = b[draw_index()]
-        if x > y:
+        state, outcome = roll(a, b, state)
+        if outcome > 0:
             a_wins += 1
             games += 1
-        elif x < y:
+        elif outcome < 0:
             b_wins += 1
             games += 1
         else:
@@ -196,3 +225,51 @@ def sim_games(
             if not reroll:
                 games += 1
     return a_wins, b_wins, ties
+
+
+def sim_series(
+    a: tuple[int, ...],
+    b: tuple[int, ...],
+    seed: int,
+    best_of: int,
+    n_series: int,
+    reroll: bool,
+) -> tuple[int, int, int, int, int, int]:
+    """(games, a_wins, b_wins, ties, a_series, b_series) replaying best-of series.
+
+    Series i starts from the i-th reference output of the master seed and
+    ends when one side has (best_of + 1) / 2 decisive wins.
+    """
+    need = (best_of + 1) // 2
+    a_wins = b_wins = ties = a_series = b_series = 0
+    for state in splitmix64_outputs(seed, n_series):
+        sa = sb = 0
+        while sa < need and sb < need:
+            state, outcome = roll(a, b, state)
+            if outcome > 0:
+                sa += 1
+            elif outcome < 0:
+                sb += 1
+            else:
+                ties += 1
+        a_wins += sa
+        b_wins += sb
+        if sa == need:
+            a_series += 1
+        else:
+            b_series += 1
+    games = a_wins + b_wins + (0 if reroll else ties)
+    return games, a_wins, b_wins, ties, a_series, b_series
+
+
+def series_win_probability(wins_a: int, wins_b: int, best_of: int) -> Fraction:
+    """Exact chance that a takes a best-of series of decisive games.
+
+    With m = (best_of + 1) / 2 and p = wins_a / (wins_a + wins_b), a wins
+    when its m-th win comes before b's m-th: sum over j < m of
+    C(m - 1 + j, j) p^m q^j.
+    """
+    m = (best_of + 1) // 2
+    p = Fraction(wins_a, wins_a + wins_b)
+    q = 1 - p
+    return sum(comb(m - 1 + j, j) * p**m * q**j for j in range(m))

@@ -1,5 +1,7 @@
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capcycle import (
@@ -15,11 +17,14 @@ from capcycle import (
     simulate_best_of,
     simulate_games,
 )
+from capcycle.simulate import _BLOCK
 
 from . import _oracles
 
 MTL = Allocation((1, 1, 4))
 NY = Allocation((3, 3, 0))
+BOS = Allocation((2, 2, 2))
+SIGN = {Cell.A_WIN: 1, Cell.B_WIN: -1, Cell.TIE: 0}
 
 # Reference splitmix64 outputs from state 0 (also reproduced by the
 # independently transcribed oracle below).
@@ -108,6 +113,7 @@ class TestSimConfig:
             {"n_games": 1, "best_of": 2},
             {"n_games": 1, "best_of": -3},
             {"n_games": 1, "best_of": 10**6 + 1},
+            {"n_games": 10**8 + 1},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -177,6 +183,13 @@ class TestSimulateGames:
         with pytest.raises(DimensionMismatchError):
             simulate_games(Allocation((1, 2)), NY, SimConfig(seed=0, n_games=1))
 
+    def test_salaries_past_two_to_the_63_replay_oracle(self):
+        # as numpy arrays these would be uint64, where 0 - 2^63 wraps
+        a, b = (2**63 + 1, 0), (2**63, 1)
+        stats = simulate_games(Allocation(a), Allocation(b), SimConfig(seed=0, n_games=1000))
+        tallies = (stats.a_game_wins, stats.b_game_wins, stats.tie_games)
+        assert tallies == _oracles.sim_games(a, b, 0, 1000, reroll=True) == (450, 550, 0)
+
     def test_empirical_frequency(self):
         stats = simulate_games(MTL, NY, SimConfig(seed=42, n_games=90000))
         assert stats.empirical_a_frequency == stats.a_game_wins / 90000
@@ -219,40 +232,19 @@ class TestSimulateBestOf:
         assert stats.a_series_wins >= 900
 
     def test_replays_oracle_with_split_streams(self):
-        a, b = MTL.values, NY.values
-        threshold = (2**64 // 3) * 3
-        need = 3  # best-of-5
-        exp = [0, 0, 0, 0, 0]  # a games, b games, ties, a series, b series
-        for state in _oracles.splitmix64_outputs(99, 4):
-
-            def draw():
-                nonlocal state
-                while True:
-                    out = _oracles.splitmix64_outputs(state, 1)[0]
-                    state = (state + 0x9E3779B97F4A7C15) % 2**64
-                    if out < threshold:
-                        return out % 3
-
-            sa = sb = 0
-            while sa < need and sb < need:
-                x, y = a[draw()], b[draw()]
-                if x > y:
-                    sa += 1
-                elif x < y:
-                    sb += 1
-                else:
-                    exp[2] += 1
-            exp[0] += sa
-            exp[1] += sb
-            exp[3 if sa == need else 4] += 1
         stats = simulate_best_of(MTL, NY, SimConfig(seed=99, n_games=1, best_of=5, n_series=4))
-        assert [
-            stats.a_game_wins,
-            stats.b_game_wins,
-            stats.tie_games,
-            stats.a_series_wins,
-            stats.b_series_wins,
-        ] == exp
+        assert astuple(stats) == _oracles.sim_series(
+            MTL.values, NY.values, 99, best_of=5, n_series=4, reroll=True
+        )
+
+    @pytest.mark.parametrize("best_of, n_series", [(7, 4000), (31, 2000), (301, 1000)])
+    def test_series_share_matches_exact_probability(self, best_of, n_series):
+        p = float(_oracles.series_win_probability(5, 4, best_of))
+        stats = simulate_best_of(
+            MTL, NY, SimConfig(seed=best_of, n_games=1, best_of=best_of, n_series=n_series)
+        )
+        sigma = (p * (1 - p) / n_series) ** 0.5
+        assert abs(stats.a_series_wins / n_series - p) < 4 * sigma
 
     def test_nogame_counts_tied_rolls_as_games(self):
         config = SimConfig(
@@ -304,19 +296,39 @@ class TestSimulateBestOf:
 
 class TestIndexSampling:
     def test_face_frequencies_unbiased(self):
-        # one million index draws per the rejection rule, checked at 4 sigma
-        from capcycle.simulate import _rejection_threshold, _uniform_index
+        # against a constant side, a roll's outcome names the other side's
+        # face: one million faces per side, checked at 4 sigma
+        k, n = 3, 1_000_000
+        sigma = ((1 / k) * (1 - 1 / k) / n) ** 0.5
+        config = SimConfig(seed=2024, n_games=n, tie_policy=TiePolicy.NOGAME)
+        for a, b in [((0, 1, 2), (1, 1, 1)), ((1, 1, 1), (2, 1, 0))]:
+            stats = simulate_games(Allocation(a), Allocation(b), config)
+            for c in (stats.a_game_wins, stats.b_game_wins, stats.tie_games):
+                assert abs(c / n - 1 / k) < 4 * sigma
 
-        k = 3
-        threshold = _rejection_threshold(k)
-        counts = [0] * k
-        state = 2024
-        for _ in range(1_000_000):
-            state, idx = _uniform_index(state, k, threshold)
-            counts[idx] += 1
-        sigma = ((1 / k) * (1 - 1 / k) / 1_000_000) ** 0.5
-        for c in counts:
-            assert abs(c / 1_000_000 - 1 / k) < 4 * sigma
+    @pytest.mark.parametrize("m", [0, 1, 3, 4, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    def test_forced_rejection_replays_oracle(self, m):
+        # 2^64 - 1 is the one output k = 3 rejects; put it at stream position m
+        seed = _oracles.splitmix64_seed_for(2**64 - 1, m)
+        assert _oracles.splitmix64_outputs(seed, m + 1)[m] == 2**64 - 1
+        state, cell = sample_cell(MTL, NY, seed)
+        assert (state, SIGN[cell]) == _oracles.roll(MTL.values, NY.values, seed)
+
+        drawish = Allocation((3, 2, 1))  # 1/3 of rolls tie against BOS
+        for policy in TiePolicy:
+            reroll = policy is TiePolicy.REROLL
+            stats = simulate_games(BOS, drawish, SimConfig(seed, 5000, policy))
+            tallies = _oracles.sim_games(BOS.values, drawish.values, seed, 5000, reroll)
+            assert (stats.a_game_wins, stats.b_game_wins, stats.tie_games) == tallies
+            assert 2 * sum(tallies) > m  # the stream reached position m
+
+            # the first series starts from the crafted seed
+            master = _oracles.splitmix64_seed_for(seed, 0)
+            for best_of in (1, 301):
+                config = SimConfig(master, 1, policy, best_of=best_of, n_series=3)
+                assert astuple(simulate_best_of(BOS, drawish, config)) == _oracles.sim_series(
+                    BOS.values, drawish.values, master, best_of, 3, reroll
+                )
 
     def test_rejection_threshold_is_multiple_of_k(self):
         from capcycle.simulate import _rejection_threshold
@@ -326,3 +338,34 @@ class TestIndexSampling:
             assert t % k == 0
             assert t <= 2**64
             assert 2**64 - t < k
+
+
+def _allocation_pairs(k):
+    side = st.tuples(*[st.integers(min_value=0, max_value=4)] * k)
+    return st.tuples(side, side)
+
+
+class TestOracleCrossCheck:
+    @settings(max_examples=40)
+    @given(
+        pair=st.integers(min_value=1, max_value=6).flatmap(_allocation_pairs),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        # the long runs cross the first 8192-output block
+        n_games=st.one_of(st.integers(1, 50), st.integers(4100, 6000)),
+        best_of=st.integers(0, 15).map(lambda i: 2 * i + 1),
+        n_series=st.integers(1, 4),
+        policy=st.sampled_from(TiePolicy),
+    )
+    def test_games_and_series_match_oracles(self, pair, seed, n_games, best_of, n_series, policy):
+        a, b = pair
+        wins_a, wins_b, _ = _oracles.cell_counts(a, b)
+        assume(4 * (wins_a + wins_b) >= len(a) ** 2)  # keeps the scalar replay short
+        reroll = policy is TiePolicy.REROLL
+        stats = simulate_games(Allocation(a), Allocation(b), SimConfig(seed, n_games, policy))
+        assert (stats.a_game_wins, stats.b_game_wins, stats.tie_games) == _oracles.sim_games(
+            a, b, seed, n_games, reroll
+        )
+        config = SimConfig(seed, 1, policy, best_of=best_of, n_series=n_series)
+        assert astuple(simulate_best_of(Allocation(a), Allocation(b), config)) == (
+            _oracles.sim_series(a, b, seed, best_of, n_series, reroll)
+        )
