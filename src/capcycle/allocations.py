@@ -14,7 +14,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     AllocationError,
@@ -69,11 +69,6 @@ class Partition(Allocation):
         vals = self.values
         if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
             raise AllocationError(f"partition values must be non-increasing, got {vals}")
-
-
-def new_allocation(values: Iterable[int]) -> Allocation:
-    """Build an allocation from any integer sequence, validating entries."""
-    return Allocation(tuple(values))
 
 
 def canonicalize(a: Allocation) -> Partition:

@@ -2,7 +2,8 @@
 
 Subcommands: matchup, enumerate, graph, counter, analyze, simulate.
 Exit codes: 0 success, 1 usage error, 2 invalid allocation input,
-3 strategy space over the enumeration limit. The CAPCYCLE_MAX_SPACE
+3 strategy space over the enumeration limit, or a JSON export with more
+3-cycles to list than report.MAX_LISTED_CYCLES. The CAPCYCLE_MAX_SPACE
 environment variable overrides the enumeration limit.
 """
 

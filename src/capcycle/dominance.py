@@ -8,9 +8,10 @@ strongly connected components, plus the set of strategies nothing beats.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -159,30 +160,69 @@ def build_graph(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> Domina
     return graph
 
 
-def find_three_cycles(graph: DominanceGraph) -> list[Cycle]:
-    """All directed 3-cycles, each once, smallest node (by value) first.
+class ThreeCycles:
+    """The directed 3-cycles of a graph: counted exactly, listed on iteration.
 
-    Enumeration runs over bitmask adjacency. With nodes in descending
-    value order, the lexicographically smallest node of a cycle is its
-    highest index, so iterating indices high-to-low yields the canonical
-    rotations already sorted by ascending node values.
+    ``len()`` is trace(A^3) / 3 for the strict-edge adjacency A, computed
+    on first use without listing anything. Iterating runs the bitmask walk
+    afresh each time and yields each cycle once, smallest node (by value)
+    first, sorted by ascending node values. Compares equal to any sequence
+    that holds the same cycles in the same order.
     """
-    nodes = graph.nodes
-    succ = graph._succ_masks
-    pred = graph._pred_masks
-    cycles: list[Cycle] = []
-    for x in range(len(nodes) - 1, -1, -1):
-        below_x = (1 << x) - 1
-        ys = succ[x] & below_x
-        while ys:
-            y = ys.bit_length() - 1
-            ys ^= 1 << y
-            zs = succ[y] & pred[x] & below_x
-            while zs:
-                z = zs.bit_length() - 1
-                zs ^= 1 << z
-                cycles.append((nodes[x], nodes[y], nodes[z]))
-    return cycles
+
+    def __init__(self, graph: DominanceGraph) -> None:
+        self.graph = graph
+
+    @cached_property
+    def _count(self) -> int:
+        # Every entry of A @ A counts paths of length two, at most n < 2^24,
+        # so the float32 product is exact; the trace sums at most n^3 < 2^53
+        # in float64, so it is exact too. The int64 margin matrix (8 n^2
+        # bytes) keeps n far below both bounds.
+        adjacency = (self.graph.margin > 0).astype(np.float32)
+        two_paths = adjacency @ adjacency
+        trace = np.einsum("ij,ji->", two_paths, adjacency, dtype=np.float64)
+        return int(trace) // 3
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Cycle]:
+        # With nodes in descending value order, the lexicographically
+        # smallest node of a cycle is its highest index, so walking indices
+        # high-to-low yields the canonical rotations in ascending order.
+        nodes = self.graph.nodes
+        succ = self.graph._succ_masks
+        pred = self.graph._pred_masks
+        for x in range(len(nodes) - 1, -1, -1):
+            below_x = (1 << x) - 1
+            ys = succ[x] & below_x
+            while ys:
+                y = ys.bit_length() - 1
+                ys ^= 1 << y
+                zs = succ[y] & pred[x] & below_x
+                while zs:
+                    z = zs.bit_length() - 1
+                    zs ^= 1 << z
+                    yield nodes[x], nodes[y], nodes[z]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ThreeCycles) and other.graph == self.graph:
+            return True
+        if not isinstance(other, (ThreeCycles, Sequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None  # equal to lists, which are unhashable
+
+    def __repr__(self) -> str:
+        g = self.graph
+        return f"ThreeCycles(budget={g.budget}, k={g.k}, count={len(self)})"
+
+
+def find_three_cycles(graph: DominanceGraph) -> ThreeCycles:
+    """All directed 3-cycles of ``graph``: ``len()`` counts them, iterating lists them."""
+    return ThreeCycles(graph)
 
 
 def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]]:

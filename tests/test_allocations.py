@@ -16,7 +16,6 @@ from capcycle import (
     enumerate_compositions,
     enumerate_partitions,
     format_allocation,
-    new_allocation,
     parse_allocation,
     partition_count,
 )
@@ -52,7 +51,7 @@ class TestAllocation:
             Allocation((1.5, 2))
 
     def test_new_allocation_accepts_iterables(self):
-        assert new_allocation(iter([2, 2, 2])) == Allocation((2, 2, 2))
+        assert Allocation(iter([2, 2, 2])) == Allocation((2, 2, 2))
 
     def test_errors_are_value_errors(self):
         # callers that only know ValueError still catch validation failures

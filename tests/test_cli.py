@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from capcycle import analysis_json_dict, analyze, render_analysis_text
 from capcycle.cli import run_cli
 
@@ -154,6 +156,37 @@ class TestAnalyzeCommand:
         code, out, _ = run(capsys, "analyze", "--format", "json")
         assert code == 0
         assert json.loads(out) == analysis_json_dict(analyze(6, 3))
+
+    @pytest.mark.parametrize("command", ["analyze", "graph"])
+    def test_json_over_cycle_listing_limit_exits_3(self, capsys, command):
+        code, out, err = run(
+            capsys, command, "--budget", "60", "--k", "4", "--format", "json"
+        )
+        assert code == 3
+        assert out == ""
+        assert "32143068 3-cycles exceed the JSON listing limit" in err
+        assert "text format reports the count" in err
+
+    def test_large_text_report_counts_cycles_in_bounded_memory(self):
+        # On Linux a child's ru_maxrss starts at the peak RSS of the process
+        # that forked it, and this test process can be hundreds of MB in, so
+        # a fresh interpreter launches the report and passes its rusage back.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(usage.ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(os.waitstatus_to_exitcode(status))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "capcycle",
+             "analyze", "--budget", "60", "--k", "4"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "intransitive 3-cycles: 32143068" in proc.stdout.splitlines()
+        assert int(proc.stderr) / 1024 < 500  # ru_maxrss is in KiB on Linux
 
 
 class TestSimulateCommand:

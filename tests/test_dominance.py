@@ -140,6 +140,33 @@ class TestThreeCycles:
         graph = build_graph(0, 3)
         assert find_three_cycles(graph) == []
 
+    @given(small_spaces)
+    def test_count_matches_listing_and_oracle(self, space):
+        budget, k = space
+        graph = build_graph(budget, k)
+        cycles = find_three_cycles(graph)
+        nodes = [p.values for p in graph.nodes]
+        oracle_edges, _ = _oracles.graph_relations(nodes)
+        oracle = _oracles.three_cycles(nodes, oracle_edges)
+        assert len(cycles) == len(list(cycles)) == len(oracle)
+
+    @pytest.mark.parametrize(
+        "budget, k, count", [(40, 4, 1_260_582), (30, 6, 7_728_511)]
+    )
+    def test_pinned_counts_without_listing(self, budget, k, count):
+        assert len(find_three_cycles(build_graph(budget, k))) == count
+
+    def test_compares_elementwise(self, graph_6_3):
+        cycles = find_three_cycles(graph_6_3)
+        listed = list(cycles)
+        assert list(cycles) == listed  # every iteration lists them again
+        assert cycles == listed
+        assert cycles == tuple(listed)
+        assert cycles == find_three_cycles(build_graph(6, 3))
+        assert cycles != listed[:1]
+        assert cycles != listed[::-1]
+        assert cycles != find_three_cycles(build_graph(10, 3))
+
 
 class TestComponents:
     def test_frozen_showcase_sccs(self, graph_6_3):

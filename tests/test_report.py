@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import capcycle.report as report_module
 from capcycle import (
     Allocation,
     SimConfig,
+    SpaceTooLargeError,
     TiePolicy,
     analysis_from_json_dict,
     analysis_json_dict,
@@ -201,6 +203,14 @@ class TestGraphExports:
         text = to_json_text(analysis_json_dict(report_6_3))
         rebuilt = analysis_from_json_dict(json.loads(text))
         assert rebuilt == report_6_3
+
+    def test_cycle_listing_limit(self, report_6_3, monkeypatch):
+        monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 2)
+        assert len(graph_json_dict(report_6_3)["three_cycles"]) == 2
+        monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 1)
+        for build in (graph_json_dict, analysis_json_dict):
+            with pytest.raises(SpaceTooLargeError, match="2 3-cycles exceed"):
+                build(report_6_3)
 
     def test_serialization_deterministic(self, report_6_3):
         once = to_json_text(analysis_json_dict(report_6_3))
