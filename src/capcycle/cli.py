@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from typing import TextIO
 
 from .allocations import (
     DEFAULT_SPACE_LIMIT,
@@ -30,12 +31,12 @@ from .errors import (
 )
 from .matchups import TiePolicy, matchup_table, win_probability
 from .report import (
-    analysis_json_dict,
+    analysis_json_text,
     analyze,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
-    graph_json_dict,
+    graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
     render_analysis_text,
@@ -150,7 +151,7 @@ def _cmd_enumerate(args, limit: int) -> str:
 
 def _cmd_graph(args, limit: int) -> str:
     if args.format == "json":
-        return to_json_text(graph_json_dict(analyze(args.budget, args.k, limit)))
+        return graph_json_text(analyze(args.budget, args.k, limit))
     return emit_dot(build_graph(args.budget, args.k, limit))
 
 
@@ -166,7 +167,7 @@ def _cmd_counter(args, limit: int) -> str:
 def _cmd_analyze(args, limit: int) -> str:
     report = analyze(args.budget, args.k, limit)
     if args.format == "json":
-        return to_json_text(analysis_json_dict(report))
+        return analysis_json_text(report)
     return render_analysis_text(report)
 
 
@@ -220,12 +221,23 @@ def _cmd_simulate(args) -> str:
     return "\n".join(lines)
 
 
+# Characters per write: each write encodes its own slice, so a large
+# output never has a full encoded copy beside it.
+_WRITE_CHUNK = 1 << 20
+
+
+def _write_text(stream: TextIO, text: str) -> None:
+    for start in range(0, len(text), _WRITE_CHUNK):
+        stream.write(text[start : start + _WRITE_CHUNK])
+    stream.write("\n")
+
+
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            _write_text(fh, text)
     else:
-        sys.stdout.write(text + "\n")
+        _write_text(sys.stdout, text)
 
 
 def run_cli(argv: list[str] | None = None) -> int:

@@ -164,10 +164,12 @@ class ThreeCycles:
     """The directed 3-cycles of a graph: counted exactly, listed on iteration.
 
     ``len()`` is trace(A^3) / 3 for the strict-edge adjacency A, computed
-    on first use without listing anything. Iterating runs the bitmask walk
-    afresh each time and yields each cycle once, smallest node (by value)
-    first, sorted by ascending node values. Compares equal to any sequence
-    that holds the same cycles in the same order.
+    on first use without listing anything. ``index_blocks`` walks the
+    adjacency one row at a time and yields the cycles as node-index
+    arrays; iterating maps those to partitions. Each cycle comes once,
+    smallest node (by value) first, sorted by ascending node values.
+    Compares equal to any sequence that holds the same cycles in the same
+    order.
     """
 
     def __init__(self, graph: DominanceGraph) -> None:
@@ -187,23 +189,35 @@ class ThreeCycles:
     def __len__(self) -> int:
         return self._count
 
+    def index_blocks(self) -> Iterator[np.ndarray]:
+        """The cycles (x, y, z) as (m, 3) int32 node-index arrays, one per x.
+
+        With nodes in descending value order, the lexicographically
+        smallest node of a cycle is its highest index x, so x runs from
+        high to low, and within a block y and then z descend: the
+        canonical order. Lazy: taking the first few cycles computes only
+        the first blocks. Rows with no cycle yield no block.
+        """
+        margin = self.graph.margin
+        for x in range(len(margin) - 1, -1, -1):
+            row = margin[x, :x]
+            ys = np.flatnonzero(row > 0)[::-1]  # x beats y
+            zs = np.flatnonzero(row < 0)[::-1]  # z beats x
+            rows, cols = np.nonzero(margin[np.ix_(ys, zs)] > 0)  # y beats z
+            if rows.size:
+                block = np.empty((rows.size, 3), dtype=np.int32)
+                block[:, 0] = x
+                block[:, 1] = ys[rows]
+                block[:, 2] = zs[cols]
+                yield block
+
     def __iter__(self) -> Iterator[Cycle]:
-        # With nodes in descending value order, the lexicographically
-        # smallest node of a cycle is its highest index, so walking indices
-        # high-to-low yields the canonical rotations in ascending order.
         nodes = self.graph.nodes
-        succ = self.graph._succ_masks
-        pred = self.graph._pred_masks
-        for x in range(len(nodes) - 1, -1, -1):
-            below_x = (1 << x) - 1
-            ys = succ[x] & below_x
-            while ys:
-                y = ys.bit_length() - 1
-                ys ^= 1 << y
-                zs = succ[y] & pred[x] & below_x
-                while zs:
-                    z = zs.bit_length() - 1
-                    zs ^= 1 << z
+        for block in self.index_blocks():
+            # A block can hold thousands of cycles; converting it a slice at
+            # a time keeps a short listing from building them all as ints.
+            for start in range(0, len(block), 256):
+                for x, y, z in block[start : start + 256].tolist():
                     yield nodes[x], nodes[y], nodes[z]
 
     def __eq__(self, other: object) -> bool:

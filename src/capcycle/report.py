@@ -7,6 +7,7 @@ fixed serialization, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any
@@ -214,10 +215,45 @@ def emit_dot(graph: DominanceGraph) -> str:
     return "\n".join(lines)
 
 
-def graph_json_dict(report: AnalysisReport) -> dict[str, Any]:
-    """The dominance-graph export schema (no counter table).
+def _json_members(fields: dict[str, Any]) -> str:
+    """``fields`` as JSON object members, without the enclosing braces."""
+    return json.dumps(fields)[1:-1]
 
-    Raises SpaceTooLargeError, before building anything, when the report
+
+_EDGE_JSON = '{"winner": %d, "loser": %d, "margin": %d}'
+
+
+def _cycle_blocks(report: AnalysisReport) -> Iterable[np.ndarray]:
+    """The report's 3-cycles as int32 node-index blocks whose rows share
+    their first node."""
+    cycles = report.three_cycles
+    if isinstance(cycles, ThreeCycles):
+        return cycles.index_blocks()
+    if not cycles:
+        return []
+    # A report rebuilt from JSON holds its cycles as partitions: index them
+    # and split wherever the first node changes.
+    index = {p: i for i, p in enumerate(report.graph.nodes)}
+    triples = np.array([[index[p] for p in c] for c in cycles], dtype=np.int32)
+    return np.split(triples, np.flatnonzero(np.diff(triples[:, 0])) + 1)
+
+
+def _cycle_pieces(report: AnalysisReport, node_texts: list[str]) -> list[str]:
+    """The members of the "three_cycles" list as JSON text, one piece per
+    block with ", " pieces between, so the final join is the only copy."""
+    pieces = []
+    for block in _cycle_blocks(report):
+        head = f"[{node_texts[block[0, 0]]}, "
+        tails = block[:, 1:].tolist()
+        pieces += (", ", ", ".join([f"{head}{node_texts[y]}, {node_texts[z]}]" for y, z in tails]))
+    return pieces[1:]
+
+
+def _graph_json_pieces(report: AnalysisReport) -> list[str]:
+    """The graph schema as JSON text pieces, from its "{" up to, but not
+    including, its closing "}".
+
+    Raises SpaceTooLargeError, before listing anything, when the report
     has more than MAX_LISTED_CYCLES 3-cycles to list.
     """
     n_cycles = len(report.three_cycles)
@@ -227,33 +263,56 @@ def graph_json_dict(report: AnalysisReport) -> dict[str, Any]:
             "the text format reports the count"
         )
     g = report.graph
-    # One shared value list per node, so the listing allocates one list per
-    # cycle instead of four; at (40,4) that cuts its time by half.
-    listed = {p: list(p.values) for p in g.nodes}
-    return {
-        "budget": g.budget,
-        "k": g.k,
-        "nodes": [list(p.values) for p in g.nodes],
-        "edges": [{"winner": w, "loser": l, "margin": m} for w, l, m in g.edges],
-        "draws": [[i, j] for i, j in g.draw_pairs],
-        "three_cycles": [
-            [listed[x], listed[y], listed[z]] for x, y, z in report.three_cycles
-        ],
-        "scc": [list(group) for group in report.scc],
-        "undominated": [list(p.values) for p in report.undominated],
-        "claim": {
-            "holds": report.claim.holds,
-            "counterexamples": [list(p.values) for p in report.claim.counterexamples],
-        },
-    }
+    node_texts = [json.dumps(list(p.values)) for p in g.nodes]
+    winners, losers = np.nonzero(g.margin > 0)
+    margins = g.margin[winners, losers]
+    edges = zip(winners.tolist(), losers.tolist(), margins.tolist())
+    first, second = np.nonzero(np.triu(g.margin == 0, k=1))
+    draws = zip(first.tolist(), second.tolist())
+    return [
+        "{",
+        _json_members({"budget": g.budget, "k": g.k}),
+        ', "nodes": [',
+        ", ".join(node_texts),
+        '], "edges": [',
+        ", ".join(_EDGE_JSON % edge for edge in edges),
+        '], "draws": [',
+        ", ".join(f"[{i}, {j}]" for i, j in draws),
+        '], "three_cycles": [',
+        *_cycle_pieces(report, node_texts),
+        "], ",
+        _json_members(
+            {
+                "scc": [list(group) for group in report.scc],
+                "undominated": [list(p.values) for p in report.undominated],
+                "claim": {
+                    "holds": report.claim.holds,
+                    "counterexamples": [
+                        list(p.values) for p in report.claim.counterexamples
+                    ],
+                },
+            }
+        ),
+    ]
 
 
-def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
-    """Graph schema plus census counts and the counter-strategy table."""
-    payload = graph_json_dict(report)
-    payload["composition_count"] = report.composition_count
-    payload["partition_count"] = report.partition_count
-    payload["counters"] = [
+def graph_json_text(report: AnalysisReport) -> str:
+    """The dominance-graph export schema (no counter table) as JSON text.
+
+    Byte for byte what json.dumps gives for the schema, written straight
+    from the margin matrix and the 3-cycle index blocks, so no per-cycle
+    lists are built. Raises SpaceTooLargeError, before listing anything,
+    when the report has more than MAX_LISTED_CYCLES 3-cycles to list.
+    """
+    pieces = _graph_json_pieces(report)
+    pieces.append("}")
+    return "".join(pieces)
+
+
+def analysis_json_text(report: AnalysisReport) -> str:
+    """Graph schema plus census counts and the counter-strategy table, as JSON text."""
+    pieces = _graph_json_pieces(report)
+    counters = [
         {
             "node": list(entry.node.values),
             "counter": list(entry.counter.values) if entry.counter else None,
@@ -261,7 +320,28 @@ def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
         }
         for entry in report.counters
     ]
-    return payload
+    pieces += [
+        ", ",
+        _json_members(
+            {
+                "composition_count": report.composition_count,
+                "partition_count": report.partition_count,
+                "counters": counters,
+            }
+        ),
+        "}",
+    ]
+    return "".join(pieces)
+
+
+def graph_json_dict(report: AnalysisReport) -> dict[str, Any]:
+    """graph_json_text parsed: the same schema as a dict."""
+    return json.loads(graph_json_text(report))
+
+
+def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
+    """analysis_json_text parsed: the same schema as a dict."""
+    return json.loads(analysis_json_text(report))
 
 
 def analysis_from_json_dict(payload: dict[str, Any]) -> AnalysisReport:
@@ -359,7 +439,11 @@ def render_analysis_text(report: AnalysisReport) -> str:
     for cycle in islice(report.three_cycles, shown):
         lines.append("  " + _cycle_line(cycle))
     if n_cycles > _TEXT_CYCLE_CAP:
-        lines.append(f"  ... ({n_cycles - 10} more; use json format for the full list)")
+        if n_cycles <= MAX_LISTED_CYCLES:
+            rest = "use json format for the full list"
+        else:
+            rest = f"the JSON formats refuse above {MAX_LISTED_CYCLES}"
+        lines.append(f"  ... ({n_cycles - 10} more; {rest})")
     lines.append(
         "strongly connected component sizes: "
         + ",".join(str(s) for s in report.scc_sizes)

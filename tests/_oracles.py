@@ -3,12 +3,15 @@
 Everything here favors obviousness over speed: plain double loops,
 itertools-based enumeration, Floyd-Warshall reachability. These were
 written first and the frozen constants in the tests come from them.
-All functions work on bare tuples of ints, never on package types.
+All functions work on bare tuples of ints, never on package types,
+except the JSON builders at the end: they are the package's earlier
+dict-based export, kept to check the text writers that replaced it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from fractions import Fraction
 from math import comb
 
@@ -85,6 +88,26 @@ def three_cycles(
                 start = min(rotations, key=lambda r: nodes[r[0]])
                 seen.add(tuple(nodes[idx] for idx in start))
     return sorted(seen)
+
+
+def bitmask_three_cycles(succ: list[int], pred: list[int]) -> Iterator[tuple[int, int, int]]:
+    """Index triples (x, y, z) of every directed 3-cycle, lazily, in the
+    package's canonical order: x descending, then y, then z descending.
+
+    ``succ[i]`` and ``pred[i]`` have bit j set when i beats j and when j
+    beats i. x is the highest index of its cycle, so y and z are below it.
+    """
+    for x in range(len(succ) - 1, -1, -1):
+        below_x = (1 << x) - 1
+        ys = succ[x] & below_x
+        while ys:
+            y = ys.bit_length() - 1
+            ys ^= 1 << y
+            zs = succ[y] & pred[x] & below_x
+            while zs:
+                z = zs.bit_length() - 1
+                zs ^= 1 << z
+                yield x, y, z
 
 
 def strong_components(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, ...]]:
@@ -273,3 +296,49 @@ def series_win_probability(wins_a: int, wins_b: int, best_of: int) -> Fraction:
     p = Fraction(wins_a, wins_a + wins_b)
     q = 1 - p
     return sum(comb(m - 1 + j, j) * p**m * q**j for j in range(m))
+
+
+def graph_json_dict(report) -> dict:
+    """The dominance-graph export schema, built as nested lists and dicts.
+
+    Cycles come from bitmask_three_cycles over the graph's strict edges.
+    """
+    g = report.graph
+    nodes = [list(p.values) for p in g.nodes]
+    succ = [0] * len(nodes)
+    pred = [0] * len(nodes)
+    for w, l, _ in g.edges:
+        succ[w] |= 1 << l
+        pred[l] |= 1 << w
+    return {
+        "budget": g.budget,
+        "k": g.k,
+        "nodes": nodes,
+        "edges": [{"winner": w, "loser": l, "margin": m} for w, l, m in g.edges],
+        "draws": [[i, j] for i, j in g.draw_pairs],
+        "three_cycles": [
+            [nodes[x], nodes[y], nodes[z]] for x, y, z in bitmask_three_cycles(succ, pred)
+        ],
+        "scc": [list(group) for group in report.scc],
+        "undominated": [list(p.values) for p in report.undominated],
+        "claim": {
+            "holds": report.claim.holds,
+            "counterexamples": [list(p.values) for p in report.claim.counterexamples],
+        },
+    }
+
+
+def analysis_json_dict(report) -> dict:
+    """Graph schema plus census counts and the counter-strategy table."""
+    payload = graph_json_dict(report)
+    payload["composition_count"] = report.composition_count
+    payload["partition_count"] = report.partition_count
+    payload["counters"] = [
+        {
+            "node": list(entry.node.values),
+            "counter": list(entry.counter.values) if entry.counter else None,
+            "margin": entry.margin,
+        }
+        for entry in report.counters
+    ]
+    return payload

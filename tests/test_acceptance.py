@@ -6,13 +6,14 @@ naive reference implementations in ``_oracles`` before being committed,
 and the oracle recomputations run live inside these tests.
 """
 
+import hashlib
 import random
 import time
 
 from capcycle import (
     Allocation,
     SimConfig,
-    analysis_json_dict,
+    analysis_json_text,
     analyze,
     build_graph,
     canonicalize,
@@ -25,11 +26,14 @@ from capcycle import (
     simulate_best_of,
     simulate_games,
     strongly_connected_components,
-    to_json_text,
     undominated,
 )
 
 from . import _oracles
+
+# sha256 of `capcycle analyze --budget 40 --k 4 --format json` stdout, as
+# first recorded from the dict-based JSON export.
+JSON_40_4_STDOUT_SHA256 = "e7c86d7181e2d5a2e1a55c0cc47341d7c41c667349ac4b5a8ef97ed1e53171c6"
 
 MTL = Allocation((1, 1, 4))
 BOS = Allocation((2, 2, 2))
@@ -277,13 +281,14 @@ def test_acceptance_8_invariant_suite():
 
 
 def test_acceptance_9_performance_and_determinism():
+    # Times what `capcycle analyze --budget 40 --k 4 --format json` runs.
     failures = []
     start = time.perf_counter()
-    first = to_json_text(analysis_json_dict(analyze(40, 4)))
+    first = analysis_json_text(analyze(40, 4))
     first_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    second = to_json_text(analysis_json_dict(analyze(40, 4)))
+    second = analysis_json_text(analyze(40, 4))
     second_elapsed = time.perf_counter() - start
 
     if first_elapsed >= 10.0:
@@ -292,6 +297,13 @@ def test_acceptance_9_performance_and_determinism():
         failures.append(f"second run took {second_elapsed:.1f} s")
     if first != second:
         failures.append("consecutive runs differ byte for byte")
+    # The CLI prints the text and a newline; this is that stdout's digest.
+    digest = hashlib.sha256(first.encode())
+    digest.update(b"\n")
+    if digest.hexdigest() != JSON_40_4_STDOUT_SHA256:
+        failures.append(f"stdout sha256 {digest.hexdigest()} differs from the reference")
+    if len(first) != 70_210_625:
+        failures.append(f"expected 70,210,625 characters, got {len(first)}")
 
     graph = build_graph(40, 4)
     sccs = strongly_connected_components(graph)

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from capcycle import analysis_json_dict, analyze, render_analysis_text
+import capcycle.cli as cli_module
+from capcycle import analysis_json_dict, analysis_json_text, analyze, render_analysis_text
 from capcycle.cli import run_cli
 
 from .test_report import EXPECTED_DOT, EXPECTED_GRID
@@ -185,7 +186,9 @@ class TestAnalyzeCommand:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "intransitive 3-cycles: 32143068" in proc.stdout.splitlines()
+        lines = proc.stdout.splitlines()
+        assert "intransitive 3-cycles: 32143068" in lines
+        assert "  ... (32143058 more; the JSON formats refuse above 10000000)" in lines
         assert int(proc.stderr) / 1024 < 500  # ru_maxrss is in KiB on Linux
 
 
@@ -304,6 +307,16 @@ class TestUsageAndOutput:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text()) == analysis_json_dict(analyze(6, 3))
+
+    def test_output_written_in_slices_is_unchanged(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "_WRITE_CHUNK", 7)
+        expected = analysis_json_text(analyze(6, 3)) + "\n"
+        code, out, _ = run(capsys, "analyze", "--format", "json")
+        assert code == 0
+        assert out == expected
+        target = tmp_path / "report.json"
+        assert run_cli(["analyze", "--format", "json", "--out", str(target)]) == 0
+        assert target.read_bytes() == expected.encode()
 
     def test_identical_invocations_are_byte_identical(self, capsys):
         args = ["analyze", "--format", "json"]

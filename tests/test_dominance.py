@@ -1,3 +1,6 @@
+from itertools import islice
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +50,17 @@ CYCLES_6_3 = [
 small_spaces = st.tuples(
     st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=4)
 )
+
+
+def assert_blocks_match_bitmask_oracle(graph):
+    """index_blocks, concatenated, is the oracle's bitmask walk; compared one
+    block at a time so large spaces stay small in memory."""
+    oracle = _oracles.bitmask_three_cycles(graph._succ_masks, graph._pred_masks)
+    for block in find_three_cycles(graph).index_blocks():
+        assert block.dtype == np.int32 and block.shape[1:] == (3,)
+        assert len(block) and (block[:, 0] == block[0, 0]).all()
+        assert block.tolist() == [list(t) for t in islice(oracle, len(block))]
+    assert next(oracle, None) is None
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +169,37 @@ class TestThreeCycles:
     )
     def test_pinned_counts_without_listing(self, budget, k, count):
         assert len(find_three_cycles(build_graph(budget, k))) == count
+
+    @given(small_spaces)
+    def test_index_blocks_match_bitmask_oracle(self, space):
+        assert_blocks_match_bitmask_oracle(build_graph(*space))
+
+    @pytest.mark.parametrize("budget, k", [(20, 5), (40, 4)])
+    def test_pinned_index_blocks_match_bitmask_oracle(self, budget, k):
+        assert_blocks_match_bitmask_oracle(build_graph(budget, k))
+
+    def test_iteration_matches_bitmask_oracle_across_block_slices(self):
+        graph = build_graph(20, 5)  # blocks of up to 1,225 cycles
+        nodes = graph.nodes
+        oracle = _oracles.bitmask_three_cycles(graph._succ_masks, graph._pred_masks)
+        assert list(find_three_cycles(graph)) == [tuple(nodes[i] for i in t) for t in oracle]
+
+    def test_first_cycles_walk_one_block(self):
+        graph = build_graph(60, 4)
+        cycles = find_three_cycles(graph)
+        walk, pulled = cycles.index_blocks, []
+
+        def counted():
+            for block in walk():
+                pulled.append(len(block))
+                yield block
+
+        cycles.index_blocks = counted
+        nodes = [p.values for p in graph.nodes]
+        oracle = _oracles.bitmask_three_cycles(graph._succ_masks, graph._pred_masks)
+        expected = [tuple(nodes[i] for i in t) for t in islice(oracle, 10)]
+        assert [tuple(p.values for p in c) for c in islice(cycles, 10)] == expected
+        assert pulled == [394]  # of 32,143,068 cycles, only the first block's
 
     def test_compares_elementwise(self, graph_6_3):
         cycles = find_three_cycles(graph_6_3)

@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
 import capcycle.report as report_module
 from capcycle import (
@@ -11,11 +12,13 @@ from capcycle import (
     TiePolicy,
     analysis_from_json_dict,
     analysis_json_dict,
+    analysis_json_text,
     analyze,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
     graph_json_dict,
+    graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
     matchup_table,
@@ -24,6 +27,9 @@ from capcycle import (
     simulation_json_dict,
     to_json_text,
 )
+
+from . import _oracles
+from .test_dominance import small_spaces
 
 MTL = Allocation((1, 1, 4))
 NY = Allocation((3, 3, 0))
@@ -78,6 +84,11 @@ digraph dominance {
 @pytest.fixture(scope="module")
 def report_6_3():
     return analyze(6, 3)
+
+
+def assert_text_matches_oracle(report):
+    assert graph_json_text(report) == json.dumps(_oracles.graph_json_dict(report))
+    assert analysis_json_text(report) == json.dumps(_oracles.analysis_json_dict(report))
 
 
 class TestMatchupRendering:
@@ -204,11 +215,34 @@ class TestGraphExports:
         rebuilt = analysis_from_json_dict(json.loads(text))
         assert rebuilt == report_6_3
 
+    @given(small_spaces)
+    def test_text_writers_match_oracle_dicts(self, space):
+        assert_text_matches_oracle(analyze(*space))
+
+    @pytest.mark.parametrize(
+        "budget, k",
+        [(0, 3), (1, 1), (5, 4), (20, 5)],
+        ids=["single-node", "one-category", "edges-without-cycles", "20-5"],
+    )
+    def test_pinned_text_matches_oracle(self, budget, k):
+        report = analyze(budget, k)
+        if (budget, k) == (5, 4):
+            assert report.graph.edges and not len(report.three_cycles)
+        assert_text_matches_oracle(report)
+
+    def test_rebuilt_report_writes_the_same_text(self):
+        report = analyze(10, 3)  # 22 cycles in 5 blocks
+        text = analysis_json_text(report)
+        rebuilt = analysis_from_json_dict(json.loads(text))
+        assert isinstance(rebuilt.three_cycles, tuple)
+        assert analysis_json_text(rebuilt) == text
+        assert graph_json_text(rebuilt) == graph_json_text(report)
+
     def test_cycle_listing_limit(self, report_6_3, monkeypatch):
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 2)
         assert len(graph_json_dict(report_6_3)["three_cycles"]) == 2
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 1)
-        for build in (graph_json_dict, analysis_json_dict):
+        for build in (graph_json_dict, analysis_json_dict, graph_json_text, analysis_json_text):
             with pytest.raises(SpaceTooLargeError, match="2 3-cycles exceed"):
                 build(report_6_3)
 
