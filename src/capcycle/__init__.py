@@ -13,22 +13,17 @@ from .allocations import (
     Allocation,
     Partition,
     canonicalize,
-    composition_count,
     enumerate_compositions,
     enumerate_partitions,
     format_allocation,
     parse_allocation,
-    partition_count,
 )
 from .dominance import (
     ClaimVerdict,
     DominanceGraph,
-    best_counters,
+    ThreeCycles,
     build_graph,
     counter_strategy,
-    find_three_cycles,
-    strongly_connected_components,
-    undominated,
 )
 from .errors import (
     AllocationError,
@@ -42,24 +37,19 @@ from .errors import (
 from .matchups import (
     Cell,
     MatchupTable,
-    SeriesOutcome,
     TiePolicy,
-    dominates,
     matchup_table,
-    series_outcome,
     win_probability,
 )
 from .report import (
     AnalysisReport,
     CounterEntry,
     analysis_from_json_dict,
-    analysis_json_dict,
     analysis_json_text,
     analyze,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
-    graph_json_dict,
     graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
@@ -70,15 +60,14 @@ from .report import (
 from .simulate import (
     SeriesStats,
     SimConfig,
-    prng_next,
-    sample_cell,
-    series_seed_states,
     simulate_best_of,
     simulate_games,
 )
 
 __version__ = "0.1.0"
 
+# What the CLI, the scripts and the README use, plus the types those
+# names return or raise. Tests import other helpers from their submodules.
 __all__ = [
     "Allocation",
     "AllocationError",
@@ -95,45 +84,32 @@ __all__ = [
     "MatchupTable",
     "NegativeEntryError",
     "Partition",
-    "SeriesOutcome",
     "SeriesStats",
     "SimConfig",
     "SpaceTooLargeError",
+    "ThreeCycles",
     "TiePolicy",
     "analysis_from_json_dict",
-    "analysis_json_dict",
     "analysis_json_text",
     "analyze",
-    "best_counters",
     "build_graph",
     "canonicalize",
-    "composition_count",
     "counter_strategy",
-    "dominates",
     "emit_dot",
     "emit_matchup_csv",
     "emit_matchup_grid",
     "enumerate_compositions",
     "enumerate_partitions",
-    "find_three_cycles",
     "format_allocation",
-    "graph_json_dict",
     "graph_json_text",
     "matchup_json_dict",
     "matchup_summary_line",
     "matchup_table",
     "parse_allocation",
-    "partition_count",
-    "prng_next",
     "render_analysis_text",
-    "sample_cell",
-    "series_outcome",
-    "series_seed_states",
     "simulate_best_of",
     "simulate_games",
     "simulation_json_dict",
-    "strongly_connected_components",
     "to_json_text",
-    "undominated",
     "win_probability",
 ]

@@ -31,7 +31,7 @@ class DominanceGraph:
     """Exhaustive pairwise classification of the capped strategy space.
 
     The relation is the n x n ``margin`` matrix, computed once from the
-    nodes; edges, draws, adjacency bitmasks and counters are views of it.
+    nodes; edges, draws and counters are views of it.
     Every unordered node pair appears exactly once, either as a strict
     edge (with its positive win margin) or as a draw pair. Nodes are in
     lexicographically descending order, matching enumerate_partitions.
@@ -46,26 +46,24 @@ class DominanceGraph:
         """margin[i, j] = cells node i takes from node j minus cells j takes from i."""
         return _margins(self.nodes, self.nodes, self.budget)
 
+    def pair_indices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """Index arrays ((winners, losers), (first, second)) of the strict
+        edges, sorted by winner then loser, and of the drawn pairs, with
+        first < second, sorted."""
+        return np.nonzero(self.margin > 0), np.nonzero(np.triu(self.margin == 0, k=1))
+
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Strict edges (winner, loser, margin), sorted by winner then loser."""
-        winners, losers = np.nonzero(self.margin > 0)
+        winners, losers = self.pair_indices()[0]
         margins = self.margin[winners, losers]
         return tuple(zip(winners.tolist(), losers.tolist(), margins.tolist()))
 
     @cached_property
     def draw_pairs(self) -> tuple[tuple[int, int], ...]:
         """Drawn pairs (i, j) with i < j, sorted."""
-        first, second = np.nonzero(np.triu(self.margin == 0, k=1))
+        first, second = self.pair_indices()[1]
         return tuple(zip(first.tolist(), second.tolist()))
-
-    @cached_property
-    def _succ_masks(self) -> list[int]:
-        return _row_bitmasks(self.margin > 0)
-
-    @cached_property
-    def _pred_masks(self) -> list[int]:
-        return _row_bitmasks(self.margin < 0)
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,8 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
     Forward-backward search: the component of the lowest unassigned node
     is what it reaches forward, searched backward from it within that set.
     """
-    succ, pred = graph._succ_masks, graph._pred_masks
+    succ = _row_bitmasks(graph.margin > 0)
+    pred = _row_bitmasks(graph.margin < 0)
     unassigned = (1 << len(graph.nodes)) - 1
     components = []
     while unassigned:

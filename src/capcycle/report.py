@@ -7,8 +7,8 @@ fixed serialization, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Any
 
@@ -65,18 +65,12 @@ class CounterEntry:
 class AnalysisReport:
     """Full strategy-space report for one (budget, k).
 
-    ``three_cycles`` is a ThreeCycles from analyze and a tuple when rebuilt
-    from JSON; the two compare equal.
+    The dominance graph is the one stored field: every other field is a
+    view of it. The cycles, components, undominated set and counter table
+    are computed on first use and then kept.
     """
 
     graph: DominanceGraph
-    composition_count: int
-    partition_count: int
-    three_cycles: ThreeCycles | tuple[Cycle, ...]
-    scc: tuple[tuple[int, ...], ...]
-    undominated: tuple[Partition, ...]
-    claim: ClaimVerdict
-    counters: tuple[CounterEntry, ...]
 
     @property
     def budget(self) -> int:
@@ -87,28 +81,45 @@ class AnalysisReport:
         return self.graph.k
 
     @property
+    def composition_count(self) -> int:
+        return composition_count(self.budget, self.k)
+
+    @property
+    def partition_count(self) -> int:
+        return len(self.graph.nodes)
+
+    @cached_property
+    def three_cycles(self) -> ThreeCycles:
+        return find_three_cycles(self.graph)
+
+    @cached_property
+    def scc(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(strongly_connected_components(self.graph))
+
+    @property
     def scc_sizes(self) -> tuple[int, ...]:
         return tuple(sorted((len(s) for s in self.scc), reverse=True))
 
+    @cached_property
+    def undominated(self) -> tuple[Partition, ...]:
+        return tuple(undominated(self.graph))
+
+    @property
+    def claim(self) -> ClaimVerdict:
+        return ClaimVerdict(not self.undominated, self.undominated, self.budget, self.k)
+
+    @cached_property
+    def counters(self) -> tuple[CounterEntry, ...]:
+        return tuple(
+            CounterEntry(node, pair[0] if pair else None, pair[1] if pair else None)
+            for node, pair in zip(self.graph.nodes, best_counters(self.graph))
+        )
+
 
 def analyze(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> AnalysisReport:
-    """Build the complete report for the capped strategy space."""
-    graph = build_graph(budget, k, limit)
-    counters = tuple(
-        CounterEntry(node, pair[0] if pair else None, pair[1] if pair else None)
-        for node, pair in zip(graph.nodes, best_counters(graph))
-    )
-    free = tuple(undominated(graph))
-    return AnalysisReport(
-        graph=graph,
-        composition_count=composition_count(budget, k),
-        partition_count=len(graph.nodes),
-        three_cycles=find_three_cycles(graph),
-        scc=tuple(strongly_connected_components(graph)),
-        undominated=free,
-        claim=ClaimVerdict(not free, free, budget, k),
-        counters=counters,
-    )
+    """The report for the capped strategy space: the graph is built now, the
+    rest of the report on first use."""
+    return AnalysisReport(build_graph(budget, k, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +234,11 @@ def _json_members(fields: dict[str, Any]) -> str:
 _EDGE_JSON = '{"winner": %d, "loser": %d, "margin": %d}'
 
 
-def _cycle_blocks(report: AnalysisReport) -> Iterable[np.ndarray]:
-    """The report's 3-cycles as int32 node-index blocks whose rows share
-    their first node."""
-    cycles = report.three_cycles
-    if isinstance(cycles, ThreeCycles):
-        return cycles.index_blocks()
-    if not cycles:
-        return []
-    # A report rebuilt from JSON holds its cycles as partitions: index them
-    # and split wherever the first node changes.
-    index = {p: i for i, p in enumerate(report.graph.nodes)}
-    triples = np.array([[index[p] for p in c] for c in cycles], dtype=np.int32)
-    return np.split(triples, np.flatnonzero(np.diff(triples[:, 0])) + 1)
-
-
 def _cycle_pieces(report: AnalysisReport, node_texts: list[str]) -> list[str]:
     """The members of the "three_cycles" list as JSON text, one piece per
     block with ", " pieces between, so the final join is the only copy."""
     pieces = []
-    for block in _cycle_blocks(report):
+    for block in report.three_cycles.index_blocks():
         head = f"[{node_texts[block[0, 0]]}, "
         tails = block[:, 1:].tolist()
         pieces += (", ", ", ".join([f"{head}{node_texts[y]}, {node_texts[z]}]" for y, z in tails]))
@@ -262,12 +258,24 @@ def _graph_json_pieces(report: AnalysisReport) -> list[str]:
             f"{n_cycles} 3-cycles exceed the JSON listing limit {MAX_LISTED_CYCLES}; "
             "the text format reports the count"
         )
+    # The trailing members are written first, so the report fields they
+    # compute on first use run while the heap is still small; after the
+    # listing, their temporaries added about 2 MB to the (40,4) peak RSS.
+    tail = _json_members(
+        {
+            "scc": [list(group) for group in report.scc],
+            "undominated": [list(p.values) for p in report.undominated],
+            "claim": {
+                "holds": report.claim.holds,
+                "counterexamples": [list(p.values) for p in report.claim.counterexamples],
+            },
+        }
+    )
     g = report.graph
     node_texts = [json.dumps(list(p.values)) for p in g.nodes]
-    winners, losers = np.nonzero(g.margin > 0)
+    (winners, losers), (first, second) = g.pair_indices()
     margins = g.margin[winners, losers]
     edges = zip(winners.tolist(), losers.tolist(), margins.tolist())
-    first, second = np.nonzero(np.triu(g.margin == 0, k=1))
     draws = zip(first.tolist(), second.tolist())
     return [
         "{",
@@ -281,18 +289,7 @@ def _graph_json_pieces(report: AnalysisReport) -> list[str]:
         '], "three_cycles": [',
         *_cycle_pieces(report, node_texts),
         "], ",
-        _json_members(
-            {
-                "scc": [list(group) for group in report.scc],
-                "undominated": [list(p.values) for p in report.undominated],
-                "claim": {
-                    "holds": report.claim.holds,
-                    "counterexamples": [
-                        list(p.values) for p in report.claim.counterexamples
-                    ],
-                },
-            }
-        ),
+        tail,
     ]
 
 
@@ -311,7 +308,6 @@ def graph_json_text(report: AnalysisReport) -> str:
 
 def analysis_json_text(report: AnalysisReport) -> str:
     """Graph schema plus census counts and the counter-strategy table, as JSON text."""
-    pieces = _graph_json_pieces(report)
     counters = [
         {
             "node": list(entry.node.values),
@@ -320,23 +316,15 @@ def analysis_json_text(report: AnalysisReport) -> str:
         }
         for entry in report.counters
     ]
-    pieces += [
-        ", ",
-        _json_members(
-            {
-                "composition_count": report.composition_count,
-                "partition_count": report.partition_count,
-                "counters": counters,
-            }
-        ),
-        "}",
-    ]
-    return "".join(pieces)
-
-
-def graph_json_dict(report: AnalysisReport) -> dict[str, Any]:
-    """graph_json_text parsed: the same schema as a dict."""
-    return json.loads(graph_json_text(report))
+    # Written before the graph pieces, as _graph_json_pieces writes its tail.
+    tail = _json_members(
+        {
+            "composition_count": report.composition_count,
+            "partition_count": report.partition_count,
+            "counters": counters,
+        }
+    )
+    return "".join([*_graph_json_pieces(report), ", ", tail, "}"])
 
 
 def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
@@ -345,35 +333,14 @@ def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
 
 
 def analysis_from_json_dict(payload: dict[str, Any]) -> AnalysisReport:
-    """Rebuild an AnalysisReport from its JSON form (field-for-field equal)."""
+    """Rebuild an AnalysisReport from its JSON form.
+
+    Only "budget", "k" and "nodes" are read: the graph over those nodes
+    determines every other field, so the rebuilt report equals the one
+    that was written.
+    """
     nodes = tuple(Partition(tuple(v)) for v in payload["nodes"])
-    graph = DominanceGraph(budget=payload["budget"], k=payload["k"], nodes=nodes)
-    return AnalysisReport(
-        graph=graph,
-        composition_count=payload["composition_count"],
-        partition_count=payload["partition_count"],
-        three_cycles=tuple(
-            tuple(Partition(tuple(v)) for v in cyc) for cyc in payload["three_cycles"]
-        ),
-        scc=tuple(tuple(group) for group in payload["scc"]),
-        undominated=tuple(Partition(tuple(v)) for v in payload["undominated"]),
-        claim=ClaimVerdict(
-            holds=payload["claim"]["holds"],
-            counterexamples=tuple(
-                Partition(tuple(v)) for v in payload["claim"]["counterexamples"]
-            ),
-            budget=payload["budget"],
-            k=payload["k"],
-        ),
-        counters=tuple(
-            CounterEntry(
-                node=Partition(tuple(c["node"])),
-                counter=Partition(tuple(c["counter"])) if c["counter"] else None,
-                margin=c["margin"],
-            )
-            for c in payload["counters"]
-        ),
-    )
+    return AnalysisReport(DominanceGraph(payload["budget"], payload["k"], nodes))
 
 
 def to_json_text(payload: dict[str, Any]) -> str:

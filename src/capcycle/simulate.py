@@ -42,11 +42,6 @@ def _outputs(state: int, n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def prng_next(state: int) -> tuple[int, int]:
-    """One splitmix64 step: returns (new_state, 64-bit output)."""
-    return (state + _GAMMA) & _MASK64, int(_outputs(state, 1)[0])
-
-
 def _rejection_threshold(k: int) -> int:
     return (2**64 // k) * k
 

@@ -18,16 +18,14 @@ from capcycle import (
     build_graph,
     canonicalize,
     counter_strategy,
-    dominates,
-    find_three_cycles,
     matchup_table,
-    prng_next,
     render_analysis_text,
     simulate_best_of,
     simulate_games,
-    strongly_connected_components,
-    undominated,
 )
+from capcycle.dominance import find_three_cycles, strongly_connected_components, undominated
+from capcycle.matchups import dominates
+from capcycle.simulate import _outputs
 
 from . import _oracles
 
@@ -199,11 +197,7 @@ def test_acceptance_6_simulation_convergence():
 
 
 def test_acceptance_7_prng_conformance():
-    state = 0
-    outputs = []
-    for _ in range(2):
-        state, out = prng_next(state)
-        outputs.append(out)
+    outputs = _outputs(0, 2).tolist()
 
     failures = []
     derived = _oracles.splitmix64_outputs(0, 2)

@@ -12,13 +12,12 @@ from capcycle import (
     Partition,
     SpaceTooLargeError,
     canonicalize,
-    composition_count,
     enumerate_compositions,
     enumerate_partitions,
     format_allocation,
     parse_allocation,
-    partition_count,
 )
+from capcycle.allocations import composition_count, partition_count
 
 from . import _oracles
 

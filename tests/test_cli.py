@@ -5,7 +5,8 @@ import sys
 import pytest
 
 import capcycle.cli as cli_module
-from capcycle import analysis_json_dict, analysis_json_text, analyze, render_analysis_text
+from capcycle import analysis_json_text, analyze, render_analysis_text
+from capcycle.report import analysis_json_dict
 from capcycle.cli import run_cli
 
 from .test_report import EXPECTED_DOT, EXPECTED_GRID

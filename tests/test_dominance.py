@@ -10,15 +10,18 @@ from capcycle import (
     Partition,
     SpaceTooLargeError,
     analyze,
-    best_counters,
     build_graph,
     counter_strategy,
-    dominates,
-    find_three_cycles,
     matchup_table,
+)
+from capcycle.dominance import (
+    _row_bitmasks,
+    best_counters,
+    find_three_cycles,
     strongly_connected_components,
     undominated,
 )
+from capcycle.matchups import dominates
 
 from . import _oracles
 
@@ -52,10 +55,17 @@ small_spaces = st.tuples(
 )
 
 
+def bitmask_oracle(graph):
+    """The oracle's bitmask walk over the strict edges of ``graph``."""
+    return _oracles.bitmask_three_cycles(
+        _row_bitmasks(graph.margin > 0), _row_bitmasks(graph.margin < 0)
+    )
+
+
 def assert_blocks_match_bitmask_oracle(graph):
     """index_blocks, concatenated, is the oracle's bitmask walk; compared one
     block at a time so large spaces stay small in memory."""
-    oracle = _oracles.bitmask_three_cycles(graph._succ_masks, graph._pred_masks)
+    oracle = bitmask_oracle(graph)
     for block in find_three_cycles(graph).index_blocks():
         assert block.dtype == np.int32 and block.shape[1:] == (3,)
         assert len(block) and (block[:, 0] == block[0, 0]).all()
@@ -181,7 +191,7 @@ class TestThreeCycles:
     def test_iteration_matches_bitmask_oracle_across_block_slices(self):
         graph = build_graph(20, 5)  # blocks of up to 1,225 cycles
         nodes = graph.nodes
-        oracle = _oracles.bitmask_three_cycles(graph._succ_masks, graph._pred_masks)
+        oracle = bitmask_oracle(graph)
         assert list(find_three_cycles(graph)) == [tuple(nodes[i] for i in t) for t in oracle]
 
     def test_first_cycles_walk_one_block(self):
@@ -196,7 +206,7 @@ class TestThreeCycles:
 
         cycles.index_blocks = counted
         nodes = [p.values for p in graph.nodes]
-        oracle = _oracles.bitmask_three_cycles(graph._succ_masks, graph._pred_masks)
+        oracle = bitmask_oracle(graph)
         expected = [tuple(nodes[i] for i in t) for t in islice(oracle, 10)]
         assert [tuple(p.values for p in c) for c in islice(cycles, 10)] == expected
         assert pulled == [394]  # of 32,143,068 cycles, only the first block's

@@ -9,13 +9,11 @@ from capcycle import (
     AllTiesError,
     Cell,
     DimensionMismatchError,
-    SeriesOutcome,
     TiePolicy,
-    dominates,
     matchup_table,
-    series_outcome,
     win_probability,
 )
+from capcycle.matchups import SeriesOutcome, dominates, series_outcome
 
 from . import _oracles
 

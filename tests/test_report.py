@@ -11,13 +11,11 @@ from capcycle import (
     SpaceTooLargeError,
     TiePolicy,
     analysis_from_json_dict,
-    analysis_json_dict,
     analysis_json_text,
     analyze,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
-    graph_json_dict,
     graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
@@ -27,6 +25,7 @@ from capcycle import (
     simulation_json_dict,
     to_json_text,
 )
+from capcycle.report import analysis_json_dict
 
 from . import _oracles
 from .test_dominance import small_spaces
@@ -180,7 +179,7 @@ class TestGraphExports:
         assert "->" not in dot
 
     def test_graph_json_schema(self, report_6_3):
-        payload = graph_json_dict(report_6_3)
+        payload = json.loads(graph_json_text(report_6_3))
         assert sorted(payload) == [
             "budget",
             "claim",
@@ -214,6 +213,16 @@ class TestGraphExports:
         text = to_json_text(analysis_json_dict(report_6_3))
         rebuilt = analysis_from_json_dict(json.loads(text))
         assert rebuilt == report_6_3
+        assert rebuilt.counters == report_6_3.counters
+        assert rebuilt.claim == report_6_3.claim
+
+    def test_graph_json_skips_the_counter_table(self, monkeypatch):
+        def refuse(graph):
+            raise AssertionError("graph JSON built the counter table")
+
+        monkeypatch.setattr(report_module, "best_counters", refuse)
+        payload = json.loads(graph_json_text(analyze(6, 3)))
+        assert payload["undominated"] == [[4, 2, 0]]
 
     @given(small_spaces)
     def test_text_writers_match_oracle_dicts(self, space):
@@ -234,15 +243,16 @@ class TestGraphExports:
         report = analyze(10, 3)  # 22 cycles in 5 blocks
         text = analysis_json_text(report)
         rebuilt = analysis_from_json_dict(json.loads(text))
-        assert isinstance(rebuilt.three_cycles, tuple)
+        assert rebuilt == report
+        assert len(rebuilt.three_cycles) == 22
         assert analysis_json_text(rebuilt) == text
         assert graph_json_text(rebuilt) == graph_json_text(report)
 
     def test_cycle_listing_limit(self, report_6_3, monkeypatch):
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 2)
-        assert len(graph_json_dict(report_6_3)["three_cycles"]) == 2
+        assert len(json.loads(graph_json_text(report_6_3))["three_cycles"]) == 2
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 1)
-        for build in (graph_json_dict, analysis_json_dict, graph_json_text, analysis_json_text):
+        for build in (analysis_json_dict, graph_json_text, analysis_json_text):
             with pytest.raises(SpaceTooLargeError, match="2 3-cycles exceed"):
                 build(report_6_3)
 

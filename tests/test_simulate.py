@@ -11,13 +11,10 @@ from capcycle import (
     DimensionMismatchError,
     SimConfig,
     TiePolicy,
-    prng_next,
-    sample_cell,
-    series_seed_states,
     simulate_best_of,
     simulate_games,
 )
-from capcycle.simulate import _BLOCK
+from capcycle.simulate import _BLOCK, _GAMMA, _outputs, sample_cell, series_seed_states
 
 from . import _oracles
 
@@ -33,32 +30,23 @@ REF_FROM_ZERO = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 class TestPrng:
     def test_reference_sequence_from_zero(self):
-        state = 0
-        outputs = []
-        for _ in range(3):
-            state, out = prng_next(state)
-            outputs.append(out)
-        assert outputs == REF_FROM_ZERO
+        assert _outputs(0, 3).tolist() == REF_FROM_ZERO
 
     def test_state_advances_by_gamma(self):
-        state, _ = prng_next(0)
-        assert state == 0x9E3779B97F4A7C15
-        state, _ = prng_next(state)
-        assert state == (2 * 0x9E3779B97F4A7C15) % 2**64
+        # one step moves the state by gamma: the stream from gamma is the
+        # stream from 0 less its first output, and the state wraps mod 2^64
+        assert _GAMMA == 0x9E3779B97F4A7C15
+        assert _outputs(_GAMMA, 2).tolist() == REF_FROM_ZERO[1:]
+        assert _outputs((2 * _GAMMA) % 2**64, 1).tolist() == REF_FROM_ZERO[2:]
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_matches_oracle_transcription(self, seed):
-        state = seed
-        outputs = []
-        for _ in range(4):
-            state, out = prng_next(state)
-            outputs.append(out)
-        assert outputs == _oracles.splitmix64_outputs(seed, 4)
+        assert _outputs(seed, 4).tolist() == _oracles.splitmix64_outputs(seed, 4)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_output_range(self, seed):
-        _, out = prng_next(seed)
-        assert 0 <= out < 2**64
+        (out,) = series_seed_states(seed, 1)
+        assert isinstance(out, int) and 0 <= out < 2**64
 
 
 class TestSampleCell:
