@@ -7,9 +7,12 @@ A series goes to whichever side wins more cells, ties being neutral.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
 
 from .allocations import Allocation
 from .errors import AllTiesError, DimensionMismatchError
@@ -46,13 +49,30 @@ class TiePolicy(Enum):
 
 @dataclass(frozen=True)
 class MatchupTable:
-    """The k x k cell grid between two allocations, with aggregate counts."""
+    """The matchup between two allocations: aggregate cell counts, computed
+    when the table is made, and the k x k cell grid, built on first read.
 
-    cells: tuple[tuple[Cell, ...], ...]
+    Tables compare and hash by both sides' values and the counts, so two
+    matchups with the same grid but different salaries are not equal.
+    """
+
+    a_values: tuple[int, ...]
+    b_values: tuple[int, ...]
     wins_a: int
     wins_b: int
     ties: int
     k: int
+
+    @cached_property
+    def cells(self) -> tuple[tuple[Cell, ...], ...]:
+        """Row i, column j: the outcome of a's i-th value against b's j-th."""
+        return tuple(
+            tuple(
+                Cell.A_WIN if x > y else Cell.B_WIN if x < y else Cell.TIE
+                for y in self.b_values
+            )
+            for x in self.a_values
+        )
 
 
 def require_same_k(a: Allocation, b: Allocation) -> None:
@@ -66,26 +86,18 @@ def require_same_k(a: Allocation, b: Allocation) -> None:
 def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     """Compare every category of ``a`` against every category of ``b``.
 
-    The budgets need not match; the cap constraint lives at enumeration
-    time, not here.
+    The counts are computed now, by bisecting b's sorted values: a face x
+    beats the faces below it and ties those equal to it. Every comparison
+    is between Python ints, so the counts stay exact past 2^63. The
+    ``cells`` grid is built on first read. The budgets need not match; the
+    cap constraint lives at enumeration time, not here.
     """
     require_same_k(a, b)
-    wins_a = wins_b = ties = 0
-    rows = []
-    for x in a.values:
-        row = []
-        for y in b.values:
-            if x > y:
-                row.append(Cell.A_WIN)
-                wins_a += 1
-            elif x < y:
-                row.append(Cell.B_WIN)
-                wins_b += 1
-            else:
-                row.append(Cell.TIE)
-                ties += 1
-        rows.append(tuple(row))
-    return MatchupTable(tuple(rows), wins_a, wins_b, ties, a.k)
+    k = a.k
+    ys = sorted(b.values)
+    wins_a = sum(map(bisect_left, repeat(ys, k), a.values))
+    at_most = sum(map(bisect_right, repeat(ys, k), a.values))
+    return MatchupTable(a.values, b.values, wins_a, k * k - at_most, at_most - wins_a, k)
 
 
 def series_outcome(table: MatchupTable) -> SeriesOutcome:
@@ -95,11 +107,6 @@ def series_outcome(table: MatchupTable) -> SeriesOutcome:
     if table.wins_b > table.wins_a:
         return SeriesOutcome.B_WINS
     return SeriesOutcome.DRAW
-
-
-def dominates(a: Allocation, b: Allocation) -> bool:
-    """True iff ``a`` strictly wins the series against ``b``."""
-    return series_outcome(matchup_table(a, b)) is SeriesOutcome.A_WINS
 
 
 def win_probability(table: MatchupTable, policy: TiePolicy) -> Fraction:

@@ -217,10 +217,11 @@ def emit_dot(graph: DominanceGraph) -> str:
     lines = ["digraph dominance {", "  rankdir=LR;"]
     for i, node in enumerate(graph.nodes):
         lines.append(f'  n{i} [label="{format_allocation(node)}"];')
-    for w, l, _ in graph.edges:
+    (winners, losers), (first, second) = graph.pair_indices()
+    for w, l in zip(winners.tolist(), losers.tolist()):
         t = matchup_table(graph.nodes[w], graph.nodes[l])
         lines.append(f'  n{w} -> n{l} [label="{t.wins_a}-{t.wins_b}"];')
-    for i, j in graph.draw_pairs:
+    for i, j in zip(first.tolist(), second.tolist()):
         lines.append(f"  n{i} -> n{j} [dir=none, style=dashed];")
     lines.append("}")
     return "\n".join(lines)

@@ -4,8 +4,9 @@ Everything here favors obviousness over speed: plain double loops,
 itertools-based enumeration, Floyd-Warshall reachability. These were
 written first and the frozen constants in the tests come from them.
 All functions work on bare tuples of ints, never on package types,
-except the JSON builders at the end: they are the package's earlier
-dict-based export, kept to check the text writers that replaced it.
+except the export builders at the end: they are the package's earlier
+dict-based JSON export and per-edge DOT writer, kept to check the writers
+that replaced them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ def cell_counts(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, int, int]:
             else:
                 ties += 1
     return wins_a, wins_b, ties
+
+
+def cell_grid(a: tuple[int, ...], b: tuple[int, ...]) -> list[list[str]]:
+    """Row i, column j: "A", "B" or "tie" for a[i] against b[j]."""
+    return [["A" if x > y else "B" if x < y else "tie" for y in b] for x in a]
 
 
 def beats(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -342,3 +348,21 @@ def analysis_json_dict(report) -> dict:
         for entry in report.counters
     ]
     return payload
+
+
+def dot(graph) -> str:
+    """The DOT digraph export, one line per node, strict edge and draw.
+
+    Edges are labelled with their cell tally from cell_counts.
+    """
+    nodes = [p.values for p in graph.nodes]
+    lines = ["digraph dominance {", "  rankdir=LR;"]
+    for i, values in enumerate(nodes):
+        lines.append(f'  n{i} [label="{",".join(map(str, values))}"];')
+    for w, l, _ in graph.edges:
+        wins_w, wins_l, _ = cell_counts(nodes[w], nodes[l])
+        lines.append(f'  n{w} -> n{l} [label="{wins_w}-{wins_l}"];')
+    for i, j in graph.draw_pairs:
+        lines.append(f"  n{i} -> n{j} [dir=none, style=dashed];")
+    lines.append("}")
+    return "\n".join(lines)

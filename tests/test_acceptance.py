@@ -24,7 +24,7 @@ from capcycle import (
     simulate_games,
 )
 from capcycle.dominance import find_three_cycles, strongly_connected_components, undominated
-from capcycle.matchups import dominates
+from capcycle.matchups import SeriesOutcome, series_outcome
 from capcycle.simulate import _outputs
 
 from . import _oracles
@@ -257,8 +257,10 @@ def test_acceptance_8_invariant_suite():
         )
         ok = ok and tm.cells == t.cells
 
-        fwd, bwd = dominates(alloc_a, alloc_b), dominates(alloc_b, alloc_a)  # anti-symmetry
+        fwd = series_outcome(t) is SeriesOutcome.A_WINS  # anti-symmetry
+        bwd = series_outcome(rev) is SeriesOutcome.A_WINS
         ok = ok and not (fwd and bwd)
+        ok = ok and fwd == _oracles.beats(a, b)
         ok = ok and (t.wins_a - t.wins_b) == -(rev.wins_a - rev.wins_b)
 
         canon = canonicalize(alloc_a)  # canonicalization idempotence

@@ -21,7 +21,7 @@ from capcycle.dominance import (
     strongly_connected_components,
     undominated,
 )
-from capcycle.matchups import dominates
+from capcycle.matchups import SeriesOutcome, series_outcome
 
 from . import _oracles
 
@@ -143,7 +143,9 @@ class TestThreeCycles:
     def test_cycle_members_dominate_in_order(self, graph_6_3):
         for cycle in find_three_cycles(graph_6_3):
             x, y, z = cycle
-            assert dominates(x, y) and dominates(y, z) and dominates(z, x)
+            for a, b in [(x, y), (y, z), (z, x)]:
+                assert series_outcome(matchup_table(a, b)) is SeriesOutcome.A_WINS
+                assert _oracles.beats(a.values, b.values)
 
     @given(small_spaces)
     def test_matches_oracle(self, space):

@@ -13,7 +13,7 @@ from capcycle import (
     matchup_table,
     win_probability,
 )
-from capcycle.matchups import SeriesOutcome, dominates, series_outcome
+from capcycle.matchups import SeriesOutcome, series_outcome
 
 from . import _oracles
 
@@ -27,6 +27,30 @@ values_k = st.integers(min_value=1, max_value=5).flatmap(
         st.lists(st.integers(min_value=0, max_value=9), min_size=k, max_size=k),
     )
 )
+
+
+def _two_sides(k: int, faces):
+    side = st.lists(faces, min_size=k, max_size=k)
+    return st.tuples(side, side)
+
+
+# Unsorted sides up to k = 8: small values with many ties, values past 2^63,
+# and values around 2^64 that differ by less than float64 can tell apart.
+wide_values_k = st.builds(
+    _two_sides,
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(
+        [
+            st.integers(min_value=0, max_value=9),
+            st.integers(min_value=0, max_value=2**65),
+            st.integers(min_value=2**64 - 4, max_value=2**64 + 4),
+        ]
+    ),
+).flatmap(lambda sides: sides)
+
+
+def wins_series(x, y):
+    return series_outcome(matchup_table(x, y)) is SeriesOutcome.A_WINS
 
 
 class TestShowcaseGrids:
@@ -55,9 +79,9 @@ class TestShowcaseGrids:
         )
 
     def test_cycle_closes(self):
-        assert dominates(BOS, MTL)
-        assert dominates(NY, BOS)
-        assert dominates(MTL, NY)
+        for x, y in [(BOS, MTL), (NY, BOS), (MTL, NY)]:
+            assert wins_series(x, y)
+            assert _oracles.beats(x.values, y.values)
 
 
 class TestMatchupTable:
@@ -101,10 +125,30 @@ class TestMatchupTable:
     def test_dominance_antisymmetric(self, pair):
         a, b = pair
         x, y = Allocation(tuple(a)), Allocation(tuple(b))
-        assert not (dominates(x, y) and dominates(y, x))
-        assert dominates(x, y) == (
-            matchup_table(x, y).wins_a > matchup_table(x, y).wins_b
-        )
+        assert not (wins_series(x, y) and wins_series(y, x))
+        assert wins_series(x, y) == _oracles.beats(x.values, y.values)
+
+    @given(wide_values_k)
+    def test_cells_match_oracle_grid(self, pair):
+        a, b = pair
+        t = matchup_table(Allocation(tuple(a)), Allocation(tuple(b)))
+        assert [[c.value for c in row] for row in t.cells] == _oracles.cell_grid(a, b)
+        assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(a, b)
+
+    def test_cells_built_once_on_first_read(self):
+        t = matchup_table(MTL, NY)
+        assert "cells" not in vars(t)
+        assert t.cells is t.cells
+        assert "cells" in vars(t)
+
+    def test_equality_and_hash_follow_the_values(self):
+        t, again = matchup_table(MTL, NY), matchup_table(MTL, NY)
+        assert t == again
+        assert hash(t) == hash(again)
+        # Same grid and counts, other salaries: a different matchup.
+        scaled = matchup_table(Allocation((2, 2, 8)), Allocation((6, 6, 0)))
+        assert scaled.cells == t.cells
+        assert scaled != t
 
 
 class TestWinProbability:

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -13,6 +14,7 @@ from capcycle import (
     analysis_from_json_dict,
     analysis_json_text,
     analyze,
+    build_graph,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
@@ -177,6 +179,34 @@ class TestGraphExports:
         dot = emit_dot(analyze(0, 3).graph)
         assert 'n0 [label="0,0,0"];' in dot
         assert "->" not in dot
+
+    @given(small_spaces)
+    def test_dot_matches_oracle(self, space):
+        graph = build_graph(*space)
+        assert emit_dot(graph) == _oracles.dot(graph)
+
+    @pytest.mark.parametrize("budget, k", [(12, 4), (20, 5)], ids=["12-4", "20-5"])
+    def test_pinned_dot_matches_oracle(self, budget, k):
+        graph = build_graph(budget, k)
+        assert emit_dot(graph) == _oracles.dot(graph)
+
+    def test_dot_builds_no_edge_tuples(self):
+        graph = build_graph(12, 4)
+        emit_dot(graph)
+        assert "edges" not in vars(graph)
+        assert "draw_pairs" not in vars(graph)
+
+    def test_dot_makes_one_matchup_per_strict_edge(self, monkeypatch):
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return matchup_table(a, b)
+
+        monkeypatch.setattr(report_module, "matchup_table", counted)
+        graph = build_graph(12, 4)
+        emit_dot(graph)
+        assert len(calls) == np.count_nonzero(graph.margin > 0)
 
     def test_graph_json_schema(self, report_6_3):
         payload = json.loads(graph_json_text(report_6_3))

@@ -1,7 +1,9 @@
 """The README library example and the scripts run as users run them, the
-public names are the ones they use, and the benchmark trace finds its layers."""
+public names are the ones they use, and the benchmark trace finds its layers
+and counts one matchup per DOT edge."""
 
 import importlib
+import json
 import os
 import re
 import runpy
@@ -22,12 +24,12 @@ def _readme_library_block() -> str:
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
 
 
-def _run(argv: list[str]) -> str:
+def _run(argv: list[str]) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 @pytest.mark.parametrize(
@@ -40,9 +42,9 @@ def _run(argv: list[str]) -> str:
     ids=["readme-library", "reproduce-headline-results", "scan-claim-verdicts"],
 )
 def test_runs_and_repeats_exactly(argv):
-    first = _run([sys.executable, *argv])
+    first = _run([sys.executable, *argv]).stdout
     assert first
-    assert _run([sys.executable, *argv]) == first
+    assert _run([sys.executable, *argv]).stdout == first
 
 
 def test_traced_layers_resolve():
@@ -53,6 +55,16 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(f"capcycle.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_traced_graph_makes_one_matchup_per_edge():
+    # The benchmark's traced graph-dot check expects one matchup_table call
+    # per strict edge and the CLI's own stdout.
+    command = ["graph", "--budget", "12", "--k", "4"]
+    traced = _run([sys.executable, "perfbench/traced.py", *command])
+    record = json.loads(traced.stderr.splitlines()[-1])
+    assert record["calls"]["matchup_table"] == record["sizes"]["n_edges"] > 0
+    assert traced.stdout == _run([sys.executable, "-m", "capcycle", *command]).stdout
 
 
 def test_public_names_are_used():
