@@ -45,11 +45,14 @@ from .report import (
     AnalysisReport,
     CounterEntry,
     analysis_from_json_dict,
+    analysis_json_pieces,
     analysis_json_text,
     analyze,
+    dot_pieces,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
+    graph_json_pieces,
     graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
@@ -90,17 +93,20 @@ __all__ = [
     "ThreeCycles",
     "TiePolicy",
     "analysis_from_json_dict",
+    "analysis_json_pieces",
     "analysis_json_text",
     "analyze",
     "build_graph",
     "canonicalize",
     "counter_strategy",
+    "dot_pieces",
     "emit_dot",
     "emit_matchup_csv",
     "emit_matchup_grid",
     "enumerate_compositions",
     "enumerate_partitions",
     "format_allocation",
+    "graph_json_pieces",
     "graph_json_text",
     "matchup_json_dict",
     "matchup_summary_line",

@@ -160,17 +160,42 @@ def _partitions(budget: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_compositions(
+def composition_tuples(
     budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
-) -> list[Allocation]:
-    """All ordered k-tuples summing to the budget, lexicographically descending."""
+) -> Iterator[tuple[int, ...]]:
+    """The value tuples of enumerate_compositions, made as they are read.
+
+    Raises SpaceTooLargeError when called, before any tuple is made, if
+    there are more than ``limit`` of them.
+    """
     _check_budget_k(budget, k)
     count = math.comb(budget + k - 1, k - 1)
     if count > limit:
         raise SpaceTooLargeError(
             f"{count} compositions for budget {budget}, k {k} exceeds limit {limit}"
         )
-    return [Allocation(values) for values in _compositions(budget, k)]
+    return _compositions(budget, k)
+
+
+def partition_tuples(
+    budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
+) -> Iterator[tuple[int, ...]]:
+    """The value tuples of enumerate_partitions, made as they are read;
+    refuses above ``limit`` as composition_tuples does."""
+    _check_budget_k(budget, k)
+    count = partition_count(budget, k)
+    if count > limit:
+        raise SpaceTooLargeError(
+            f"{count} partitions for budget {budget}, k {k} exceeds limit {limit}"
+        )
+    return _partitions(budget, k, budget)
+
+
+def enumerate_compositions(
+    budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
+) -> list[Allocation]:
+    """All ordered k-tuples summing to the budget, lexicographically descending."""
+    return [Allocation(values) for values in composition_tuples(budget, k, limit)]
 
 
 def enumerate_partitions(
@@ -181,10 +206,4 @@ def enumerate_partitions(
     This is the deduplicated image of :func:`enumerate_compositions` under
     :func:`canonicalize`.
     """
-    _check_budget_k(budget, k)
-    count = partition_count(budget, k)
-    if count > limit:
-        raise SpaceTooLargeError(
-            f"{count} partitions for budget {budget}, k {k} exceeds limit {limit}"
-        )
-    return [Partition(values) for values in _partitions(budget, k, budget)]
+    return [Partition(values) for values in partition_tuples(budget, k, limit)]

@@ -5,6 +5,10 @@ Exit codes: 0 success, 1 usage error, 2 invalid allocation input,
 3 strategy space over the enumeration limit, or a JSON export with more
 3-cycles to list than report.MAX_LISTED_CYCLES. The CAPCYCLE_MAX_SPACE
 environment variable overrides the enumeration limit.
+
+Output is written as it is produced: the JSON and DOT exports and the
+enumerate listing come in pieces, so none of them is held whole. Every
+refusal happens before the first byte is written.
 """
 
 from __future__ import annotations
@@ -12,15 +16,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import islice
 from typing import TextIO
 
 from .allocations import (
     DEFAULT_SPACE_LIMIT,
-    enumerate_compositions,
-    enumerate_partitions,
+    composition_tuples,
     format_allocation,
     parse_allocation,
+    partition_tuples,
 )
 from .dominance import build_graph, counter_strategy
 from .errors import (
@@ -31,12 +37,12 @@ from .errors import (
 )
 from .matchups import TiePolicy, matchup_table, win_probability
 from .report import (
-    analysis_json_text,
+    analysis_json_pieces,
     analyze,
-    emit_dot,
+    dot_pieces,
     emit_matchup_csv,
     emit_matchup_grid,
-    graph_json_text,
+    graph_json_pieces,
     matchup_json_dict,
     matchup_summary_line,
     render_analysis_text,
@@ -141,18 +147,27 @@ def _cmd_matchup(args) -> str:
     return "\n".join(lines)
 
 
-def _cmd_enumerate(args, limit: int) -> str:
-    if args.partitions:
-        items = enumerate_partitions(args.budget, args.k, limit)
-    else:
-        items = enumerate_compositions(args.budget, args.k, limit)
-    return "\n".join(format_allocation(a) for a in items)
+# Lines per enumerate piece.
+_ENUMERATE_LINES = 8_192
 
 
-def _cmd_graph(args, limit: int) -> str:
+def _allocation_lines(values: Iterator[tuple[int, ...]]) -> Iterator[str]:
+    """One line per value tuple, newline-separated, _ENUMERATE_LINES a piece."""
+    separator = ""
+    while batch := list(islice(values, _ENUMERATE_LINES)):
+        yield separator + "\n".join(map(format_allocation, batch))
+        separator = "\n"
+
+
+def _cmd_enumerate(args, limit: int) -> Iterator[str]:
+    tuples = partition_tuples if args.partitions else composition_tuples
+    return _allocation_lines(tuples(args.budget, args.k, limit))
+
+
+def _cmd_graph(args, limit: int) -> Iterator[str]:
     if args.format == "json":
-        return graph_json_text(analyze(args.budget, args.k, limit))
-    return emit_dot(build_graph(args.budget, args.k, limit))
+        return graph_json_pieces(analyze(args.budget, args.k, limit))
+    return dot_pieces(build_graph(args.budget, args.k, limit))
 
 
 def _cmd_counter(args, limit: int) -> str:
@@ -164,10 +179,10 @@ def _cmd_counter(args, limit: int) -> str:
     return f"counter: {format_allocation(counter)} (margin {margin})"
 
 
-def _cmd_analyze(args, limit: int) -> str:
+def _cmd_analyze(args, limit: int) -> str | Iterator[str]:
     report = analyze(args.budget, args.k, limit)
     if args.format == "json":
-        return analysis_json_text(report)
+        return analysis_json_pieces(report)
     return render_analysis_text(report)
 
 
@@ -222,22 +237,24 @@ def _cmd_simulate(args) -> str:
 
 
 # Characters per write: each write encodes its own slice, so a large
-# output never has a full encoded copy beside it.
+# piece never has a full encoded copy beside it.
 _WRITE_CHUNK = 1 << 20
 
 
-def _write_text(stream: TextIO, text: str) -> None:
-    for start in range(0, len(text), _WRITE_CHUNK):
-        stream.write(text[start : start + _WRITE_CHUNK])
+def _write_text(stream: TextIO, output: str | Iterable[str]) -> None:
+    """Write ``output``, one text or its pieces in order, then a newline."""
+    for piece in [output] if isinstance(output, str) else output:
+        for start in range(0, len(piece), _WRITE_CHUNK):
+            stream.write(piece[start : start + _WRITE_CHUNK])
     stream.write("\n")
 
 
-def _write(text: str, out_path: str | None) -> None:
+def _write(output: str | Iterable[str], out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            _write_text(fh, text)
+            _write_text(fh, output)
     else:
-        _write_text(sys.stdout, text)
+        _write_text(sys.stdout, output)
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -251,17 +268,17 @@ def run_cli(argv: list[str] | None = None) -> int:
     try:
         limit = _space_limit()
         if args.command == "matchup":
-            text = _cmd_matchup(args)
+            output = _cmd_matchup(args)
         elif args.command == "enumerate":
-            text = _cmd_enumerate(args, limit)
+            output = _cmd_enumerate(args, limit)
         elif args.command == "graph":
-            text = _cmd_graph(args, limit)
+            output = _cmd_graph(args, limit)
         elif args.command == "counter":
-            text = _cmd_counter(args, limit)
+            output = _cmd_counter(args, limit)
         elif args.command == "analyze":
-            text = _cmd_analyze(args, limit)
+            output = _cmd_analyze(args, limit)
         else:
-            text = _cmd_simulate(args)
+            output = _cmd_simulate(args)
     except AllocationError as exc:
         print(f"capcycle: invalid allocation: {exc}", file=sys.stderr)
         return 2
@@ -272,7 +289,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"capcycle: {exc}", file=sys.stderr)
         return 1
 
-    _write(text, args.out)
+    _write(output, args.out)
     return 0
 
 

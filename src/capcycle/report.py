@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -212,19 +212,40 @@ def matchup_json_dict(a: Allocation, b: Allocation, table: MatchupTable) -> dict
 # graph exports
 
 
+# DOT lines per piece: each edge line needs its own matchup_table.
+_DOT_LINES = 8_192
+
+
+def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
+    """emit_dot's text in pieces: the header and node lines, then the edge
+    lines and the draw lines _DOT_LINES at a time, then the closing brace."""
+    nodes = graph.nodes
+    yield "\n".join(
+        ["digraph dominance {", "  rankdir=LR;"]
+        + [f'  n{i} [label="{format_allocation(node)}"];' for i, node in enumerate(nodes)]
+    )
+    (winners, losers), (first, second) = graph.pair_indices()
+    for start in range(0, len(winners), _DOT_LINES):
+        lines = []
+        for w, l in zip(
+            winners[start : start + _DOT_LINES].tolist(),
+            losers[start : start + _DOT_LINES].tolist(),
+        ):
+            t = matchup_table(nodes[w], nodes[l])
+            lines.append(f'\n  n{w} -> n{l} [label="{t.wins_a}-{t.wins_b}"];')
+        yield "".join(lines)
+    for start in range(0, len(first), _DOT_LINES):
+        draws = zip(
+            first[start : start + _DOT_LINES].tolist(),
+            second[start : start + _DOT_LINES].tolist(),
+        )
+        yield "".join([f"\n  n{i} -> n{j} [dir=none, style=dashed];" for i, j in draws])
+    yield "\n}"
+
+
 def emit_dot(graph: DominanceGraph) -> str:
     """DOT digraph: margin-labelled strict edges, dashed undirected draws."""
-    lines = ["digraph dominance {", "  rankdir=LR;"]
-    for i, node in enumerate(graph.nodes):
-        lines.append(f'  n{i} [label="{format_allocation(node)}"];')
-    (winners, losers), (first, second) = graph.pair_indices()
-    for w, l in zip(winners.tolist(), losers.tolist()):
-        t = matchup_table(graph.nodes[w], graph.nodes[l])
-        lines.append(f'  n{w} -> n{l} [label="{t.wins_a}-{t.wins_b}"];')
-    for i, j in zip(first.tolist(), second.tolist()):
-        lines.append(f"  n{i} -> n{j} [dir=none, style=dashed];")
-    lines.append("}")
-    return "\n".join(lines)
+    return "".join(dot_pieces(graph))
 
 
 def _json_members(fields: dict[str, Any]) -> str:
@@ -232,26 +253,63 @@ def _json_members(fields: dict[str, Any]) -> str:
     return json.dumps(fields)[1:-1]
 
 
-_EDGE_JSON = '{"winner": %d, "loser": %d, "margin": %d}'
+# Rows per record array: longer blocks and listings are written in slices,
+# so the array and its text take a few MB whatever the listing's length.
+_RECORD_ROWS = 65_536
 
 
-def _cycle_pieces(report: AnalysisReport, node_texts: list[str]) -> list[str]:
-    """The members of the "three_cycles" list as JSON text, one piece per
-    block with ", " pieces between, so the final join is the only copy."""
-    pieces = []
-    for block in report.three_cycles.index_blocks():
-        head = f"[{node_texts[block[0, 0]]}, "
-        tails = block[:, 1:].tolist()
-        pieces += (", ", ", ".join([f"{head}{node_texts[y]}, {node_texts[z]}]" for y, z in tails]))
-    return pieces[1:]
+def _text_rows(texts: Iterable[str]) -> np.ndarray:
+    """ASCII ``texts`` as a 1-D ``V{w}`` array, zero-padded on the right to
+    the longest text's width ``w``."""
+    rows = np.array([text.encode("ascii") for text in texts], dtype=bytes)
+    return rows.view(f"V{rows.itemsize}")
 
 
-def _graph_json_pieces(report: AnalysisReport) -> list[str]:
-    """The graph schema as JSON text pieces, from its "{" up to, but not
-    including, its closing "}".
+def _records(fields: list[bytes | np.ndarray]) -> str:
+    """The text of every row run together; a row is the concatenation of
+    ``fields``.
 
-    Raises SpaceTooLargeError, before listing anything, when the report
-    has more than MAX_LISTED_CYCLES 3-cycles to list.
+    A field is a literal byte string, the same in every row, or a
+    ``_text_rows`` array with one entry per row. The rows are filled into
+    one structured array and its bytes are read out without the zero
+    padding. That is exact because every text comes from json.dumps or
+    str, and neither writes a NUL byte.
+    """
+    n_rows = next(len(field) for field in fields if isinstance(field, np.ndarray))
+    rec = np.empty(
+        n_rows,
+        [
+            (f"f{i}", f"S{len(field)}" if isinstance(field, bytes) else field.dtype)
+            for i, field in enumerate(fields)
+        ],
+    )
+    for i, field in enumerate(fields):
+        rec[f"f{i}"] = field
+    return rec.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _list_body(pieces: Iterable[str]) -> Iterator[str]:
+    """``pieces``, whose every record starts with ", ", as the body of a JSON
+    list: the separator before the first record is dropped."""
+    pieces = iter(pieces)
+    first = next(pieces, None)
+    if first is not None:
+        yield first[2:]
+        yield from pieces
+
+
+def _slices(n: int) -> Iterator[slice]:
+    return (slice(start, start + _RECORD_ROWS) for start in range(0, n, _RECORD_ROWS))
+
+
+def _graph_tail(report: AnalysisReport) -> str:
+    """The graph schema's members after "three_cycles".
+
+    Raises SpaceTooLargeError when the report has more than
+    MAX_LISTED_CYCLES 3-cycles to list. The JSON writers call this before
+    they return their pieces, so a refusal comes before the first byte,
+    and the report fields these members compute on first use run while
+    the heap is still small.
     """
     n_cycles = len(report.three_cycles)
     if n_cycles > MAX_LISTED_CYCLES:
@@ -259,10 +317,7 @@ def _graph_json_pieces(report: AnalysisReport) -> list[str]:
             f"{n_cycles} 3-cycles exceed the JSON listing limit {MAX_LISTED_CYCLES}; "
             "the text format reports the count"
         )
-    # The trailing members are written first, so the report fields they
-    # compute on first use run while the heap is still small; after the
-    # listing, their temporaries added about 2 MB to the (40,4) peak RSS.
-    tail = _json_members(
+    return _json_members(
         {
             "scc": [list(group) for group in report.scc],
             "undominated": [list(p.values) for p in report.undominated],
@@ -272,43 +327,75 @@ def _graph_json_pieces(report: AnalysisReport) -> list[str]:
             },
         }
     )
+
+
+def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
+    """The graph schema's members up to "three_cycles", then ``tail``, as a
+    JSON object in pieces."""
     g = report.graph
     node_texts = [json.dumps(list(p.values)) for p in g.nodes]
     (winners, losers), (first, second) = g.pair_indices()
     margins = g.margin[winners, losers]
-    edges = zip(winners.tolist(), losers.tolist(), margins.tolist())
-    draws = zip(first.tolist(), second.tolist())
-    return [
-        "{",
-        _json_members({"budget": g.budget, "k": g.k}),
-        ', "nodes": [',
-        ", ".join(node_texts),
-        '], "edges": [',
-        ", ".join(_EDGE_JSON % edge for edge in edges),
-        '], "draws": [',
-        ", ".join(f"[{i}, {j}]" for i, j in draws),
-        '], "three_cycles": [',
-        *_cycle_pieces(report, node_texts),
-        "], ",
-        tail,
-    ]
+    yield "{" + _json_members({"budget": g.budget, "k": g.k}) + ', "nodes": ['
+    yield ", ".join(node_texts)
+    # The text of every node index and every edge margin, indexed by value.
+    largest = max(len(node_texts) - 1, int(margins.max(initial=0)))
+    numbers = _text_rows(str(i) for i in range(largest + 1))
+    yield '], "edges": ['
+    yield from _list_body(
+        _records(
+            [
+                b', {"winner": ',
+                numbers[winners[part]],
+                b', "loser": ',
+                numbers[losers[part]],
+                b', "margin": ',
+                numbers[margins[part]],
+                b"}",
+            ]
+        )
+        for part in _slices(len(winners))
+    )
+    yield '], "draws": ['
+    yield from _list_body(
+        _records([b", [", numbers[first[part]], b", ", numbers[second[part]], b"]"])
+        for part in _slices(len(first))
+    )
+    yield '], "three_cycles": ['
+    # One piece per slice of an index block, whose cycles all start at x.
+    node_rows = _text_rows(node_texts)
+    yield from _list_body(
+        _records(
+            [
+                f", [{node_texts[block[0, 0]]}, ".encode("ascii"),
+                node_rows[block[part, 1]],
+                b", ",
+                node_rows[block[part, 2]],
+                b"]",
+            ]
+        )
+        for block in report.three_cycles.index_blocks()
+        for part in _slices(len(block))
+    )
+    yield "], " + tail + "}"
 
 
-def graph_json_text(report: AnalysisReport) -> str:
-    """The dominance-graph export schema (no counter table) as JSON text.
+def graph_json_pieces(report: AnalysisReport) -> Iterator[str]:
+    """The dominance-graph export schema (no counter table) as JSON text
+    pieces, made as they are read.
 
     Byte for byte what json.dumps gives for the schema, written straight
-    from the margin matrix and the 3-cycle index blocks, so no per-cycle
-    lists are built. Raises SpaceTooLargeError, before listing anything,
-    when the report has more than MAX_LISTED_CYCLES 3-cycles to list.
+    from the margin matrix and the 3-cycle index blocks. Raises
+    SpaceTooLargeError when called, before any piece is made, if the
+    report has more than MAX_LISTED_CYCLES 3-cycles to list.
     """
-    pieces = _graph_json_pieces(report)
-    pieces.append("}")
-    return "".join(pieces)
+    return _json_pieces(report, _graph_tail(report))
 
 
-def analysis_json_text(report: AnalysisReport) -> str:
-    """Graph schema plus census counts and the counter-strategy table, as JSON text."""
+def analysis_json_pieces(report: AnalysisReport) -> Iterator[str]:
+    """Graph schema plus census counts and the counter-strategy table, as
+    JSON text pieces; refuses as graph_json_pieces does."""
+    graph_tail = _graph_tail(report)
     counters = [
         {
             "node": list(entry.node.values),
@@ -317,7 +404,6 @@ def analysis_json_text(report: AnalysisReport) -> str:
         }
         for entry in report.counters
     ]
-    # Written before the graph pieces, as _graph_json_pieces writes its tail.
     tail = _json_members(
         {
             "composition_count": report.composition_count,
@@ -325,7 +411,17 @@ def analysis_json_text(report: AnalysisReport) -> str:
             "counters": counters,
         }
     )
-    return "".join([*_graph_json_pieces(report), ", ", tail, "}"])
+    return _json_pieces(report, f"{graph_tail}, {tail}")
+
+
+def graph_json_text(report: AnalysisReport) -> str:
+    """graph_json_pieces joined into one text."""
+    return "".join(graph_json_pieces(report))
+
+
+def analysis_json_text(report: AnalysisReport) -> str:
+    """analysis_json_pieces joined into one text."""
+    return "".join(analysis_json_pieces(report))
 
 
 def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:

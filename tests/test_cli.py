@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,7 +6,18 @@ import sys
 import pytest
 
 import capcycle.cli as cli_module
-from capcycle import analysis_json_text, analyze, render_analysis_text
+import capcycle.report as report_module
+from capcycle import (
+    analysis_json_text,
+    analyze,
+    build_graph,
+    emit_dot,
+    enumerate_compositions,
+    enumerate_partitions,
+    format_allocation,
+    graph_json_text,
+    render_analysis_text,
+)
 from capcycle.report import analysis_json_dict
 from capcycle.cli import run_cli
 
@@ -16,6 +28,40 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# On Linux a child's ru_maxrss starts at the peak RSS of the process that
+# forked it, and this test process can be hundreds of MB in, so a fresh
+# interpreter launches the command, sends its stdout to a file and passes
+# its rusage back.
+_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "with open(sys.argv[1], 'wb') as out:\n"
+    "    proc = subprocess.Popen(sys.argv[2:], stdout=out, stderr=subprocess.DEVNULL)\n"
+    "    _, status, usage = os.wait4(proc.pid, 0)\n"
+    "print(usage.ru_maxrss)\n"
+    "sys.exit(os.waitstatus_to_exitcode(status))\n"
+)
+
+
+def run_with_peak_rss(out_path, *argv):
+    """Run the capcycle CLI with stdout to ``out_path``; returns its exit
+    code and its peak RSS in MB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(out_path), sys.executable, "-m", "capcycle",
+         *argv],
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def file_sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 class TestMatchupCommand:
@@ -85,6 +131,16 @@ class TestEnumerateCommand:
         code, out, _ = run(capsys, "enumerate", "--budget", "2", "--k", "2")
         assert code == 0
         assert out.strip().splitlines() == ["2,0", "1,1", "0,2"]
+
+    def test_large_listing_is_written_in_bounded_memory(self, tmp_path):
+        # 585,276 lines; as a list of Allocations it peaked at 179 MB.
+        out = tmp_path / "space.txt"
+        code, peak_mb = run_with_peak_rss(out, "enumerate", "--budget", "150", "--k", "4")
+        assert code == 0
+        assert file_sha256(out) == (
+            "e81adce3ec341238ebffd5acb4520926955b8e34f05c9a0c475675a0786d1ca0"
+        )
+        assert peak_mb < 80
 
     def test_space_limit_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "5")
@@ -169,28 +225,41 @@ class TestAnalyzeCommand:
         assert "32143068 3-cycles exceed the JSON listing limit" in err
         assert "text format reports the count" in err
 
-    def test_large_text_report_counts_cycles_in_bounded_memory(self):
-        # On Linux a child's ru_maxrss starts at the peak RSS of the process
-        # that forked it, and this test process can be hundreds of MB in, so
-        # a fresh interpreter launches the report and passes its rusage back.
-        launcher = (
-            "import os, subprocess, sys\n"
-            "proc = subprocess.Popen(sys.argv[1:], stderr=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "print(usage.ru_maxrss, file=sys.stderr)\n"
-            "sys.exit(os.waitstatus_to_exitcode(status))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-m", "capcycle",
-             "analyze", "--budget", "60", "--k", "4"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
+    def test_large_text_report_counts_cycles_in_bounded_memory(self, tmp_path):
+        out = tmp_path / "report.txt"
+        code, peak_mb = run_with_peak_rss(out, "analyze", "--budget", "60", "--k", "4")
+        assert code == 0
+        lines = out.read_text().splitlines()
         assert "intransitive 3-cycles: 32143068" in lines
         assert "  ... (32143058 more; the JSON formats refuse above 10000000)" in lines
-        assert int(proc.stderr) / 1024 < 500  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 500
+
+    def test_gate_json_is_written_in_bounded_memory(self, tmp_path):
+        # The acceptance-gate input: 1,260,582 cycles in 70 MB of JSON. Held
+        # whole with its joined copy, it peaked at 177 MB.
+        out = tmp_path / "report.json"
+        code, peak_mb = run_with_peak_rss(
+            out, "analyze", "--budget", "40", "--k", "4", "--format", "json"
+        )
+        assert code == 0
+        assert out.stat().st_size == 70_210_626
+        assert file_sha256(out) == (
+            "e7c86d7181e2d5a2e1a55c0cc47341d7c41c667349ac4b5a8ef97ed1e53171c6"
+        )
+        assert peak_mb < 100
+
+    @pytest.mark.parametrize("command", ["analyze", "graph"])
+    def test_json_refusal_creates_no_file(self, capsys, monkeypatch, tmp_path, command):
+        monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 1)
+        target = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, command, "--budget", "6", "--k", "3", "--format", "json",
+            "--out", str(target),
+        )
+        assert code == 3
+        assert out == ""
+        assert "2 3-cycles exceed the JSON listing limit 1" in err
+        assert not target.exists()
 
 
 class TestSimulateCommand:
@@ -272,6 +341,48 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "n_games" in err
+
+
+SPACES = pytest.mark.parametrize(
+    "budget, k", [(0, 3), (1, 1), (6, 3), (20, 5)], ids=["0-3", "1-1", "6-3", "20-5"]
+)
+
+
+class TestStreamedOutput:
+    """The CLI writes the large outputs in pieces; joined, they are the
+    library's text. Small piece sizes make every listing span pieces."""
+
+    @pytest.fixture(autouse=True)
+    def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
+        monkeypatch.setattr(report_module, "_DOT_LINES", 5)
+        monkeypatch.setattr(cli_module, "_ENUMERATE_LINES", 5)
+        monkeypatch.setattr(cli_module, "_WRITE_CHUNK", 64)
+
+    @SPACES
+    def test_exports_equal_library_text(self, capsys, budget, k):
+        report = analyze(budget, k)
+        space = ["--budget", str(budget), "--k", str(k)]
+        expected = {
+            ("analyze", "--format", "json"): analysis_json_text(report),
+            ("graph", "--format", "json"): graph_json_text(report),
+            ("graph", "--format", "dot"): emit_dot(build_graph(budget, k)),
+        }
+        for (command, *fmt), text in expected.items():
+            code, out, _ = run(capsys, command, *space, *fmt)
+            assert code == 0
+            assert out == text + "\n"
+
+    @SPACES
+    def test_enumerate_equals_library_lists(self, capsys, budget, k):
+        space = ["--budget", str(budget), "--k", str(k)]
+        for flags, items in (
+            ([], enumerate_compositions(budget, k)),
+            (["--partitions"], enumerate_partitions(budget, k)),
+        ):
+            code, out, _ = run(capsys, "enumerate", *space, *flags)
+            assert code == 0
+            assert out == "\n".join(map(format_allocation, items)) + "\n"
 
 
 class TestUsageAndOutput:

@@ -12,12 +12,14 @@ from capcycle import (
     SpaceTooLargeError,
     TiePolicy,
     analysis_from_json_dict,
+    analysis_json_pieces,
     analysis_json_text,
     analyze,
     build_graph,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
+    graph_json_pieces,
     graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
@@ -260,14 +262,28 @@ class TestGraphExports:
 
     @pytest.mark.parametrize(
         "budget, k",
-        [(0, 3), (1, 1), (5, 4), (20, 5)],
-        ids=["single-node", "one-category", "edges-without-cycles", "20-5"],
+        [(0, 3), (1, 1), (5, 4), (10, 2), (12, 4), (20, 5)],
+        ids=["single-node", "one-category", "edges-without-cycles", "10-2", "12-4", "20-5"],
     )
     def test_pinned_text_matches_oracle(self, budget, k):
+        # (0, 3) and (1, 1) have no edges, draws or cycles to list. Node values
+        # reach two digits at (10, 2), node indices at (12, 4) (34 nodes), and
+        # node indices pass 100 and margins reach two digits at (20, 5).
         report = analyze(budget, k)
         if (budget, k) == (5, 4):
             assert report.graph.edges and not len(report.three_cycles)
         assert_text_matches_oracle(report)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_sliced_writers_match_oracle(self, rows, monkeypatch):
+        # (10, 3) has 22 cycles in 5 blocks, 66 edges and 25 draws, so slices
+        # of 1 and 3 rows split every listing and most blocks.
+        monkeypatch.setattr(report_module, "_RECORD_ROWS", rows)
+        monkeypatch.setattr(report_module, "_DOT_LINES", rows)
+        report = analyze(10, 3)
+        assert len(list(graph_json_pieces(report))) > len(report.graph.edges) // rows
+        assert_text_matches_oracle(report)
+        assert emit_dot(report.graph) == _oracles.dot(report.graph)
 
     def test_rebuilt_report_writes_the_same_text(self):
         report = analyze(10, 3)  # 22 cycles in 5 blocks
@@ -282,7 +298,14 @@ class TestGraphExports:
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 2)
         assert len(json.loads(graph_json_text(report_6_3))["three_cycles"]) == 2
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 1)
-        for build in (analysis_json_dict, graph_json_text, analysis_json_text):
+        # The pieces writers refuse when called, before a piece is read.
+        for build in (
+            analysis_json_dict,
+            graph_json_text,
+            analysis_json_text,
+            graph_json_pieces,
+            analysis_json_pieces,
+        ):
             with pytest.raises(SpaceTooLargeError, match="2 3-cycles exceed"):
                 build(report_6_3)
 
