@@ -46,14 +46,12 @@ from .report import (
     CounterEntry,
     analysis_from_json_dict,
     analysis_json_pieces,
-    analysis_json_text,
     analyze,
     dot_pieces,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
     graph_json_pieces,
-    graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
     render_analysis_text,
@@ -94,7 +92,6 @@ __all__ = [
     "TiePolicy",
     "analysis_from_json_dict",
     "analysis_json_pieces",
-    "analysis_json_text",
     "analyze",
     "build_graph",
     "canonicalize",
@@ -107,7 +104,6 @@ __all__ = [
     "enumerate_partitions",
     "format_allocation",
     "graph_json_pieces",
-    "graph_json_text",
     "matchup_json_dict",
     "matchup_summary_line",
     "matchup_table",

@@ -26,8 +26,6 @@ from .errors import (
 # Enumeration guard: refuse to materialize strategy spaces bigger than this.
 DEFAULT_SPACE_LIMIT = 100_000_000
 
-_UINT64_MAX = 2**64 - 1
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -109,16 +107,9 @@ def _check_budget_k(budget: int, k: int) -> None:
 
 
 def composition_count(budget: int, k: int) -> int:
-    """Count ordered k-part divisions of the budget: C(budget+k-1, k-1).
-
-    Raises ``OverflowError`` if the exact count exceeds the unsigned 64-bit
-    range, which keeps the value usable as a size in any runtime.
-    """
+    """Count ordered k-part divisions of the budget: C(budget+k-1, k-1), exactly."""
     _check_budget_k(budget, k)
-    count = math.comb(budget + k - 1, k - 1)
-    if count > _UINT64_MAX:
-        raise OverflowError(f"composition count for ({budget}, {k}) exceeds 64-bit range")
-    return count
+    return math.comb(budget + k - 1, k - 1)
 
 
 @lru_cache(maxsize=None)
@@ -168,8 +159,7 @@ def composition_tuples(
     Raises SpaceTooLargeError when called, before any tuple is made, if
     there are more than ``limit`` of them.
     """
-    _check_budget_k(budget, k)
-    count = math.comb(budget + k - 1, k - 1)
+    count = composition_count(budget, k)
     if count > limit:
         raise SpaceTooLargeError(
             f"{count} compositions for budget {budget}, k {k} exceeds limit {limit}"

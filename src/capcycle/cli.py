@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: matchup, enumerate, graph, counter, analyze, simulate.
-Exit codes: 0 success, 1 usage error, 2 invalid allocation input,
-3 strategy space over the enumeration limit, or a JSON export with more
-3-cycles to list than report.MAX_LISTED_CYCLES. The CAPCYCLE_MAX_SPACE
-environment variable overrides the enumeration limit.
+Exit codes: 0 success, 1 usage error or output that cannot be written,
+2 invalid allocation input, 3 strategy space over the enumeration limit,
+or a JSON export with more 3-cycles to list than report.MAX_LISTED_CYCLES.
+The CAPCYCLE_MAX_SPACE environment variable overrides the enumeration
+limit.
 
 Output is written as it is produced: the JSON and DOT exports and the
-enumerate listing come in pieces, so none of them is held whole. Every
-refusal happens before the first byte is written.
+enumerate listing come in pieces of at most report._RECORD_ROWS records
+or lines, each written with one write call, so none of them is held
+whole. Every refusal happens before the first byte is written.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from itertools import islice
 from typing import TextIO
 
 from .allocations import (
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .matchups import TiePolicy, matchup_table, win_probability
 from .report import (
+    _allocation_lines,
     analysis_json_pieces,
     analyze,
     dot_pieces,
@@ -70,38 +72,39 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, run, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
+        p.set_defaults(run=run)
         return p
 
-    p = add("matchup", "head-to-head grid between two allocations")
+    p = add("matchup", _cmd_matchup, "head-to-head grid between two allocations")
     p.add_argument("--a", required=True, metavar="CSV", help='first allocation, e.g. "1,1,4"')
     p.add_argument("--b", required=True, metavar="CSV", help='second allocation, e.g. "3,3,0"')
     p.add_argument("--format", choices=["grid", "json", "csv"], default="grid")
     p.add_argument("--label-a", default="A", help="display label for the first side")
     p.add_argument("--label-b", default="B", help="display label for the second side")
 
-    p = add("enumerate", "list the capped strategy space")
+    p = add("enumerate", _cmd_enumerate, "list the capped strategy space")
     p.add_argument("--budget", type=int, default=6)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--partitions", action="store_true", help="canonical partitions only")
 
-    p = add("graph", "dominance digraph export")
+    p = add("graph", _cmd_graph, "dominance digraph export")
     p.add_argument("--budget", type=int, default=6)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--format", choices=["dot", "json"], default="dot")
 
-    p = add("counter", "best same-cap counter-strategy")
+    p = add("counter", _cmd_counter, "best same-cap counter-strategy")
     p.add_argument("--a", required=True, metavar="CSV")
     p.add_argument("--budget", type=int, default=None, help="defaults to sum of --a")
 
-    p = add("analyze", "full strategy-space report")
+    p = add("analyze", _cmd_analyze, "full strategy-space report")
     p.add_argument("--budget", type=int, default=6)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--format", choices=["json", "text"], default="text")
 
-    p = add("simulate", "seeded Monte Carlo games and series")
+    p = add("simulate", _cmd_simulate, "seeded Monte Carlo games and series")
     p.add_argument("--a", required=True, metavar="CSV")
     p.add_argument("--b", required=True, metavar="CSV")
     p.add_argument("--games", required=True, type=int, metavar="N")
@@ -128,7 +131,7 @@ def _fraction_text(p: Fraction) -> str:
     return f"{p.numerator}/{p.denominator} ({float(p):.4f})"
 
 
-def _cmd_matchup(args) -> str:
+def _cmd_matchup(args, limit: int) -> str:
     a = parse_allocation(args.a)
     b = parse_allocation(args.b)
     table = matchup_table(a, b)
@@ -145,18 +148,6 @@ def _cmd_matchup(args) -> str:
             f"note: budgets differ ({args.label_a} {a.budget} vs {args.label_b} {b.budget})"
         )
     return "\n".join(lines)
-
-
-# Lines per enumerate piece.
-_ENUMERATE_LINES = 8_192
-
-
-def _allocation_lines(values: Iterator[tuple[int, ...]]) -> Iterator[str]:
-    """One line per value tuple, newline-separated, _ENUMERATE_LINES a piece."""
-    separator = ""
-    while batch := list(islice(values, _ENUMERATE_LINES)):
-        yield separator + "\n".join(map(format_allocation, batch))
-        separator = "\n"
 
 
 def _cmd_enumerate(args, limit: int) -> Iterator[str]:
@@ -186,7 +177,7 @@ def _cmd_analyze(args, limit: int) -> str | Iterator[str]:
     return render_analysis_text(report)
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args, limit: int) -> str:
     if args.series is not None and args.best_of is None:
         raise ValueError("--series requires --best-of")
     a = parse_allocation(args.a)
@@ -236,25 +227,32 @@ def _cmd_simulate(args) -> str:
     return "\n".join(lines)
 
 
-# Characters per write: each write encodes its own slice, so a large
-# piece never has a full encoded copy beside it.
-_WRITE_CHUNK = 1 << 20
-
-
 def _write_text(stream: TextIO, output: str | Iterable[str]) -> None:
     """Write ``output``, one text or its pieces in order, then a newline."""
     for piece in [output] if isinstance(output, str) else output:
-        for start in range(0, len(piece), _WRITE_CHUNK):
-            stream.write(piece[start : start + _WRITE_CHUNK])
+        stream.write(piece)
     stream.write("\n")
 
 
-def _write(output: str | Iterable[str], out_path: str | None) -> None:
+def _write(output: str | Iterable[str], out_path: str | None) -> int:
+    """Write the output; returns the exit code, 1 if it cannot be written."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            _write_text(fh, output)
-    else:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                _write_text(fh, output)
+        except OSError as exc:
+            print(f"capcycle: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+            return 1
+        return 0
+    try:
         _write_text(sys.stdout, output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at the null device, so the
+        # flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -266,19 +264,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
 
     try:
-        limit = _space_limit()
-        if args.command == "matchup":
-            output = _cmd_matchup(args)
-        elif args.command == "enumerate":
-            output = _cmd_enumerate(args, limit)
-        elif args.command == "graph":
-            output = _cmd_graph(args, limit)
-        elif args.command == "counter":
-            output = _cmd_counter(args, limit)
-        elif args.command == "analyze":
-            output = _cmd_analyze(args, limit)
-        else:
-            output = _cmd_simulate(args)
+        output = args.run(args, _space_limit())
     except AllocationError as exc:
         print(f"capcycle: invalid allocation: {exc}", file=sys.stderr)
         return 2
@@ -289,8 +275,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"capcycle: {exc}", file=sys.stderr)
         return 1
 
-    _write(output, args.out)
-    return 0
+    return _write(output, args.out)
 
 
 def main() -> None:

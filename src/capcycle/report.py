@@ -209,53 +209,13 @@ def matchup_json_dict(a: Allocation, b: Allocation, table: MatchupTable) -> dict
 
 
 # ---------------------------------------------------------------------------
-# graph exports
+# listings, made in pieces: DOT, the JSON exports and allocation lines
 
 
-# DOT lines per piece: each edge line needs its own matchup_table.
-_DOT_LINES = 8_192
-
-
-def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
-    """emit_dot's text in pieces: the header and node lines, then the edge
-    lines and the draw lines _DOT_LINES at a time, then the closing brace."""
-    nodes = graph.nodes
-    yield "\n".join(
-        ["digraph dominance {", "  rankdir=LR;"]
-        + [f'  n{i} [label="{format_allocation(node)}"];' for i, node in enumerate(nodes)]
-    )
-    (winners, losers), (first, second) = graph.pair_indices()
-    for start in range(0, len(winners), _DOT_LINES):
-        lines = []
-        for w, l in zip(
-            winners[start : start + _DOT_LINES].tolist(),
-            losers[start : start + _DOT_LINES].tolist(),
-        ):
-            t = matchup_table(nodes[w], nodes[l])
-            lines.append(f'\n  n{w} -> n{l} [label="{t.wins_a}-{t.wins_b}"];')
-        yield "".join(lines)
-    for start in range(0, len(first), _DOT_LINES):
-        draws = zip(
-            first[start : start + _DOT_LINES].tolist(),
-            second[start : start + _DOT_LINES].tolist(),
-        )
-        yield "".join([f"\n  n{i} -> n{j} [dir=none, style=dashed];" for i, j in draws])
-    yield "\n}"
-
-
-def emit_dot(graph: DominanceGraph) -> str:
-    """DOT digraph: margin-labelled strict edges, dashed undirected draws."""
-    return "".join(dot_pieces(graph))
-
-
-def _json_members(fields: dict[str, Any]) -> str:
-    """``fields`` as JSON object members, without the enclosing braces."""
-    return json.dumps(fields)[1:-1]
-
-
-# Rows per record array: longer blocks and listings are written in slices,
-# so the array and its text take a few MB whatever the listing's length.
-_RECORD_ROWS = 65_536
+# Rows per piece of every listing: the DOT and JSON record arrays and the
+# enumerate lines. A piece and its text take a few MB whatever the
+# listing's length.
+_RECORD_ROWS = 8_192
 
 
 def _text_rows(texts: Iterable[str]) -> np.ndarray:
@@ -288,6 +248,58 @@ def _records(fields: list[bytes | np.ndarray]) -> str:
     return rec.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _slices(n: int) -> Iterator[slice]:
+    return (slice(start, start + _RECORD_ROWS) for start in range(0, n, _RECORD_ROWS))
+
+
+def _allocation_lines(values: Iterator[tuple[int, ...]]) -> Iterator[str]:
+    """One line per value tuple, newline-separated, _RECORD_ROWS a piece."""
+    separator = ""
+    while batch := list(islice(values, _RECORD_ROWS)):
+        yield separator + "\n".join(map(format_allocation, batch))
+        separator = "\n"
+
+
+def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
+    """emit_dot's text in pieces: the header and node lines, then the edge
+    lines and the draw lines _RECORD_ROWS at a time, then the closing brace."""
+    nodes = graph.nodes
+    yield "\n".join(
+        ["digraph dominance {", "  rankdir=LR;"]
+        + [f'  n{i} [label="{format_allocation(node)}"];' for i, node in enumerate(nodes)]
+    )
+    (winners, losers), (first, second) = graph.pair_indices()
+    numbers = _text_rows(str(i) for i in range(len(nodes)))
+    for part in _slices(len(winners)):
+        w, l = winners[part], losers[part]
+        tables = (matchup_table(nodes[i], nodes[j]) for i, j in zip(w.tolist(), l.tolist()))
+        labels = _text_rows(f"{t.wins_a}-{t.wins_b}" for t in tables)
+        yield _records(
+            [b"\n  n", numbers[w], b" -> n", numbers[l], b' [label="', labels, b'"];']
+        )
+    for part in _slices(len(first)):
+        yield _records(
+            [
+                b"\n  n",
+                numbers[first[part]],
+                b" -> n",
+                numbers[second[part]],
+                b" [dir=none, style=dashed];",
+            ]
+        )
+    yield "\n}"
+
+
+def emit_dot(graph: DominanceGraph) -> str:
+    """DOT digraph: strict edges labelled with their cell score, dashed draws."""
+    return "".join(dot_pieces(graph))
+
+
+def _json_members(fields: dict[str, Any]) -> str:
+    """``fields`` as JSON object members, without the enclosing braces."""
+    return json.dumps(fields)[1:-1]
+
+
 def _list_body(pieces: Iterable[str]) -> Iterator[str]:
     """``pieces``, whose every record starts with ", ", as the body of a JSON
     list: the separator before the first record is dropped."""
@@ -296,10 +308,6 @@ def _list_body(pieces: Iterable[str]) -> Iterator[str]:
     if first is not None:
         yield first[2:]
         yield from pieces
-
-
-def _slices(n: int) -> Iterator[slice]:
-    return (slice(start, start + _RECORD_ROWS) for start in range(0, n, _RECORD_ROWS))
 
 
 def _graph_tail(report: AnalysisReport) -> str:
@@ -414,19 +422,9 @@ def analysis_json_pieces(report: AnalysisReport) -> Iterator[str]:
     return _json_pieces(report, f"{graph_tail}, {tail}")
 
 
-def graph_json_text(report: AnalysisReport) -> str:
-    """graph_json_pieces joined into one text."""
-    return "".join(graph_json_pieces(report))
-
-
-def analysis_json_text(report: AnalysisReport) -> str:
-    """analysis_json_pieces joined into one text."""
-    return "".join(analysis_json_pieces(report))
-
-
 def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
-    """analysis_json_text parsed: the same schema as a dict."""
-    return json.loads(analysis_json_text(report))
+    """analysis_json_pieces parsed: the same schema as a dict."""
+    return json.loads("".join(analysis_json_pieces(report)))
 
 
 def analysis_from_json_dict(payload: dict[str, Any]) -> AnalysisReport:

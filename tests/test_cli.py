@@ -5,17 +5,16 @@ import sys
 
 import pytest
 
-import capcycle.cli as cli_module
 import capcycle.report as report_module
 from capcycle import (
-    analysis_json_text,
+    analysis_json_pieces,
     analyze,
     build_graph,
     emit_dot,
     enumerate_compositions,
     enumerate_partitions,
     format_allocation,
-    graph_json_text,
+    graph_json_pieces,
     render_analysis_text,
 )
 from capcycle.report import analysis_json_dict
@@ -215,6 +214,11 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(out) == analysis_json_dict(analyze(6, 3))
 
+    def test_composition_count_past_64_bits(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--budget", "10", "--k", "400")
+        assert code == 0
+        assert "compositions (ordered allocations): 32308197757577553240" in out.splitlines()
+
     @pytest.mark.parametrize("command", ["analyze", "graph"])
     def test_json_over_cycle_listing_limit_exits_3(self, capsys, command):
         code, out, err = run(
@@ -355,17 +359,14 @@ class TestStreamedOutput:
     @pytest.fixture(autouse=True)
     def small_pieces(self, monkeypatch):
         monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
-        monkeypatch.setattr(report_module, "_DOT_LINES", 5)
-        monkeypatch.setattr(cli_module, "_ENUMERATE_LINES", 5)
-        monkeypatch.setattr(cli_module, "_WRITE_CHUNK", 64)
 
     @SPACES
     def test_exports_equal_library_text(self, capsys, budget, k):
         report = analyze(budget, k)
         space = ["--budget", str(budget), "--k", str(k)]
         expected = {
-            ("analyze", "--format", "json"): analysis_json_text(report),
-            ("graph", "--format", "json"): graph_json_text(report),
+            ("analyze", "--format", "json"): "".join(analysis_json_pieces(report)),
+            ("graph", "--format", "json"): "".join(graph_json_pieces(report)),
             ("graph", "--format", "dot"): emit_dot(build_graph(budget, k)),
         }
         for (command, *fmt), text in expected.items():
@@ -421,14 +422,50 @@ class TestUsageAndOutput:
         assert json.loads(target.read_text()) == analysis_json_dict(analyze(6, 3))
 
     def test_output_written_in_slices_is_unchanged(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli_module, "_WRITE_CHUNK", 7)
-        expected = analysis_json_text(analyze(6, 3)) + "\n"
+        monkeypatch.setattr(report_module, "_RECORD_ROWS", 7)
+        expected = "".join(analysis_json_pieces(analyze(6, 3))) + "\n"
         code, out, _ = run(capsys, "analyze", "--format", "json")
         assert code == 0
         assert out == expected
         target = tmp_path / "report.json"
         assert run_cli(["analyze", "--format", "json", "--out", str(target)]) == 0
         assert target.read_bytes() == expected.encode()
+
+    def test_unwritable_out_path_exits_1(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "analyze", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"capcycle: cannot write {target}: ")
+
+    @pytest.mark.parametrize(
+        "launch",
+        [
+            ["-m", "capcycle"],
+            # A caller that writes and flushes stdout again after run_cli,
+            # as the interpreter does at exit, must find it still writable.
+            [
+                "-c",
+                "import sys; from capcycle.cli import run_cli; code = run_cli(sys.argv[1:]); "
+                "print('more'); sys.stdout.flush(); sys.exit(code)",
+            ],
+        ],
+        ids=["module", "flush-after"],
+    )
+    def test_closed_pipe_exits_1_quietly(self, launch):
+        # About 2 MB of output, far more than a pipe holds, so the writer is
+        # still writing when the reader goes away.
+        proc = subprocess.Popen(
+            [sys.executable, *launch, "enumerate", "--budget", "100", "--k", "4"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"100,0,0,0\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err
 
     def test_identical_invocations_are_byte_identical(self, capsys):
         args = ["analyze", "--format", "json"]

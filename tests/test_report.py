@@ -13,14 +13,13 @@ from capcycle import (
     TiePolicy,
     analysis_from_json_dict,
     analysis_json_pieces,
-    analysis_json_text,
     analyze,
     build_graph,
+    dot_pieces,
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
     graph_json_pieces,
-    graph_json_text,
     matchup_json_dict,
     matchup_summary_line,
     matchup_table,
@@ -29,7 +28,8 @@ from capcycle import (
     simulation_json_dict,
     to_json_text,
 )
-from capcycle.report import analysis_json_dict
+from capcycle.allocations import composition_tuples
+from capcycle.report import _allocation_lines, analysis_json_dict
 
 from . import _oracles
 from .test_dominance import small_spaces
@@ -90,8 +90,10 @@ def report_6_3():
 
 
 def assert_text_matches_oracle(report):
-    assert graph_json_text(report) == json.dumps(_oracles.graph_json_dict(report))
-    assert analysis_json_text(report) == json.dumps(_oracles.analysis_json_dict(report))
+    assert "".join(graph_json_pieces(report)) == json.dumps(_oracles.graph_json_dict(report))
+    assert "".join(analysis_json_pieces(report)) == json.dumps(
+        _oracles.analysis_json_dict(report)
+    )
 
 
 class TestMatchupRendering:
@@ -211,7 +213,7 @@ class TestGraphExports:
         assert len(calls) == np.count_nonzero(graph.margin > 0)
 
     def test_graph_json_schema(self, report_6_3):
-        payload = json.loads(graph_json_text(report_6_3))
+        payload = json.loads("".join(graph_json_pieces(report_6_3)))
         assert sorted(payload) == [
             "budget",
             "claim",
@@ -253,7 +255,7 @@ class TestGraphExports:
             raise AssertionError("graph JSON built the counter table")
 
         monkeypatch.setattr(report_module, "best_counters", refuse)
-        payload = json.loads(graph_json_text(analyze(6, 3)))
+        payload = json.loads("".join(graph_json_pieces(analyze(6, 3))))
         assert payload["undominated"] == [[4, 2, 0]]
 
     @given(small_spaces)
@@ -279,33 +281,39 @@ class TestGraphExports:
         # (10, 3) has 22 cycles in 5 blocks, 66 edges and 25 draws, so slices
         # of 1 and 3 rows split every listing and most blocks.
         monkeypatch.setattr(report_module, "_RECORD_ROWS", rows)
-        monkeypatch.setattr(report_module, "_DOT_LINES", rows)
         report = analyze(10, 3)
         assert len(list(graph_json_pieces(report))) > len(report.graph.edges) // rows
+        assert len(list(dot_pieces(report.graph))) > len(report.graph.edges) // rows
         assert_text_matches_oracle(report)
         assert emit_dot(report.graph) == _oracles.dot(report.graph)
 
+    def test_listing_pieces_hold_at_most_record_rows(self, monkeypatch):
+        # The CLI writes each piece whole, so this bound is what keeps a
+        # write small. (10, 3) has 66 compositions, 66 edges and 25 draws.
+        monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
+        report = analyze(10, 3)
+        line_pieces = list(dot_pieces(report.graph))[1:]
+        line_pieces += _allocation_lines(composition_tuples(10, 3))
+        assert len(line_pieces) > 66 // 5
+        assert max(len(piece.lstrip("\n").split("\n")) for piece in line_pieces) == 5
+        json_pieces = list(analysis_json_pieces(report))
+        assert max(piece.count('"winner"') for piece in json_pieces) == 5
+
     def test_rebuilt_report_writes_the_same_text(self):
         report = analyze(10, 3)  # 22 cycles in 5 blocks
-        text = analysis_json_text(report)
+        text = "".join(analysis_json_pieces(report))
         rebuilt = analysis_from_json_dict(json.loads(text))
         assert rebuilt == report
         assert len(rebuilt.three_cycles) == 22
-        assert analysis_json_text(rebuilt) == text
-        assert graph_json_text(rebuilt) == graph_json_text(report)
+        assert "".join(analysis_json_pieces(rebuilt)) == text
+        assert "".join(graph_json_pieces(rebuilt)) == "".join(graph_json_pieces(report))
 
     def test_cycle_listing_limit(self, report_6_3, monkeypatch):
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 2)
-        assert len(json.loads(graph_json_text(report_6_3))["three_cycles"]) == 2
+        assert len(json.loads("".join(graph_json_pieces(report_6_3)))["three_cycles"]) == 2
         monkeypatch.setattr(report_module, "MAX_LISTED_CYCLES", 1)
         # The pieces writers refuse when called, before a piece is read.
-        for build in (
-            analysis_json_dict,
-            graph_json_text,
-            analysis_json_text,
-            graph_json_pieces,
-            analysis_json_pieces,
-        ):
+        for build in (analysis_json_dict, graph_json_pieces, analysis_json_pieces):
             with pytest.raises(SpaceTooLargeError, match="2 3-cycles exceed"):
                 build(report_6_3)
 

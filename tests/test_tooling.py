@@ -64,6 +64,9 @@ def test_traced_graph_makes_one_matchup_per_edge():
     traced = _run([sys.executable, "perfbench/traced.py", *command])
     record = json.loads(traced.stderr.splitlines()[-1])
     assert record["calls"]["matchup_table"] == record["sizes"]["n_edges"] > 0
+    # The trace times writes through a proxy of stdout's write and flush; a
+    # write path it cannot see would read 0 here.
+    assert record["write_s"] > 0
     assert traced.stdout == _run([sys.executable, "-m", "capcycle", *command]).stdout
 
 
