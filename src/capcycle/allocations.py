@@ -113,42 +113,76 @@ def composition_count(budget: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def partition_count(budget: int, k: int) -> int:
+def partition_count(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> int:
     """Count partitions of the budget into at most ``k`` nonzero parts.
 
     Equals the number of non-increasing k-tuples summing to the budget
-    (trailing zeros pad shorter partitions). Computed by the standard
-    parts-bounded recurrence, exactly.
+    (trailing zeros pad shorter partitions). Exact up to ``limit``, by
+    closed forms up to two parts and the standard parts-bounded
+    recurrence above that. A count over ``limit`` may come back as a
+    lower bound that is over it too: the lower bounds are checked before
+    any list is made, and the recurrence stops once it passes the limit,
+    so the work stays bounded whatever the budget.
     """
     _check_budget_k(budget, k)
+    parts = min(k, budget)  # a partition of the budget has at most budget parts
+    if parts <= 2:
+        return budget // 2 + 1 if parts == 2 else 1
+    # Lower bounds: the partitions into at most 3 parts, and the
+    # compositions into `parts` parts over parts!, since a partition comes
+    # from at most parts! of them.
+    three_parts = ((budget + 3) ** 2 + 6) // 12
+    if three_parts > limit:
+        return three_parts
+    at_least = -(-math.comb(budget + parts - 1, parts - 1) // math.factorial(parts))
+    if at_least > limit:
+        return at_least
     # Conjugate view: partitions into at most k parts == partitions into
-    # parts of size at most k.
+    # parts of size at most k. The count only grows with each part size.
     counts = [1] + [0] * budget
-    for part in range(1, k + 1):
+    for part in range(1, parts + 1):
         for n in range(part, budget + 1):
             counts[n] += counts[n - part]
+        if counts[budget] > limit:
+            break
     return counts[budget]
 
 
-def _compositions(budget: int, k: int) -> Iterator[tuple[int, ...]]:
+def _descending_tuples(budget: int, k: int, capped: bool) -> Iterator[tuple[int, ...]]:
+    """Every k-tuple of nonnegative ints summing to the budget, in
+    lexicographically descending order; with ``capped``, only the
+    non-increasing ones.
+
+    Not recursive, so k may be any size. The head (every part but the
+    last two) steps to the next one by dropping its rightmost part that
+    can drop by one and refilling the parts after it greedily, each as
+    large as allowed: capped by the dropped part for partitions. The last
+    two parts run through every split of what the head leaves.
+    """
     if k == 1:
         yield (budget,)
         return
-    for first in range(budget, -1, -1):
-        for rest in _compositions(budget - first, k - 1):
-            yield (first,) + rest
-
-
-def _partitions(budget: int, k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        if budget <= cap:
-            yield (budget,)
-        return
-    for first in range(min(budget, cap), -1, -1):
-        if first * k < budget:
+    head = ([budget] + [0] * k)[: k - 2]
+    rest = budget - sum(head)
+    while True:
+        cap = head[-1] if capped and head else rest
+        low = (rest + 1) // 2 if capped else 0
+        prefix = tuple(head)
+        for a in range(min(cap, rest), low - 1, -1):
+            yield (*prefix, a, rest - a)
+        tail = rest + 1  # what follows part i once it drops by one
+        for i in range(len(head) - 1, -1, -1):
+            part = head[i] - 1
+            if part >= 0 and (not capped or part * (k - 1 - i) >= tail):
+                break
+            tail += head[i]
+        else:
             return
-        for rest in _partitions(budget - first, k - 1, first):
-            yield (first,) + rest
+        head[i] = part
+        for j in range(i + 1, len(head)):
+            head[j] = min(part, tail) if capped else tail
+            tail -= head[j]
+        rest = tail
 
 
 def composition_tuples(
@@ -164,7 +198,7 @@ def composition_tuples(
         raise SpaceTooLargeError(
             f"{count} compositions for budget {budget}, k {k} exceeds limit {limit}"
         )
-    return _compositions(budget, k)
+    return _descending_tuples(budget, k, capped=False)
 
 
 def partition_tuples(
@@ -172,13 +206,12 @@ def partition_tuples(
 ) -> Iterator[tuple[int, ...]]:
     """The value tuples of enumerate_partitions, made as they are read;
     refuses above ``limit`` as composition_tuples does."""
-    _check_budget_k(budget, k)
-    count = partition_count(budget, k)
+    count = partition_count(budget, k, limit)
     if count > limit:
         raise SpaceTooLargeError(
-            f"{count} partitions for budget {budget}, k {k} exceeds limit {limit}"
+            f"at least {count} partitions for budget {budget}, k {k} exceeds limit {limit}"
         )
-    return _partitions(budget, k, budget)
+    return _descending_tuples(budget, k, capped=True)
 
 
 def enumerate_compositions(

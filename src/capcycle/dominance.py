@@ -30,8 +30,10 @@ Cycle = tuple[Partition, Partition, Partition]
 class DominanceGraph:
     """Exhaustive pairwise classification of the capped strategy space.
 
-    The relation is the n x n ``margin`` matrix, computed once from the
-    nodes; edges, draws and counters are views of it.
+    The relation is held once: the n x n ``margin`` matrix, computed from
+    the nodes at the narrowest exact integer dtype, and ``beats``, its
+    strict-edge adjacency. Edges, draws, cycles, components, counters and
+    the undominated set are views of these two.
     Every unordered node pair appears exactly once, either as a strict
     edge (with its positive win margin) or as a draw pair. Nodes are in
     lexicographically descending order, matching enumerate_partitions.
@@ -44,13 +46,18 @@ class DominanceGraph:
     @cached_property
     def margin(self) -> np.ndarray:
         """margin[i, j] = cells node i takes from node j minus cells j takes from i."""
-        return _margins(self.nodes, self.nodes, self.budget)
+        return _margins(self.nodes, self.nodes)
+
+    @cached_property
+    def beats(self) -> np.ndarray:
+        """beats[i, j] is True when node i strictly beats node j."""
+        return self.margin > 0
 
     def pair_indices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         """Index arrays ((winners, losers), (first, second)) of the strict
         edges, sorted by winner then loser, and of the drawn pairs, with
         first < second, sorted."""
-        return np.nonzero(self.margin > 0), np.nonzero(np.triu(self.margin == 0, k=1))
+        return np.nonzero(self.beats), np.nonzero(np.triu(self.margin == 0, k=1))
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -80,30 +87,32 @@ class ClaimVerdict:
     k: int
 
 
-def _margins(
-    rows: Sequence[Allocation], cols: Sequence[Allocation], budget: int
-) -> np.ndarray:
+def _margins(rows: Sequence[Allocation], cols: Sequence[Allocation]) -> np.ndarray:
     """margin[i, j] = cells rows[i] takes from cols[j] minus cells cols[j] takes back.
 
-    Histogram trick: a face showing v nets score[j, v] against cols[j], the
-    number of its faces below v minus the number above v, read off the
-    cumulative face-count histogram over values 0..budget. The margin is
-    the product of rows' histograms with that score table, summed one face
-    position at a time so the row histograms are never built. All
-    arithmetic is int64, so the counts are exact.
+    Score table: a face of rank v (among the distinct face values) nets
+    score[j, v] against cols[j], the number of its faces below v minus
+    the number above v. The table is as wide as the number of distinct
+    faces, whatever the budget. The margin sums the scores of rows'
+    faces, one face position at a time.
     """
-    cols_values = np.array([a.values for a in cols], dtype=np.int64)
-    n_cols, k = cols_values.shape
-    width = budget + 1
-    offsets = np.arange(n_cols)[:, None] * width
-    counts = np.bincount((offsets + cols_values).ravel(), minlength=n_cols * width)
-    counts = counts.reshape(n_cols, width)
-    at_most = np.cumsum(counts, axis=1)
-    score = (at_most - counts) - (k - at_most)
-
-    rows_values = np.array([a.values for a in rows], dtype=np.int64)
-    margin = np.zeros((len(rows), n_cols), dtype=np.int64)
-    for face in rows_values.T:
+    values = [a.values for a in (*rows, *cols)]
+    # Faces of 2^63 and up are ranked as Python ints: a mix of those and
+    # small values would otherwise be inferred as float64 and lose bits.
+    exact = np.int64 if max(map(max, values)) < 2**63 else object
+    faces = np.array(values, dtype=exact)
+    distinct = np.unique(faces)
+    ranks = np.searchsorted(distinct, faces)
+    k = ranks.shape[1]
+    # Every score is in [-k, k], and every partial sum of k of them in
+    # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
+    # int8 for k <= 11, int16 for k <= 181.
+    dtype = np.min_scalar_type(-k * k)
+    score = np.zeros((len(cols), len(distinct)), dtype=dtype)
+    for face in ranks[len(rows) :].T:
+        score += np.sign(np.arange(len(distinct)) - face[:, None])
+    margin = np.zeros((len(rows), len(cols)), dtype=dtype)
+    for face in ranks[: len(rows)].T:
         margin += score[:, face].T
     return margin
 
@@ -120,8 +129,7 @@ def _best_dominators(margin: np.ndarray) -> list[tuple[int, int] | None]:
     Ties go to the highest row index: with rows in descending node order,
     that is the lexicographically smallest partition.
     """
-    last = margin.shape[0] - 1
-    best_rows = last - np.argmax(margin[::-1], axis=0)
+    best_rows = len(margin) - 1 - np.argmax(margin[::-1], axis=0)
     best = margin[best_rows, np.arange(margin.shape[1])]
     return [
         (row, value) if value > 0 else None
@@ -177,9 +185,9 @@ class ThreeCycles:
     def _count(self) -> int:
         # Every entry of A @ A counts paths of length two, at most n < 2^24,
         # so the float32 product is exact; the trace sums at most n^3 < 2^53
-        # in float64, so it is exact too. The int64 margin matrix (8 n^2
-        # bytes) keeps n far below both bounds.
-        adjacency = (self.graph.margin > 0).astype(np.float32)
+        # in float64, so it is exact too. The matrices take at least n^2
+        # bytes each, which keeps n far below both bounds.
+        adjacency = self.graph.beats.astype(np.float32)
         two_paths = adjacency @ adjacency
         trace = np.einsum("ij,ji->", two_paths, adjacency, dtype=np.float64)
         return int(trace) // 3
@@ -196,12 +204,11 @@ class ThreeCycles:
         canonical order. Lazy: taking the first few cycles computes only
         the first blocks. Rows with no cycle yield no block.
         """
-        margin = self.graph.margin
-        for x in range(len(margin) - 1, -1, -1):
-            row = margin[x, :x]
-            ys = np.flatnonzero(row > 0)[::-1]  # x beats y
-            zs = np.flatnonzero(row < 0)[::-1]  # z beats x
-            rows, cols = np.nonzero(margin[np.ix_(ys, zs)] > 0)  # y beats z
+        beats = self.graph.beats
+        for x in range(len(beats) - 1, -1, -1):
+            ys = np.flatnonzero(beats[x, :x])[::-1]  # x beats y
+            zs = np.flatnonzero(beats[:x, x])[::-1]  # z beats x
+            rows, cols = np.nonzero(beats[np.ix_(ys, zs)])  # y beats z
             if rows.size:
                 block = np.empty((rows.size, 3), dtype=np.int32)
                 block[:, 0] = x
@@ -243,8 +250,8 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
     Forward-backward search: the component of the lowest unassigned node
     is what it reaches forward, searched backward from it within that set.
     """
-    succ = _row_bitmasks(graph.margin > 0)
-    pred = _row_bitmasks(graph.margin < 0)
+    succ = _row_bitmasks(graph.beats)
+    pred = _row_bitmasks(graph.beats.T)
     unassigned = (1 << len(graph.nodes)) - 1
     components = []
     while unassigned:
@@ -258,7 +265,7 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
 
 def undominated(graph: DominanceGraph) -> list[Partition]:
     """Nodes with no incoming strict edge, in node order."""
-    beaten = (graph.margin > 0).any(axis=0)
+    beaten = graph.beats.any(axis=0)
     return [graph.nodes[i] for i in np.flatnonzero(~beaten).tolist()]
 
 
@@ -278,7 +285,7 @@ def counter_strategy(
             f"counter search budget {budget} must equal the allocation's budget {a.budget}"
         )
     candidates = enumerate_partitions(budget, a.k, limit)
-    (best,) = _best_dominators(_margins(candidates, [a], budget))
+    (best,) = _best_dominators(_margins(candidates, [a]))
     return None if best is None else (candidates[best[0]], best[1])
 
 

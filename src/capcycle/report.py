@@ -486,7 +486,7 @@ def _showcase_lines(report: AnalysisReport) -> list[str]:
 def render_analysis_text(report: AnalysisReport) -> str:
     """Human-readable report; states the counter-claim verdict explicitly."""
     n = len(report.graph.nodes)
-    n_edges = int(np.count_nonzero(report.graph.margin > 0))
+    n_edges = np.count_nonzero(report.graph.beats)
     n_draws = n * (n - 1) // 2 - n_edges  # every other unordered pair draws
     n_cycles = len(report.three_cycles)
     lines = [

@@ -144,6 +144,34 @@ class TestCounts:
         assert composition_count(0, 4) == 1
         assert partition_count(0, 4) == 1
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_limited_count_is_exact_or_a_lower_bound_above_the_limit(self, k):
+        for budget in range(0, 13):
+            exact = len(_oracles.partitions(budget, k))
+            for limit in (0, 1, 5, 30, 10**8):
+                count = partition_count(budget, k, limit)
+                if exact <= limit:
+                    assert count == exact
+                else:
+                    assert limit < count <= exact
+
+    def test_closed_forms_up_to_two_parts(self):
+        assert partition_count(10**20, 1) == 1
+        assert partition_count(10**20, 2) == 5 * 10**19 + 1
+        assert partition_count(10**20 + 1, 2) == 5 * 10**19 + 1
+        assert partition_count(1, 500) == 1
+
+    @pytest.mark.parametrize(
+        "budget, k, count",
+        [
+            (10**12, 3, 83333333333833333333334),  # three parts, exactly
+            (10**12, 1000, 83333333333833333333334),  # at least the three-part count
+            (1000, 10, 794247013462658),  # at least C(1009, 9) / 10!
+        ],
+    )
+    def test_lower_bounds_refuse_before_any_list(self, budget, k, count):
+        assert partition_count(budget, k, 10**8) == count
+
 
 class TestEnumeration:
     def test_compositions_match_oracle(self):
@@ -192,6 +220,30 @@ class TestEnumeration:
         with pytest.raises(SpaceTooLargeError):
             enumerate_partitions(6, 3, limit=6)
         assert len(enumerate_partitions(6, 3, limit=7)) == 7
+
+    @pytest.mark.parametrize(
+        "budget, k, limit", [(10**12, 3, 10**8), (1000, 10, 10**8), (6, 3, 6)]
+    )
+    def test_partition_refusal_says_at_least(self, budget, k, limit):
+        with pytest.raises(SpaceTooLargeError, match=r"^at least \d+ partitions"):
+            enumerate_partitions(budget, k, limit)
+
+    @given(st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=7))
+    def test_orders_match_oracle_past_four_parts(self, budget, k):
+        compositions = [a.values for a in enumerate_compositions(budget, k)]
+        assert compositions == sorted(_oracles.compositions(budget, k), reverse=True)
+        partitions = [p.values for p in enumerate_partitions(budget, k)]
+        assert partitions == _oracles.partitions(budget, k)
+
+    def test_many_parts_without_recursion(self):
+        zeros = (0,) * 1997
+        assert [p.values for p in enumerate_partitions(3, 2000)] == [
+            (3, 0, 0) + zeros,
+            (2, 1, 0) + zeros,
+            (1, 1, 1) + zeros,
+        ]
+        compositions = [a.values for a in enumerate_compositions(1, 1500)]
+        assert compositions == [tuple(int(i == j) for j in range(1500)) for i in range(1500)]
 
     def test_guard_message_names_the_space(self):
         with pytest.raises(SpaceTooLargeError, match="28 compositions"):

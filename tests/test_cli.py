@@ -266,6 +266,37 @@ class TestAnalyzeCommand:
         assert not target.exists()
 
 
+class TestEveryInputEnds:
+    """Inputs that once ended in a traceback: huge budgets, whose face
+    values outgrow a budget-wide histogram and int64, and many parts,
+    which outran the recursion limit. Each ends in an answer or exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv, code, last_line",
+        [
+            (["analyze", "--budget", "1000000000000", "--k", "1"], 0, "  1000000000000: none"),
+            (["counter", "--a", "1000000000000"], 0, "counter: none"),
+            (["analyze", "--budget", str(10**20), "--k", "1"], 0, f"  {10**20}: none"),
+            (["counter", "--a", f"{2**63},{2**63 + 1}"], 3, None),
+            (["analyze", "--budget", "1000000000000", "--k", "3"], 3, None),
+            (["analyze", "--budget", "3", "--k", "2000"], 0, "  1,1,1" + ",0" * 1997 + ": none"),
+            (["enumerate", "--budget", "1", "--k", "1500"], 0, "0," * 1499 + "1"),
+            (["graph", "--budget", "2", "--k", "1200", "--format", "json"], 0, None),
+        ],
+    )
+    def test_answer_or_exit_3(self, capsys, argv, code, last_line):
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert "Traceback" not in err
+        if code == 3:
+            assert out == ""
+            assert err.startswith("capcycle: at least ") and err.count("\n") == 1
+        elif last_line is not None:
+            assert out.splitlines()[-1] == last_line
+        else:
+            assert json.loads(out)["nodes"] == [[2] + [0] * 1199, [1, 1] + [0] * 1198]
+
+
 class TestSimulateCommand:
     def test_text_output(self, capsys):
         code, out, _ = run(

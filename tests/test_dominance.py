@@ -15,6 +15,7 @@ from capcycle import (
     matchup_table,
 )
 from capcycle.dominance import (
+    _margins,
     _row_bitmasks,
     best_counters,
     find_three_cycles,
@@ -58,7 +59,7 @@ small_spaces = st.tuples(
 def bitmask_oracle(graph):
     """The oracle's bitmask walk over the strict edges of ``graph``."""
     return _oracles.bitmask_three_cycles(
-        _row_bitmasks(graph.margin > 0), _row_bitmasks(graph.margin < 0)
+        _row_bitmasks(graph.beats), _row_bitmasks(graph.beats.T)
     )
 
 
@@ -133,6 +134,54 @@ class TestBuildGraph:
     def test_determinism(self, graph_6_3):
         again = build_graph(6, 3)
         assert again == graph_6_3
+
+
+class TestMarginKernel:
+    @given(small_spaces)
+    def test_margin_is_the_cell_difference(self, space):
+        graph = build_graph(*space)
+        nodes = graph.nodes
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                t = matchup_table(a, b)
+                assert graph.margin[i, j] == t.wins_a - t.wins_b
+        assert graph.beats.dtype == np.bool_
+        assert (graph.beats == (graph.margin > 0)).all()
+
+    @pytest.mark.parametrize("k, dtype", [(11, np.int8), (12, np.int16)])
+    def test_narrow_dtype_equals_int64_oracle(self, k, dtype):
+        graph = build_graph(10, k)
+        nodes = [p.values for p in graph.nodes]
+        counts = [[_oracles.cell_counts(a, b) for b in nodes] for a in nodes]
+        oracle = np.array([[wa - wb for wa, wb, _ in row] for row in counts], dtype=np.int64)
+        assert graph.margin.dtype == dtype
+        assert (graph.margin.astype(np.int64) == oracle).all()
+
+    @pytest.mark.parametrize(
+        "k, dtype",
+        [(1, np.int8), (11, np.int8), (12, np.int16), (181, np.int16), (182, np.int32)],
+    )
+    def test_widest_margin_fits_its_dtype(self, k, dtype):
+        # Every cell won: the largest margin k^2 and its negation.
+        ones, zeros = Allocation((1,) * k), Allocation((0,) * k)
+        margin = _margins([ones, zeros], [zeros, ones])
+        assert margin.dtype == dtype
+        assert margin.tolist() == [[k * k, 0], [0, -k * k]]
+
+    def test_two_bytes_per_node_pair(self):
+        graph = build_graph(30, 6)
+        assert graph.margin.nbytes + graph.beats.nbytes == 2 * len(graph.nodes) ** 2
+
+    @pytest.mark.parametrize("top", [2**63, 2**64, 10**30])
+    def test_faces_past_int64_stay_exact(self, top):
+        # Mixed with small values, faces from 2^63 up would be inferred as
+        # float64, where top + 1 and top are the same number.
+        rows = [Allocation((top + 1, 0)), Allocation((top, 1))]
+        margin = _margins(rows, rows)
+        assert margin.tolist() == [[0, 0], [0, 0]]
+        t = matchup_table(*rows)
+        assert (t.wins_a, t.wins_b) == (2, 2)
+        assert _margins([Allocation((top + 1, top))], [Allocation((top, top))]).tolist() == [[2]]
 
 
 class TestThreeCycles:
