@@ -108,9 +108,15 @@ def _margins(rows: Sequence[Allocation], cols: Sequence[Allocation]) -> np.ndarr
     # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
     # int8 for k <= 11, int16 for k <= 181.
     dtype = np.min_scalar_type(-k * k)
-    score = np.zeros((len(cols), len(distinct)), dtype=dtype)
+    # counts[j, v + 1] is how many faces of cols[j] have rank v, so below[j, v]
+    # counts its faces under rank v and score = below - (k - faces up to v).
+    # Each of these lies in [-k, 2k]: inside +-k^2 for k >= 2, and int8 holds
+    # it at k = 1, so no intermediate is wider than the margin.
+    counts = np.zeros((len(cols), len(distinct) + 1), dtype=dtype)
     for face in ranks[len(rows) :].T:
-        score += np.sign(np.arange(len(distinct)) - face[:, None])
+        counts[np.arange(len(cols)), face + 1] += 1  # one face per row: no pair repeats
+    below = np.cumsum(counts, axis=1, dtype=dtype)
+    score = below[:, :-1] + below[:, 1:] - k
     margin = np.zeros((len(rows), len(cols)), dtype=dtype)
     for face in ranks[: len(rows)].T:
         margin += score[:, face].T

@@ -6,11 +6,15 @@ sampling for the indices, so identical configurations reproduce identical
 tallies on any platform. Long runs converge to the exact cell
 probabilities; long best-of series converge to the analytic majority
 winner.
+
+One core, ``_play``, turns the stream into rolls: a run of games is one
+row, each series a row started from the next output of the master seed,
+and a single roll a row that stops after one roll. Many rows share a block.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,16 +31,18 @@ MAX_BEST_OF = 10**6
 MAX_SERIES = 10**6
 MAX_GAMES = 10**8
 
-_SIGN = {Cell.A_WIN: 1, Cell.B_WIN: -1, Cell.TIE: 0}
-_CELL_BY_SIGN = (Cell.TIE, Cell.A_WIN, Cell.B_WIN)  # sign -1 indexes B_WIN
+# a's wins add 1 and b's 2^32, so one cumsum counts both; a block holds far fewer than 2^32 rolls
+_COUNT = {Cell.A_WIN: 1, Cell.B_WIN: 1 << 32, Cell.TIE: 0}
 
 
-def _outputs(state: int, n: int) -> np.ndarray:
-    """The next n splitmix64 outputs after ``state``, as a wrapping uint64 block.
+def _outputs(state: int | np.ndarray, n: int) -> np.ndarray:
+    """The next n splitmix64 outputs after ``state``, as wrapping uint64.
 
-    Output m (from 1) is the mix of ``state + m * gamma``, so no stepping is needed.
+    Output m (from 1) is the mix of ``state + m * gamma``, so no stepping is
+    needed. A 1-D array of states gives one row of outputs per state.
     """
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(state & _MASK64)
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = z + np.asarray(state, dtype=np.uint64)[..., None]
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -46,46 +52,50 @@ def _rejection_threshold(k: int) -> int:
     return (2**64 // k) * k
 
 
-def _rolls(table: MatchupTable, state: int, block: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Endless joint rolls from ``state`` as (signs, states after each roll) blocks.
+def _play(
+    table: MatchupTable, states: np.ndarray | list[int], done: Callable, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roll one row per state until ``done``; returns (tallies, end states).
 
-    Outputs at or above floor(2^64 / k) * k are rejected; kept ones pair up
-    as (a's index, b's index) mod k. A roll cut by the block's end is redrawn
-    from the end of the last whole roll; a block with no whole roll doubles.
+    ``tallies`` holds a wins, b wins and ties, one column per row. Outputs at
+    or above floor(2^64 / k) * k are rejected; a row's kept outputs pair up in
+    stream order as (a's index, b's index) mod k. A row stops at the first
+    roll where ``done`` holds for its running tallies, its state just past it.
+    A block plays the whole rolls that all of up to _BLOCK // width rows hold
+    in ``width`` outputs each, so no tally depends on the width or grouping.
     """
-    state &= _MASK64
-    k = np.uint64(table.k)
+    k = table.k
     # threshold - 1, because the threshold at k = 1 is 2^64, which uint64 cannot hold
-    last_kept = np.uint64(_rejection_threshold(table.k) - 1)
-    grid = np.array([[_SIGN[c] for c in row] for row in table.cells], dtype=np.int8)
-    while True:
-        out = _outputs(state, block)
-        kept = np.flatnonzero(out <= last_kept)
-        n = len(kept) // 2
-        if n == 0:
-            block *= 2
-            continue
-        faces = (out[kept[: 2 * n]] % k).astype(np.intp).reshape(n, 2)
-        states = (kept[1 : 2 * n : 2] + 1).astype(np.uint64) * np.uint64(_GAMMA) + np.uint64(state)
-        yield grid[faces[:, 0], faces[:, 1]], states
-        state = int(states[-1])
-
-
-def _play(table: MatchupTable, state: int, done: Callable, block: int) -> tuple[int, int, int]:
-    """(a wins, b wins, ties) at the first roll where ``done(a, b, ties)`` holds.
-
-    ``done`` maps arrays of running tallies to a boolean array.
-    """
-    wins_a = wins_b = ties = 0
-    for signs, _ in _rolls(table, state, block):
-        ta = wins_a + np.cumsum(signs > 0)
-        tb = wins_b + np.cumsum(signs < 0)
-        tt = ties + np.cumsum(signs == 0)
-        stop = np.flatnonzero(done(ta, tb, tt))
-        if stop.size:
-            r = stop[0]
-            return int(ta[r]), int(tb[r]), int(tt[r])
-        wins_a, wins_b, ties = int(ta[-1]), int(tb[-1]), int(tt[-1])
+    last_kept = np.uint64(_rejection_threshold(k) - 1)
+    grid = np.array([[_COUNT[c] for c in row] for row in table.cells], dtype=np.int64).ravel()
+    # Fewer than k outputs of a period are rejected (the mix is a bijection of
+    # the counter), so k + 1 outputs always hold a whole roll.
+    width = max(width, k + 1)
+    states = np.array(states, dtype=np.uint64)
+    tallies = np.zeros((3, states.size), dtype=np.int64)
+    live, pending = np.empty(0, dtype=np.intp), np.arange(states.size)
+    while live.size or pending.size:
+        room = max(1, _BLOCK // width) - live.size
+        rows, pending = np.concatenate([live, pending[:room]]), pending[room:]
+        out = _outputs(states[rows], width)
+        rejected = out > last_kept
+        rolls = (width - rejected.sum(axis=1).max()) // 2
+        row = np.arange(rows.size)
+        # each row's first 2 * rolls kept columns, in stream order
+        cols = np.argsort(rejected, axis=1, kind="stable")[:, : 2 * rolls]
+        x = out.ravel()[cols + width * row[:, None]]
+        faces = (x - x // np.uint64(k) * np.uint64(k)).astype(np.intp)  # x % k, but faster
+        run = np.cumsum(grid[faces[:, ::2] * k + faces[:, 1::2]], axis=1)
+        a0, b0, t0 = tallies[:, rows, None]
+        ta, tb = a0 + (run & 0xFFFFFFFF), b0 + (run >> 32)
+        tt = a0 + b0 + t0 + np.arange(1, rolls + 1) - ta - tb
+        stop = done(ta, tb, tt)
+        over = stop.any(axis=1)
+        last = np.where(over, stop.argmax(axis=1), rolls - 1)
+        tallies[:, rows] = ta[row, last], tb[row, last], tt[row, last]
+        states[rows] += (cols[row, 2 * last + 1] + 1).astype(np.uint64) * np.uint64(_GAMMA)
+        live = rows[~over]
+    return tallies, states
 
 
 def sample_cell(a: Allocation, b: Allocation, state: int) -> tuple[int, Cell]:
@@ -94,8 +104,8 @@ def sample_cell(a: Allocation, b: Allocation, state: int) -> tuple[int, Cell]:
     Draws a's index first, then b's, each by rejection-sampled uniform
     draws over 0..k-1.
     """
-    signs, states = next(_rolls(matchup_table(a, b), state, 2))
-    return int(states[0]), _CELL_BY_SIGN[signs[0]]
+    tallies, states = _play(matchup_table(a, b), [state & _MASK64], lambda *t: sum(t) > 0, 2)
+    return int(states[0]), (Cell.A_WIN, Cell.B_WIN, Cell.TIE)[tallies[:, 0].argmax()]
 
 
 @dataclass(frozen=True)
@@ -128,6 +138,8 @@ class SimConfig:
                 raise ValueError(f"best_of must be odd and positive, got {self.best_of}")
             if self.best_of > MAX_BEST_OF:
                 raise ValueError(f"best_of capped at {MAX_BEST_OF}, got {self.best_of}")
+            if self.best_of * self.n_series > MAX_GAMES:
+                raise ValueError(f"best_of * n_series capped at {MAX_GAMES}")
 
 
 @dataclass(frozen=True)
@@ -155,15 +167,6 @@ class SeriesStats:
         return self.a_game_wins / decisive
 
 
-def series_seed_states(seed: int, n_series: int) -> list[int]:
-    """Independent initial states for each series, split from the master seed.
-
-    Series i starts from the i+1-th splitmix64 output of the master seed,
-    so series can run in parallel yet reproduce the sequential result.
-    """
-    return _outputs(seed, n_series).tolist()
-
-
 def simulate_games(a: Allocation, b: Allocation, config: SimConfig) -> SeriesStats:
     """Play config.n_games games from the master seed and tally outcomes."""
     table = matchup_table(a, b)
@@ -172,10 +175,10 @@ def simulate_games(a: Allocation, b: Allocation, config: SimConfig) -> SeriesSta
         raise AllTiesError("every cell ties; reroll play can never finish a game")
 
     n = config.n_games
-    tallies = _play(
-        table, config.seed, lambda wa, wb, ties: wa + wb + (0 if reroll else ties) >= n, _BLOCK
+    tallies, _ = _play(
+        table, [config.seed], lambda wa, wb, ties: wa + wb + (0 if reroll else ties) >= n, _BLOCK
     )
-    return SeriesStats(n, *tallies)
+    return SeriesStats(n, *tallies[:, 0].tolist())
 
 
 def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesStats:
@@ -193,14 +196,10 @@ def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesS
 
     need = (config.best_of + 1) // 2
     # A series lasts at most best_of decisive rolls of two outputs; twice that leaves room for ties.
-    block = min(_BLOCK, 4 * config.best_of)
-    a_wins = b_wins = tie_games = a_series = 0
-    for state in series_seed_states(config.seed, config.n_series):
-        sa, sb, st = _play(table, state, lambda wa, wb, _: np.maximum(wa, wb) >= need, block)
-        a_wins, b_wins, tie_games = a_wins + sa, b_wins + sb, tie_games + st
-        a_series += sa == need
-    nogame = config.tie_policy is TiePolicy.NOGAME
-    games_played = a_wins + b_wins + (tie_games if nogame else 0)
-    return SeriesStats(
-        games_played, a_wins, b_wins, tie_games, a_series, config.n_series - a_series
-    )
+    width = min(_BLOCK, 4 * config.best_of)
+    seeds = _outputs(config.seed, config.n_series)
+    tallies, _ = _play(table, seeds, lambda wa, wb, _: np.maximum(wa, wb) >= need, width)
+    a_wins, b_wins, ties = tallies.sum(axis=1).tolist()
+    a_series = int(np.count_nonzero(tallies[0] == need))
+    games = a_wins + b_wins + (ties if config.tie_policy is TiePolicy.NOGAME else 0)
+    return SeriesStats(games, a_wins, b_wins, ties, a_series, config.n_series - a_series)

@@ -238,6 +238,16 @@ class TestAnalyzeCommand:
         assert "  ... (32143058 more; the JSON formats refuse above 10000000)" in lines
         assert peak_mb < 500
 
+    def test_dense_faces_score_in_the_margin_dtype(self, tmp_path):
+        # 3,001 nodes over 6,001 distinct faces: a score table filled through
+        # int64 temporaries of that shape peaked at 324 MB, where the int8
+        # margin is 9 MB.
+        out = tmp_path / "report.txt"
+        code, peak_mb = run_with_peak_rss(out, "analyze", "--budget", "6000", "--k", "2")
+        assert code == 0
+        assert "draw pairs: 4501500" in out.read_text().splitlines()
+        assert peak_mb < 200
+
     def test_gate_json_is_written_in_bounded_memory(self, tmp_path):
         # The acceptance-gate input: 1,260,582 cycles in 70 MB of JSON. Held
         # whole with its joined copy, it peaked at 177 MB.
@@ -368,6 +378,16 @@ class TestSimulateCommand:
         )
         assert code == 1
         assert "every cell ties" in err
+
+    def test_series_games_over_cap_exits_1(self, capsys):
+        code, out, err = run(
+            capsys,
+            "simulate", "--a", "1,1,4", "--b", "3,3,0", "--games", "1", "--seed", "0",
+            "--best-of", "999999", "--series", "1000000",
+        )
+        assert code == 1
+        assert out == ""
+        assert "best_of * n_series capped at 100000000" in err
 
     def test_zero_games_exits_1(self, capsys):
         code, _, err = run(

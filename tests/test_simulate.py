@@ -14,7 +14,8 @@ from capcycle import (
     simulate_best_of,
     simulate_games,
 )
-from capcycle.simulate import _BLOCK, _GAMMA, _outputs, sample_cell, series_seed_states
+import capcycle.simulate as simulate_module
+from capcycle.simulate import _BLOCK, _GAMMA, _outputs, sample_cell
 
 from . import _oracles
 
@@ -45,7 +46,7 @@ class TestPrng:
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_output_range(self, seed):
-        (out,) = series_seed_states(seed, 1)
+        (out,) = _outputs(seed, 1).tolist()
         assert isinstance(out, int) and 0 <= out < 2**64
 
 
@@ -102,6 +103,7 @@ class TestSimConfig:
             {"n_games": 1, "best_of": -3},
             {"n_games": 1, "best_of": 10**6 + 1},
             {"n_games": 10**8 + 1},
+            {"n_games": 1, "best_of": 999_999, "n_series": 10**6},
         ],
     )
     def test_rejects_bad_parameters(self, kwargs):
@@ -114,14 +116,14 @@ class TestSimConfig:
 
 class TestSeriesSeedStates:
     def test_states_are_outputs_of_master_stream(self):
-        assert series_seed_states(0, 3) == REF_FROM_ZERO
+        assert _outputs(0, 3).tolist() == REF_FROM_ZERO
 
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_matches_oracle(self, seed):
-        assert series_seed_states(seed, 5) == _oracles.splitmix64_outputs(seed, 5)
+        assert _outputs(seed, 5).tolist() == _oracles.splitmix64_outputs(seed, 5)
 
     def test_distinct_for_small_runs(self):
-        states = series_seed_states(123, 100)
+        states = _outputs(123, 100).tolist()
         assert len(set(states)) == 100
 
 
@@ -270,6 +272,19 @@ class TestSimulateBestOf:
         assert freqs[2] >= freqs[1] - slack
         assert freqs[2] > 0.9
 
+    def test_series_share_blocks(self, monkeypatch):
+        # every series is a row of a batched block, not a stream of its own
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _outputs(*args)
+
+        monkeypatch.setattr(simulate_module, "_outputs", counted)
+        stats = simulate_best_of(MTL, NY, SimConfig(7, 1, best_of=1, n_series=10_000))
+        assert stats.a_series_wins + stats.b_series_wins == 10_000
+        assert len(calls) <= 30
+
     def test_even_pair_splits_series_evenly(self):
         # (4,2,0) vs (5,1,0) is a 4-4 draw pair, so p = 1/2 under reroll
         n_series = 400
@@ -317,6 +332,24 @@ class TestIndexSampling:
                 assert astuple(simulate_best_of(BOS, drawish, config)) == _oracles.sim_series(
                     BOS.values, drawish.values, master, best_of, 3, reroll
                 )
+
+    @pytest.mark.parametrize(
+        "best_of, n_series, row, m",
+        [(1, 2100, 2050, 0), (1, 2100, 2050, 1), (3, 2100, 700, 3), (301, 20, 13, 301)],
+    )
+    def test_forced_rejection_in_a_later_row_replays_oracle(self, best_of, n_series, row, m):
+        # series `row` starts from a seed whose output m is the one k = 3
+        # rejects, and the series fill more than one block of rows
+        assert n_series > _BLOCK // (4 * best_of) and row > 0
+        crafted = _oracles.splitmix64_seed_for(2**64 - 1, m)
+        master = _oracles.splitmix64_seed_for(crafted, row)
+        assert _outputs(master, row + 1).tolist()[row] == crafted
+        drawish = Allocation((3, 2, 1))
+        for policy in TiePolicy:
+            config = SimConfig(master, 1, policy, best_of=best_of, n_series=n_series)
+            assert astuple(simulate_best_of(BOS, drawish, config)) == _oracles.sim_series(
+                BOS.values, drawish.values, master, best_of, n_series, policy is TiePolicy.REROLL
+            )
 
     def test_rejection_threshold_is_multiple_of_k(self):
         from capcycle.simulate import _rejection_threshold

@@ -1,7 +1,9 @@
 """The README library example and the scripts run as users run them, the
-public names are the ones they use, and the benchmark trace finds its layers
-and counts one matchup per DOT edge."""
+public names are the ones they use, the benchmark's reference commands print
+their recorded stdout, and the benchmark trace finds its layers and counts one
+matchup per DOT edge."""
 
+import hashlib
 import importlib
 import json
 import os
@@ -55,6 +57,26 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module(f"capcycle.{module}"), name, None))
     ]
     assert missing == []
+
+
+REFERENCE = runpy.run_path(str(ROOT / "perfbench" / "run.py"))["REFERENCE"]
+
+
+@pytest.mark.parametrize("command", sorted(REFERENCE))
+def test_benchmark_reference_outputs(command):
+    # The benchmark accepts a run only if stdout matches these digests.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    digest, length = hashlib.sha256(), 0
+    with subprocess.Popen(
+        [sys.executable, "-m", "capcycle", *command.split()],
+        stdout=subprocess.PIPE, cwd=ROOT, env=env,
+    ) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+            length += len(chunk)
+    assert proc.returncode == 0
+    assert (digest.hexdigest(), length) == REFERENCE[command]
 
 
 def test_traced_graph_makes_one_matchup_per_edge():
