@@ -20,6 +20,7 @@ from .allocations import (
     Allocation,
     Partition,
     enumerate_partitions,
+    partition_tuples,
 )
 
 Edge = tuple[int, int, int]  # (winner index, loser index, margin > 0)
@@ -46,31 +47,54 @@ class DominanceGraph:
     @cached_property
     def margin(self) -> np.ndarray:
         """margin[i, j] = cells node i takes from node j minus cells j takes from i."""
-        return _margins(self.nodes, self.nodes)
+        values = [p.values for p in self.nodes]
+        return _margins(values, values)
 
     @cached_property
     def beats(self) -> np.ndarray:
         """beats[i, j] is True when node i strictly beats node j."""
         return self.margin > 0
 
-    def pair_indices(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """Index arrays ((winners, losers), (first, second)) of the strict
-        edges, sorted by winner then loser, and of the drawn pairs, with
-        first < second, sorted."""
-        return np.nonzero(self.beats), np.nonzero(np.triu(self.margin == 0, k=1))
+    def pair_blocks(self, strict: bool, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Index arrays (first, second) of the strict edges (winner, loser),
+        or of the drawn pairs (first < second) when not ``strict``, made
+        max(1, rows // n) matrix rows at a time.
+
+        A block holds at most max(rows, n - 1) pairs, and may hold none.
+        Concatenated, the blocks list every pair once, sorted by first and
+        then second, and no index array of the whole listing is ever held.
+        """
+        n = len(self.nodes)
+        step = max(1, rows // max(n, 1))
+        for start in range(0, n, step):
+            if strict:
+                block = self.beats[start : start + step]
+            else:  # row start + i draws column j > start + i
+                block = np.triu(self.margin[start : start + step] == 0, start + 1)
+            first, second = np.nonzero(block)
+            first += start
+            yield first, second
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Strict edges (winner, loser, margin), sorted by winner then loser."""
-        winners, losers = self.pair_indices()[0]
-        margins = self.margin[winners, losers]
-        return tuple(zip(winners.tolist(), losers.tolist(), margins.tolist()))
+        # One matrix row a block: the tuples, not the arrays, are the cost.
+        return tuple(
+            edge
+            for winners, losers in self.pair_blocks(True, 1)
+            for edge in zip(
+                winners.tolist(), losers.tolist(), self.margin[winners, losers].tolist()
+            )
+        )
 
     @cached_property
     def draw_pairs(self) -> tuple[tuple[int, int], ...]:
         """Drawn pairs (i, j) with i < j, sorted."""
-        first, second = self.pair_indices()[1]
-        return tuple(zip(first.tolist(), second.tolist()))
+        return tuple(
+            pair
+            for first, second in self.pair_blocks(False, 1)
+            for pair in zip(first.tolist(), second.tolist())
+        )
 
 
 @dataclass(frozen=True)
@@ -87,8 +111,9 @@ class ClaimVerdict:
     k: int
 
 
-def _margins(rows: Sequence[Allocation], cols: Sequence[Allocation]) -> np.ndarray:
-    """margin[i, j] = cells rows[i] takes from cols[j] minus cells cols[j] takes back.
+def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """margin[i, j] = cells rows[i] takes from cols[j] minus cells cols[j] takes back,
+    where rows and cols hold allocations' value tuples.
 
     Score table: a face of rank v (among the distinct face values) nets
     score[j, v] against cols[j], the number of its faces below v minus
@@ -96,7 +121,7 @@ def _margins(rows: Sequence[Allocation], cols: Sequence[Allocation]) -> np.ndarr
     faces, whatever the budget. The margin sums the scores of rows'
     faces, one face position at a time.
     """
-    values = [a.values for a in (*rows, *cols)]
+    values = [*rows, *cols]
     # Faces of 2^63 and up are ranked as Python ints: a mix of those and
     # small values would otherwise be inferred as float64 and lose bits.
     exact = np.int64 if max(map(max, values)) < 2**63 else object
@@ -290,9 +315,10 @@ def counter_strategy(
         raise ValueError(
             f"counter search budget {budget} must equal the allocation's budget {a.budget}"
         )
-    candidates = enumerate_partitions(budget, a.k, limit)
-    (best,) = _best_dominators(_margins(candidates, [a]))
-    return None if best is None else (candidates[best[0]], best[1])
+    # Ranked as value tuples: only the winner becomes a Partition.
+    candidates = list(partition_tuples(budget, a.k, limit))
+    (best,) = _best_dominators(_margins(candidates, [a.values]))
+    return None if best is None else (Partition(candidates[best[0]]), best[1])
 
 
 def best_counters(graph: DominanceGraph) -> list[tuple[Partition, int] | None]:

@@ -54,6 +54,10 @@ class MatchupTable:
 
     Tables compare and hash by both sides' values and the counts, so two
     matchups with the same grid but different salaries are not equal.
+    matchup_table makes one per call without running the generated
+    ``__init__`` (see _table): the fields go straight into the instance
+    dict, which is what that ``__init__`` fills, so the table is the same
+    object either way.
     """
 
     a_values: tuple[int, ...]
@@ -83,6 +87,31 @@ def require_same_k(a: Allocation, b: Allocation) -> None:
         )
 
 
+def _table(
+    a_values: tuple[int, ...],
+    b_values: tuple[int, ...],
+    wins_a: int,
+    wins_b: int,
+    ties: int,
+    k: int,
+) -> MatchupTable:
+    """MatchupTable(a_values, b_values, wins_a, wins_b, ties, k), made without
+    its generated ``__init__``.
+
+    Being frozen, that ``__init__`` sets each field through
+    object.__setattr__, a third of a matchup_table call. MatchupTable has
+    no slots, defaults or __post_init__, so its ``__init__`` does nothing
+    but fill the instance dict in field order; filling it here in the
+    same order gives a table that compares, hashes, prints and caches
+    ``cells`` exactly as the constructed one.
+    """
+    table = object.__new__(MatchupTable)
+    vars(table).update(
+        a_values=a_values, b_values=b_values, wins_a=wins_a, wins_b=wins_b, ties=ties, k=k
+    )
+    return table
+
+
 def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     """Compare every category of ``a`` against every category of ``b``.
 
@@ -92,12 +121,14 @@ def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     ``cells`` grid is built on first read. The budgets need not match; the
     cap constraint lives at enumeration time, not here.
     """
-    require_same_k(a, b)
-    k = a.k
-    ys = sorted(b.values)
-    wins_a = sum(map(bisect_left, repeat(ys, k), a.values))
-    at_most = sum(map(bisect_right, repeat(ys, k), a.values))
-    return MatchupTable(a.values, b.values, wins_a, k * k - at_most, at_most - wins_a, k)
+    xs, ys = a.values, b.values
+    k = len(xs)
+    if len(ys) != k:
+        require_same_k(a, b)
+    faces = sorted(ys)
+    wins_a = sum(map(bisect_left, repeat(faces, k), xs))
+    at_most = sum(map(bisect_right, repeat(faces, k), xs))
+    return _table(xs, ys, wins_a, k * k - at_most, at_most - wins_a, k)
 
 
 def series_outcome(table: MatchupTable) -> SeriesOutcome:

@@ -10,6 +10,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 import numpy as np
@@ -252,6 +253,29 @@ def _slices(n: int) -> Iterator[slice]:
     return (slice(start, start + _RECORD_ROWS) for start in range(0, n, _RECORD_ROWS))
 
 
+def _pair_slices(graph: DominanceGraph, strict: bool) -> Iterator[tuple[np.ndarray, ...]]:
+    """graph.pair_blocks(strict, ...) cut into index arrays of at most
+    _RECORD_ROWS pairs: the strict edges, or the draws when not ``strict``."""
+    for first, second in graph.pair_blocks(strict, _RECORD_ROWS):
+        for part in _slices(len(first)):
+            yield first[part], second[part]
+
+
+def _numbers(graph: DominanceGraph) -> np.ndarray:
+    """The text of every integer a listing writes, as a _text_rows array
+    indexed by value.
+
+    Those are node indices, up to n - 1, and the cell counts of an edge:
+    the margin and each side's wins. A side wins a cell only with a
+    nonzero face, each beating at most k faces, so every count lies in
+    [0, k * (most nonzero faces of a node)]: at most k * min(k, budget),
+    far below k^2 when many parts are zero.
+    """
+    faces = max((len(p.values) - p.values.count(0) for p in graph.nodes), default=0)
+    largest = max(len(graph.nodes) - 1, graph.k * faces)
+    return _text_rows(map(str, range(largest + 1)))
+
+
 def _allocation_lines(values: Iterator[tuple[int, ...]]) -> Iterator[str]:
     """One line per value tuple, newline-separated, _RECORD_ROWS a piece."""
     separator = ""
@@ -268,24 +292,29 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
         ["digraph dominance {", "  rankdir=LR;"]
         + [f'  n{i} [label="{format_allocation(node)}"];' for i, node in enumerate(nodes)]
     )
-    (winners, losers), (first, second) = graph.pair_indices()
-    numbers = _text_rows(str(i) for i in range(len(nodes)))
-    for part in _slices(len(winners)):
-        w, l = winners[part], losers[part]
-        tables = (matchup_table(nodes[i], nodes[j]) for i, j in zip(w.tolist(), l.tolist()))
-        labels = _text_rows(f"{t.wins_a}-{t.wins_b}" for t in tables)
-        yield _records(
-            [b"\n  n", numbers[w], b" -> n", numbers[l], b' [label="', labels, b'"];']
+    numbers = _numbers(graph)
+    node = nodes.__getitem__
+    for w, l in _pair_slices(graph, True):
+        tables = map(matchup_table, map(node, w.tolist()), map(node, l.tolist()))
+        wins = np.fromiter(
+            map(attrgetter("wins_a", "wins_b"), tables), dtype=(np.intp, 2), count=len(w)
         )
-    for part in _slices(len(first)):
         yield _records(
             [
                 b"\n  n",
-                numbers[first[part]],
+                numbers[w],
                 b" -> n",
-                numbers[second[part]],
-                b" [dir=none, style=dashed];",
+                numbers[l],
+                b' [label="',
+                numbers[wins[:, 0]],
+                b"-",
+                numbers[wins[:, 1]],
+                b'"];',
             ]
+        )
+    for first, second in _pair_slices(graph, False):
+        yield _records(
+            [b"\n  n", numbers[first], b" -> n", numbers[second], b" [dir=none, style=dashed];"]
         )
     yield "\n}"
 
@@ -342,32 +371,28 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
     JSON object in pieces."""
     g = report.graph
     node_texts = [json.dumps(list(p.values)) for p in g.nodes]
-    (winners, losers), (first, second) = g.pair_indices()
-    margins = g.margin[winners, losers]
     yield "{" + _json_members({"budget": g.budget, "k": g.k}) + ', "nodes": ['
     yield ", ".join(node_texts)
-    # The text of every node index and every edge margin, indexed by value.
-    largest = max(len(node_texts) - 1, int(margins.max(initial=0)))
-    numbers = _text_rows(str(i) for i in range(largest + 1))
+    numbers = _numbers(g)
     yield '], "edges": ['
     yield from _list_body(
         _records(
             [
                 b', {"winner": ',
-                numbers[winners[part]],
+                numbers[w],
                 b', "loser": ',
-                numbers[losers[part]],
+                numbers[l],
                 b', "margin": ',
-                numbers[margins[part]],
+                numbers[g.margin[w, l]],
                 b"}",
             ]
         )
-        for part in _slices(len(winners))
+        for w, l in _pair_slices(g, True)
     )
     yield '], "draws": ['
     yield from _list_body(
-        _records([b", [", numbers[first[part]], b", ", numbers[second[part]], b"]"])
-        for part in _slices(len(first))
+        _records([b", [", numbers[first], b", ", numbers[second], b"]"])
+        for first, second in _pair_slices(g, False)
     )
     yield '], "three_cycles": ['
     # One piece per slice of an index block, whose cycles all start at x.

@@ -136,6 +136,53 @@ class TestBuildGraph:
         assert again == graph_6_3
 
 
+def assert_blocks_concatenate(graph, rows):
+    """pair_blocks, concatenated, lists the strict edges and the draws of the
+    whole matrix in order, with no block over max(rows, n - 1) pairs.
+    Returns the block sizes, strict then draw."""
+    n = len(graph.nodes)
+    wholes = (np.nonzero(graph.beats), np.nonzero(np.triu(graph.margin == 0, 1)))
+    sizes = []
+    for strict, whole in zip((True, False), wholes):
+        blocks = list(graph.pair_blocks(strict, rows))
+        assert len(blocks) == -(-n // max(1, rows // n))
+        sizes.append([len(first) for first, _ in blocks])
+        assert max(sizes[-1]) <= max(rows, n - 1)
+        for got, want in zip(zip(*blocks), whole):
+            assert np.concatenate(got).tolist() == want.tolist()
+    return sizes
+
+
+# Pairs asked per block, as a function of the node count n.
+BLOCK_ROWS = {
+    "1": lambda n: 1,
+    "2": lambda n: 2,
+    "n - 1": lambda n: n - 1,
+    "n": lambda n: n,
+    "10**6": lambda n: 10**6,
+}
+
+
+class TestPairBlocks:
+    @given(small_spaces, st.sampled_from(sorted(BLOCK_ROWS)))
+    def test_blocks_concatenate_to_the_whole_listing(self, space, rows):
+        graph = build_graph(*space)
+        assert_blocks_concatenate(graph, BLOCK_ROWS[rows](len(graph.nodes)))
+
+    def test_empty_blocks(self, graph_6_3):
+        # One row a block: 6,0,0 beats nothing and 4,1,1 draws no later
+        # node, so row 0's strict block and row 3's draw block are empty.
+        strict, draws = assert_blocks_concatenate(graph_6_3, 1)
+        assert strict == [0, 1, 1, 3, 3, 3, 3]
+        assert draws == [0, 2, 4, 0, 0, 1, 0]
+
+    def test_blocks_are_index_arrays(self, graph_6_3):
+        for strict in (True, False):
+            for first, second in graph_6_3.pair_blocks(strict, 14):
+                assert first.dtype == second.dtype == np.intp
+                assert first.shape == second.shape
+
+
 class TestMarginKernel:
     @given(small_spaces)
     def test_margin_is_the_cell_difference(self, space):
@@ -163,7 +210,7 @@ class TestMarginKernel:
     )
     def test_widest_margin_fits_its_dtype(self, k, dtype):
         # Every cell won: the largest margin k^2 and its negation.
-        ones, zeros = Allocation((1,) * k), Allocation((0,) * k)
+        ones, zeros = (1,) * k, (0,) * k
         margin = _margins([ones, zeros], [zeros, ones])
         assert margin.dtype == dtype
         assert margin.tolist() == [[k * k, 0], [0, -k * k]]
@@ -177,11 +224,12 @@ class TestMarginKernel:
         # Mixed with small values, faces from 2^63 up would be inferred as
         # float64, where top + 1 and top are the same number.
         rows = [Allocation((top + 1, 0)), Allocation((top, 1))]
-        margin = _margins(rows, rows)
+        values = [a.values for a in rows]
+        margin = _margins(values, values)
         assert margin.tolist() == [[0, 0], [0, 0]]
         t = matchup_table(*rows)
         assert (t.wins_a, t.wins_b) == (2, 2)
-        assert _margins([Allocation((top + 1, top))], [Allocation((top, top))]).tolist() == [[2]]
+        assert _margins([(top + 1, top)], [(top, top)]).tolist() == [[2]]
 
 
 class TestThreeCycles:
@@ -371,6 +419,20 @@ class TestCounterStrategy:
     def test_space_guard(self):
         with pytest.raises(SpaceTooLargeError):
             counter_strategy(Allocation((3, 3, 0)), limit=3)
+
+    def test_makes_one_partition(self, monkeypatch):
+        # The candidates are ranked as value tuples; only the winner is
+        # wrapped, not each of the 632 partitions of 40 into 4 parts.
+        made = []
+        check = Partition.__post_init__
+
+        def counted(self):
+            made.append(self.values)
+            check(self)
+
+        monkeypatch.setattr(Partition, "__post_init__", counted)
+        found = counter_strategy(Allocation((40, 0, 0, 0)))
+        assert found is not None and len(made) <= 1
 
 
 class TestBestCounters:

@@ -13,7 +13,7 @@ from capcycle import (
     matchup_table,
     win_probability,
 )
-from capcycle.matchups import SeriesOutcome, series_outcome
+from capcycle.matchups import MatchupTable, SeriesOutcome, series_outcome
 
 from . import _oracles
 
@@ -140,6 +140,18 @@ class TestMatchupTable:
         assert "cells" not in vars(t)
         assert t.cells is t.cells
         assert "cells" in vars(t)
+
+    @given(wide_values_k)
+    def test_same_table_as_the_dataclass_builds(self, pair):
+        a, b = (Allocation(tuple(side)) for side in pair)
+        made = matchup_table(a, b)
+        built = MatchupTable(a.values, b.values, *_oracles.cell_counts(a.values, b.values), a.k)
+        assert made == built and built == made
+        assert hash(made) == hash(built)
+        assert repr(made) == repr(built)
+        assert sorted(vars(made)) == sorted(vars(built))
+        assert made.cells == built.cells
+        assert sorted(vars(made)) == sorted(vars(built))  # both cached cells
 
     def test_equality_and_hash_follow_the_values(self):
         t, again = matchup_table(MTL, NY), matchup_table(MTL, NY)

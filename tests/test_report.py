@@ -194,6 +194,17 @@ class TestGraphExports:
         graph = build_graph(budget, k)
         assert emit_dot(graph) == _oracles.dot(graph)
 
+    @pytest.mark.parametrize("budget, k", [(3, 12), (2, 40)], ids=["3-12", "2-40"])
+    def test_counts_past_the_node_count_match_oracle(self, budget, k):
+        # Three and two nodes, but win counts up to 33 and 78 and an int16
+        # margin: the number table must reach past the node indices.
+        report = analyze(budget, k)
+        assert report.graph.margin.dtype == np.int16
+        assert emit_dot(report.graph) == _oracles.dot(report.graph)
+        assert "".join(graph_json_pieces(report)) == json.dumps(
+            _oracles.graph_json_dict(report)
+        )
+
     def test_dot_builds_no_edge_tuples(self):
         graph = build_graph(12, 4)
         emit_dot(graph)

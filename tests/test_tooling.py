@@ -90,6 +90,11 @@ def test_traced_graph_makes_one_matchup_per_edge():
     # write path it cannot see would read 0 here.
     assert record["write_s"] > 0
     assert traced.stdout == _run([sys.executable, "-m", "capcycle", *command]).stdout
+    # The traced sizes come from the graph's edges and draw_pairs; the DOT
+    # has one line per edge and per draw.
+    lines = traced.stdout.splitlines()
+    assert record["sizes"]["n_edges"] == sum(" -> " in s and "[label=" in s for s in lines)
+    assert record["sizes"]["n_draws"] == sum("style=dashed" in s for s in lines) > 0
 
 
 def test_public_names_are_used():
