@@ -4,11 +4,11 @@ Subcommands: matchup, enumerate, graph, counter, analyze, simulate.
 Exit codes: 0 success, 1 usage error or output that cannot be written,
 2 invalid allocation input, 3 strategy space over the enumeration limit,
 or a JSON export with more 3-cycles to list than report.MAX_LISTED_CYCLES.
-The CAPCYCLE_MAX_SPACE environment variable overrides the enumeration
-limit.
+The CAPCYCLE_MAX_SPACE environment variable, a nonnegative integer,
+overrides the enumeration limit.
 
 Output is written as it is produced: the JSON and DOT exports and the
-enumerate listing come in pieces of at most report._RECORD_ROWS records
+enumerate listing come in pieces of at most dominance._RECORD_ROWS records
 or lines, each written with one write call, so none of them is held
 whole. Every refusal happens before the first byte is written.
 """
@@ -122,9 +122,12 @@ def _space_limit() -> int:
     if raw is None:
         return DEFAULT_SPACE_LIMIT
     try:
-        return int(raw)
+        limit = int(raw)
     except ValueError:
-        raise ValueError(f"{ENV_MAX_SPACE} must be an integer, got {raw!r}") from None
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"{ENV_MAX_SPACE} must be a nonnegative integer, got {raw!r}")
+    return limit
 
 
 def _fraction_text(p: Fraction) -> str:

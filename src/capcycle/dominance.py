@@ -12,6 +12,7 @@ import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,11 @@ from .allocations import (
 
 Edge = tuple[int, int, int]  # (winner index, loser index, margin > 0)
 Cycle = tuple[Partition, Partition, Partition]
+
+# Pairs, candidates or records handled at a time: a block of the pair
+# listings and the counter search, and a piece of every written listing.
+# A block and its text take a few MB whatever the space's size.
+_RECORD_ROWS = 8_192
 
 
 @dataclass(frozen=True)
@@ -55,17 +61,17 @@ class DominanceGraph:
         """beats[i, j] is True when node i strictly beats node j."""
         return self.margin > 0
 
-    def pair_blocks(self, strict: bool, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def pair_blocks(self, strict: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Index arrays (first, second) of the strict edges (winner, loser),
         or of the drawn pairs (first < second) when not ``strict``, made
-        max(1, rows // n) matrix rows at a time.
+        max(1, _RECORD_ROWS // n) matrix rows at a time.
 
-        A block holds at most max(rows, n - 1) pairs, and may hold none.
-        Concatenated, the blocks list every pair once, sorted by first and
-        then second, and no index array of the whole listing is ever held.
+        A block holds at most max(_RECORD_ROWS, n - 1) pairs, and may hold
+        none. Concatenated, the blocks list every pair once, sorted by first
+        and then second, and no index array of the whole listing is ever held.
         """
         n = len(self.nodes)
-        step = max(1, rows // max(n, 1))
+        step = max(1, _RECORD_ROWS // max(n, 1))
         for start in range(0, n, step):
             if strict:
                 block = self.beats[start : start + step]
@@ -78,10 +84,9 @@ class DominanceGraph:
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Strict edges (winner, loser, margin), sorted by winner then loser."""
-        # One matrix row a block: the tuples, not the arrays, are the cost.
         return tuple(
             edge
-            for winners, losers in self.pair_blocks(True, 1)
+            for winners, losers in self.pair_blocks(True)
             for edge in zip(
                 winners.tolist(), losers.tolist(), self.margin[winners, losers].tolist()
             )
@@ -92,7 +97,7 @@ class DominanceGraph:
         """Drawn pairs (i, j) with i < j, sorted."""
         return tuple(
             pair
-            for first, second in self.pair_blocks(False, 1)
+            for first, second in self.pair_blocks(False)
             for pair in zip(first.tolist(), second.tolist())
         )
 
@@ -148,12 +153,6 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     return margin
 
 
-def _row_bitmasks(adjacency: np.ndarray) -> list[int]:
-    """Row i of a boolean matrix as an int whose bit j is adjacency[i, j]."""
-    packed = np.packbits(adjacency, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def _best_dominators(margin: np.ndarray) -> list[tuple[int, int] | None]:
     """Per column j, (row, margin) of its largest positive margin, or None.
 
@@ -166,28 +165,6 @@ def _best_dominators(margin: np.ndarray) -> list[tuple[int, int] | None]:
         (row, value) if value > 0 else None
         for row, value in zip(best_rows.tolist(), best.tolist())
     ]
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _reachable(root: int, adjacency: list[int], allowed: int) -> int:
-    """Bitmask of nodes reachable from ``root`` through nodes in ``allowed``."""
-    seen = frontier = 1 << root
-    while frontier:
-        step = 0
-        for i in _bits(frontier):
-            step |= adjacency[i]
-        frontier = step & allowed & ~seen
-        seen |= frontier
-    return seen
 
 
 def build_graph(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> DominanceGraph:
@@ -239,7 +216,7 @@ class ThreeCycles:
         for x in range(len(beats) - 1, -1, -1):
             ys = np.flatnonzero(beats[x, :x])[::-1]  # x beats y
             zs = np.flatnonzero(beats[:x, x])[::-1]  # z beats x
-            rows, cols = np.nonzero(beats[np.ix_(ys, zs)])  # y beats z
+            rows, cols = np.nonzero(beats[ys][:, zs])  # y beats z
             if rows.size:
                 block = np.empty((rows.size, 3), dtype=np.int32)
                 block[:, 0] = x
@@ -278,19 +255,26 @@ def find_three_cycles(graph: DominanceGraph) -> ThreeCycles:
 def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]]:
     """SCCs over strict edges as sorted index tuples, ordered by smallest member.
 
-    Forward-backward search: the component of the lowest unassigned node
-    is what it reaches forward, searched backward from it within that set.
+    Forward-backward search over boolean node masks: the component of the
+    lowest unassigned node is what it reaches forward along ``beats`` rows,
+    searched backward along ``beats`` columns from it within that set.
     """
-    succ = _row_bitmasks(graph.beats)
-    pred = _row_bitmasks(graph.beats.T)
-    unassigned = (1 << len(graph.nodes)) - 1
+    beats = graph.beats
+    unassigned = np.ones(len(beats), dtype=bool)
     components = []
-    while unassigned:
-        root = (unassigned & -unassigned).bit_length() - 1
-        forward = _reachable(root, succ, unassigned)
-        component = _reachable(root, pred, forward)
+    while unassigned.any():
+        root = np.zeros_like(unassigned)
+        root[np.argmax(unassigned)] = True
+        forward = frontier = root
+        while frontier.any():
+            frontier = beats[frontier].any(axis=0) & unassigned & ~forward
+            forward = forward | frontier
+        component = frontier = root
+        while frontier.any():
+            frontier = beats[:, frontier].any(axis=1) & forward & ~component
+            component = component | frontier
         unassigned &= ~component
-        components.append(tuple(_bits(component)))
+        components.append(tuple(np.flatnonzero(component).tolist()))
     return components
 
 
@@ -315,10 +299,15 @@ def counter_strategy(
         raise ValueError(
             f"counter search budget {budget} must equal the allocation's budget {a.budget}"
         )
-    # Ranked as value tuples: only the winner becomes a Partition.
-    candidates = list(partition_tuples(budget, a.k, limit))
-    (best,) = _best_dominators(_margins(candidates, [a.values]))
-    return None if best is None else (Partition(candidates[best[0]]), best[1])
+    # Ranked as value tuples, _RECORD_ROWS at a time: only the winner becomes
+    # a Partition. A later batch wins a tie, as the higher row does within one.
+    candidates = partition_tuples(budget, a.k, limit)
+    best = None
+    while batch := list(islice(candidates, _RECORD_ROWS)):
+        (found,) = _best_dominators(_margins(batch, [a.values]))
+        if found is not None and (best is None or found[1] >= best[1]):
+            best = batch[found[0]], found[1]
+    return None if best is None else (Partition(best[0]), best[1])
 
 
 def best_counters(graph: DominanceGraph) -> list[tuple[Partition, int] | None]:

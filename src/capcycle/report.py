@@ -23,6 +23,7 @@ from .allocations import (
     format_allocation,
 )
 from .dominance import (
+    _RECORD_ROWS,
     ClaimVerdict,
     Cycle,
     DominanceGraph,
@@ -213,12 +214,6 @@ def matchup_json_dict(a: Allocation, b: Allocation, table: MatchupTable) -> dict
 # listings, made in pieces: DOT, the JSON exports and allocation lines
 
 
-# Rows per piece of every listing: the DOT and JSON record arrays and the
-# enumerate lines. A piece and its text take a few MB whatever the
-# listing's length.
-_RECORD_ROWS = 8_192
-
-
 def _text_rows(texts: Iterable[str]) -> np.ndarray:
     """ASCII ``texts`` as a 1-D ``V{w}`` array, zero-padded on the right to
     the longest text's width ``w``."""
@@ -254,9 +249,9 @@ def _slices(n: int) -> Iterator[slice]:
 
 
 def _pair_slices(graph: DominanceGraph, strict: bool) -> Iterator[tuple[np.ndarray, ...]]:
-    """graph.pair_blocks(strict, ...) cut into index arrays of at most
+    """graph.pair_blocks(strict) cut into index arrays of at most
     _RECORD_ROWS pairs: the strict edges, or the draws when not ``strict``."""
-    for first, second in graph.pair_blocks(strict, _RECORD_ROWS):
+    for first, second in graph.pair_blocks(strict):
         for part in _slices(len(first)):
             yield first[part], second[part]
 

@@ -12,7 +12,7 @@ that replaced them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb
 
@@ -96,14 +96,23 @@ def three_cycles(
     return sorted(seen)
 
 
-def bitmask_three_cycles(succ: list[int], pred: list[int]) -> Iterator[tuple[int, int, int]]:
-    """Index triples (x, y, z) of every directed 3-cycle, lazily, in the
-    package's canonical order: x descending, then y, then z descending.
+def bitmask_three_cycles(
+    n: int, edges: Iterable[tuple[int, int, int]]
+) -> Iterator[tuple[int, int, int]]:
+    """Index triples (x, y, z) of every directed 3-cycle among ``n`` nodes,
+    lazily, in the package's canonical order: x descending, then y, then z
+    descending.
 
-    ``succ[i]`` and ``pred[i]`` have bit j set when i beats j and when j
-    beats i. x is the highest index of its cycle, so y and z are below it.
+    ``edges`` holds (winner, loser, margin) triples. Bit j of succ[i] is set
+    when i beats j, and of pred[i] when j beats i. x is the highest index of
+    its cycle, so y and z are below it.
     """
-    for x in range(len(succ) - 1, -1, -1):
+    succ = [0] * n
+    pred = [0] * n
+    for w, l, _ in edges:
+        succ[w] |= 1 << l
+        pred[l] |= 1 << w
+    for x in range(n - 1, -1, -1):
         below_x = (1 << x) - 1
         ys = succ[x] & below_x
         while ys:
@@ -311,11 +320,6 @@ def graph_json_dict(report) -> dict:
     """
     g = report.graph
     nodes = [list(p.values) for p in g.nodes]
-    succ = [0] * len(nodes)
-    pred = [0] * len(nodes)
-    for w, l, _ in g.edges:
-        succ[w] |= 1 << l
-        pred[l] |= 1 << w
     return {
         "budget": g.budget,
         "k": g.k,
@@ -323,7 +327,8 @@ def graph_json_dict(report) -> dict:
         "edges": [{"winner": w, "loser": l, "margin": m} for w, l, m in g.edges],
         "draws": [[i, j] for i, j in g.draw_pairs],
         "three_cycles": [
-            [nodes[x], nodes[y], nodes[z]] for x, y, z in bitmask_three_cycles(succ, pred)
+            [nodes[x], nodes[y], nodes[z]]
+            for x, y, z in bitmask_three_cycles(len(nodes), g.edges)
         ],
         "scc": [list(group) for group in report.scc],
         "undominated": [list(p.values) for p in report.undominated],

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import capcycle.dominance as dominance_module
 import capcycle.report as report_module
 from capcycle import (
     analysis_json_pieces,
@@ -148,6 +149,13 @@ class TestEnumerateCommand:
         assert out == ""
         assert "exceeds limit 5" in err
 
+    def test_negative_env_limit_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "-5")
+        code, out, err = run(capsys, "enumerate", "--budget", "3", "--k", "2")
+        assert code == 1
+        assert out == ""
+        assert "CAPCYCLE_MAX_SPACE must be a nonnegative integer, got '-5'" in err
+
     def test_bad_env_limit_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "many")
         code, _, err = run(capsys, "enumerate")
@@ -201,6 +209,12 @@ class TestCounterCommand:
         code, _, err = run(capsys, "counter", "--a", "6,0,0", "--budget", "7")
         assert code == 1
         assert "must equal" in err
+
+    def test_many_candidate_batches(self, capsys):
+        # 461,313 candidates, ranked in 57 batches.
+        code, out, _ = run(capsys, "counter", "--a", "400,0,0,0")
+        assert code == 0
+        assert out == "counter: 100,100,100,100 (margin 8)\n"
 
 
 class TestAnalyzeCommand:
@@ -409,6 +423,7 @@ class TestStreamedOutput:
 
     @pytest.fixture(autouse=True)
     def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 5)
         monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
 
     @SPACES
@@ -473,6 +488,7 @@ class TestUsageAndOutput:
         assert json.loads(target.read_text()) == analysis_json_dict(analyze(6, 3))
 
     def test_output_written_in_slices_is_unchanged(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 7)
         monkeypatch.setattr(report_module, "_RECORD_ROWS", 7)
         expected = "".join(analysis_json_pieces(analyze(6, 3))) + "\n"
         code, out, _ = run(capsys, "analyze", "--format", "json")

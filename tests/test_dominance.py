@@ -14,9 +14,9 @@ from capcycle import (
     counter_strategy,
     matchup_table,
 )
+import capcycle.dominance as dominance_module
 from capcycle.dominance import (
     _margins,
-    _row_bitmasks,
     best_counters,
     find_three_cycles,
     strongly_connected_components,
@@ -58,9 +58,7 @@ small_spaces = st.tuples(
 
 def bitmask_oracle(graph):
     """The oracle's bitmask walk over the strict edges of ``graph``."""
-    return _oracles.bitmask_three_cycles(
-        _row_bitmasks(graph.beats), _row_bitmasks(graph.beats.T)
-    )
+    return _oracles.bitmask_three_cycles(len(graph.nodes), graph.edges)
 
 
 def assert_blocks_match_bitmask_oracle(graph):
@@ -137,14 +135,17 @@ class TestBuildGraph:
 
 
 def assert_blocks_concatenate(graph, rows):
-    """pair_blocks, concatenated, lists the strict edges and the draws of the
-    whole matrix in order, with no block over max(rows, n - 1) pairs.
-    Returns the block sizes, strict then draw."""
+    """pair_blocks, with blocks of ``rows`` pairs asked, concatenated, lists
+    the strict edges and the draws of the whole matrix in order, with no
+    block over max(rows, n - 1) pairs. Returns the block sizes, strict then
+    draw."""
     n = len(graph.nodes)
     wholes = (np.nonzero(graph.beats), np.nonzero(np.triu(graph.margin == 0, 1)))
     sizes = []
     for strict, whole in zip((True, False), wholes):
-        blocks = list(graph.pair_blocks(strict, rows))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "_RECORD_ROWS", rows)
+            blocks = list(graph.pair_blocks(strict))
         assert len(blocks) == -(-n // max(1, rows // n))
         sizes.append([len(first) for first, _ in blocks])
         assert max(sizes[-1]) <= max(rows, n - 1)
@@ -176,9 +177,10 @@ class TestPairBlocks:
         assert strict == [0, 1, 1, 3, 3, 3, 3]
         assert draws == [0, 2, 4, 0, 0, 1, 0]
 
-    def test_blocks_are_index_arrays(self, graph_6_3):
+    def test_blocks_are_index_arrays(self, graph_6_3, monkeypatch):
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 14)
         for strict in (True, False):
-            for first, second in graph_6_3.pair_blocks(strict, 14):
+            for first, second in graph_6_3.pair_blocks(strict):
                 assert first.dtype == second.dtype == np.intp
                 assert first.shape == second.shape
 
@@ -340,6 +342,17 @@ class TestComponents:
         sccs = strongly_connected_components(graph)
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
 
+    @pytest.mark.parametrize("budget, k", [(0, 3), (20, 2), (30, 3)])
+    def test_pinned_spaces_match_oracle(self, budget, k):
+        # Past small_spaces: budget 0 has one node, every pair of (20, 2)
+        # draws, and 88 of the 91 nodes of (30, 3) share one component.
+        graph = build_graph(budget, k)
+        nodes = [p.values for p in graph.nodes]
+        oracle_edges, _ = _oracles.graph_relations(nodes)
+        sccs = strongly_connected_components(graph)
+        assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
+        assert max(map(len, sccs)) == {0: 1, 20: 1, 30: 88}[budget]
+
     def test_components_partition_nodes(self, graph_6_3):
         sccs = strongly_connected_components(graph_6_3)
         flat = [i for group in sccs for i in group]
@@ -415,6 +428,28 @@ class TestCounterStrategy:
                 assert got is None
             else:
                 assert (got[0].values, got[1]) == expected
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("budget, k", [(10, 3), (12, 4)])
+    def test_batches_match_oracle(self, budget, k, rows, monkeypatch):
+        # Candidates ranked ``rows`` at a time: a later batch must win a tie
+        # on margin, as the lexicographically smaller partition.
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", rows)
+        candidates = _oracles.partitions(budget, k)
+        tied_across_batches = 0
+        for values in candidates:
+            counts = (_oracles.cell_counts(p, values) for p in candidates)
+            margins = [wa - wb for wa, wb, _ in counts]
+            top = max(margins)
+            batches = {i // rows for i, m in enumerate(margins) if m == top}
+            tied_across_batches += top > 0 and len(batches) > 1
+            got = counter_strategy(Allocation(values))
+            expected = _oracles.counter(values, candidates)
+            if expected is None:
+                assert got is None
+            else:
+                assert (got[0].values, got[1]) == expected
+        assert tied_across_batches >= 7
 
     def test_space_guard(self):
         with pytest.raises(SpaceTooLargeError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+import capcycle.dominance as dominance_module
 import capcycle.report as report_module
 from capcycle import (
     Allocation,
@@ -291,6 +292,7 @@ class TestGraphExports:
     def test_sliced_writers_match_oracle(self, rows, monkeypatch):
         # (10, 3) has 22 cycles in 5 blocks, 66 edges and 25 draws, so slices
         # of 1 and 3 rows split every listing and most blocks.
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", rows)
         monkeypatch.setattr(report_module, "_RECORD_ROWS", rows)
         report = analyze(10, 3)
         assert len(list(graph_json_pieces(report))) > len(report.graph.edges) // rows
@@ -301,6 +303,7 @@ class TestGraphExports:
     def test_listing_pieces_hold_at_most_record_rows(self, monkeypatch):
         # The CLI writes each piece whole, so this bound is what keeps a
         # write small. (10, 3) has 66 compositions, 66 edges and 25 draws.
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 5)
         monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
         report = analyze(10, 3)
         line_pieces = list(dot_pieces(report.graph))[1:]
