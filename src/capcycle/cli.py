@@ -155,7 +155,7 @@ def _cmd_matchup(args, limit: int) -> str:
 
 def _cmd_enumerate(args, limit: int) -> Iterator[str]:
     tuples = partition_tuples if args.partitions else composition_tuples
-    return _allocation_lines(tuples(args.budget, args.k, limit))
+    return _allocation_lines(tuples(args.budget, args.k, limit), args.k)
 
 
 def _cmd_graph(args, limit: int) -> Iterator[str]:

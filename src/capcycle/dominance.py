@@ -9,7 +9,7 @@ strongly connected components, plus the set of strategies nothing beats.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -31,6 +31,13 @@ Cycle = tuple[Partition, Partition, Partition]
 # listings and the counter search, and a piece of every written listing.
 # A block and its text take a few MB whatever the space's size.
 _RECORD_ROWS = 8_192
+
+# Rows of ``beats`` that the 3-cycle count casts to float32, and that SCC
+# gathers, at a time: the count's transients are about 2 * _COUNT_ROWS * n
+# float32 values, 33 MB at the 8,037 nodes of (100, 4). Every entry of a
+# product of two such tiles counts two-step paths, at most n < 2^24, so the
+# float32 product is exact.
+_COUNT_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -177,8 +184,9 @@ def build_graph(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> Domina
 class ThreeCycles:
     """The directed 3-cycles of a graph: counted exactly, listed on iteration.
 
-    ``len()`` is trace(A^3) / 3 for the strict-edge adjacency A, computed
-    on first use without listing anything. ``index_blocks`` walks the
+    ``len()`` counts them exactly on first use, without listing any: each
+    cycle once, in the tile of _COUNT_ROWS adjacency rows that holds its
+    highest node index (see ``_count``). ``index_blocks`` walks the
     adjacency one row at a time and yields the cycles as node-index
     arrays; iterating maps those to partitions. Each cycle comes once,
     smallest node (by value) first, sorted by ascending node values.
@@ -191,14 +199,33 @@ class ThreeCycles:
 
     @cached_property
     def _count(self) -> int:
-        # Every entry of A @ A counts paths of length two, at most n < 2^24,
-        # so the float32 product is exact; the trace sums at most n^3 < 2^53
-        # in float64, so it is exact too. The matrices take at least n^2
-        # bytes each, which keeps n far below both bounds.
-        adjacency = self.graph.beats.astype(np.float32)
-        two_paths = adjacency @ adjacency
-        trace = np.einsum("ij,ji->", two_paths, adjacency, dtype=np.float64)
-        return int(trace) // 3
+        """Cycles whose highest index lies in the row tile M = [b0, b1), summed
+        over the tiles of the strict-edge adjacency A.
+
+        Those wholly inside M number trace(A_MM^3) / 3. Every other one has
+        exactly one rotation x -> y -> z with x in M, y < b0 and z < b1, so the
+        rest of the tile's count is the sum, over column tiles C of [0, b1),
+        of (A[M, :b0] @ A[:b0, C]) under the mask A[C, M]^T. Each operand is
+        cast to float32 one tile at a time, so no n x n square is made, and
+        the work is about n^3 / 3 multiply-adds. The masked sums are float64
+        and the traces at most _COUNT_ROWS^3, all far below 2^53, so exact.
+        """
+        beats = self.graph.beats
+        n = len(beats)
+        count = 0
+        for b0 in range(0, n, _COUNT_ROWS):
+            b1 = min(b0 + _COUNT_ROWS, n)
+            inside = beats[b0:b1, b0:b1].astype(np.float32)
+            trace = np.einsum("ij,ji->", inside @ inside, inside, dtype=np.float64)
+            count += int(trace) // 3
+            if b0:
+                out = beats[b0:b1, :b0].astype(np.float32)  # x in M beats y < b0
+                for c0 in range(0, b1, _COUNT_ROWS):
+                    c1 = min(c0 + _COUNT_ROWS, b1)
+                    paths = out @ beats[:b0, c0:c1].astype(np.float32)  # y beats z
+                    closing = beats[c0:c1, b0:b1]  # z beats x
+                    count += int(np.einsum("ij,ji->", paths, closing, dtype=np.float64))
+        return count
 
     def __len__(self) -> int:
         return self._count
@@ -252,29 +279,67 @@ def find_three_cycles(graph: DominanceGraph) -> ThreeCycles:
     return ThreeCycles(graph)
 
 
+def _row_blocks(indices: np.ndarray) -> Iterator[np.ndarray]:
+    """``indices`` cut into pieces of at most _COUNT_ROWS."""
+    for start in range(0, len(indices), _COUNT_ROWS):
+        yield indices[start : start + _COUNT_ROWS]
+
+
+def _reach(
+    rows: Callable[[np.ndarray], np.ndarray], root: int, allowed: np.ndarray
+) -> np.ndarray:
+    """Mask of the nodes that ``root`` reaches within ``allowed``, which holds
+    root, where ``rows(block)`` gives the boolean adjacency rows of the nodes
+    in ``block``: at most _COUNT_ROWS frontier rows are gathered at a time."""
+    seen = np.zeros_like(allowed)
+    seen[root] = True
+    frontier = seen.copy()
+    while frontier.any():
+        step = np.zeros_like(seen)
+        for block in _row_blocks(np.flatnonzero(frontier)):
+            step |= rows(block).any(axis=0)
+        frontier = step & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
 def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]]:
     """SCCs over strict edges as sorted index tuples, ordered by smallest member.
 
-    Forward-backward search over boolean node masks: the component of the
-    lowest unassigned node is what it reaches forward along ``beats`` rows,
-    searched backward along ``beats`` columns from it within that set.
+    First the trim step of McLendon et al. (JPDC 2005): a node with no
+    in-edge or no out-edge from the unassigned nodes is its own component,
+    and assigning it can leave more such nodes. Then forward-backward search
+    (Fleischer, Hendrickson & Pinar, 2000) over boolean node masks: the
+    component of the lowest unassigned node is what it reaches forward along
+    ``beats`` rows, searched backward from it within that set. Both read
+    matrix rows only: the nodes that beat i are row i of ``margin < 0``.
     """
-    beats = graph.beats
+    beats, margin = graph.beats, graph.margin
+    successors = beats.__getitem__
+
+    def predecessors(block: np.ndarray) -> np.ndarray:
+        return margin[block] < 0
+
+    in_degree = beats.sum(axis=0)
+    out_degree = beats.sum(axis=1)
     unassigned = np.ones(len(beats), dtype=bool)
     components = []
+    while True:
+        trimmed = np.flatnonzero(unassigned & ((in_degree == 0) | (out_degree == 0)))
+        if not trimmed.size:
+            break
+        unassigned[trimmed] = False
+        components += ((i,) for i in trimmed.tolist())
+        for block in _row_blocks(trimmed):
+            in_degree -= successors(block).sum(axis=0)
+            out_degree -= predecessors(block).sum(axis=0)
     while unassigned.any():
-        root = np.zeros_like(unassigned)
-        root[np.argmax(unassigned)] = True
-        forward = frontier = root
-        while frontier.any():
-            frontier = beats[frontier].any(axis=0) & unassigned & ~forward
-            forward = forward | frontier
-        component = frontier = root
-        while frontier.any():
-            frontier = beats[:, frontier].any(axis=1) & forward & ~component
-            component = component | frontier
+        root = int(np.argmax(unassigned))
+        forward = _reach(successors, root, unassigned)
+        component = _reach(predecessors, root, forward)
         unassigned &= ~component
         components.append(tuple(np.flatnonzero(component).tolist()))
+    components.sort()
     return components
 
 

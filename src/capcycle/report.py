@@ -271,10 +271,13 @@ def _numbers(graph: DominanceGraph) -> np.ndarray:
     return _text_rows(map(str, range(largest + 1)))
 
 
-def _allocation_lines(values: Iterator[tuple[int, ...]]) -> Iterator[str]:
-    """One line per value tuple, newline-separated, _RECORD_ROWS a piece."""
+def _allocation_lines(values: Iterator[tuple[int, ...]], k: int) -> Iterator[str]:
+    """One line per k-value tuple, newline-separated, about _RECORD_ROWS values
+    a piece: max(1, _RECORD_ROWS // k) lines, so a piece is small however
+    wide its lines are."""
+    lines = max(1, _RECORD_ROWS // k)
     separator = ""
-    while batch := list(islice(values, _RECORD_ROWS)):
+    while batch := list(islice(values, lines)):
         yield separator + "\n".join(map(format_allocation, batch))
         separator = "\n"
 

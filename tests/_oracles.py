@@ -3,8 +3,9 @@
 Everything here favors obviousness over speed: plain double loops,
 itertools-based enumeration, Floyd-Warshall reachability. These were
 written first and the frozen constants in the tests come from them.
-All functions work on bare tuples of ints, never on package types,
-except the export builders at the end: they are the package's earlier
+All functions work on bare tuples of ints or, for the 3-cycle count, a
+boolean numpy matrix, never on package types, except the export builders
+at the end: they are the package's earlier
 dict-based JSON export and per-edge DOT writer, kept to check the writers
 that replaced them.
 """
@@ -15,6 +16,8 @@ import itertools
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 MASK64 = 2**64 - 1
 
@@ -123,6 +126,38 @@ def bitmask_three_cycles(
                 z = zs.bit_length() - 1
                 zs ^= 1 << z
                 yield x, y, z
+
+
+def three_cycle_count(adjacency: np.ndarray) -> int:
+    """The number of directed 3-cycles, by the tournament identity of
+    Kendall & Babington Smith (Biometrika 1940), corrected for draws.
+
+    adjacency[i, j] is True when i beats j; a pair with neither direction is
+    a draw. Among the T0 node triples with no drawn pair, each transitive one
+    has a single node that beats the other two, and every other triple is a
+    cycle. Summed over v, C(out_v, 2) counts those transitive triples and,
+    for each drawn pair {a, b}, every node that beats both, P in all. So
+    the count is T0 - sum_v C(out_v, 2) + P. By inclusion-exclusion over the
+    d drawn pairs, T0 = C(n, 3) - (d (n - 2) - sum_v C(draw_v, 2) + t_D),
+    where t_D is the number of triangles of drawn pairs. Both pair sums
+    intersect bit-packed rows with np.bitwise_count.
+    """
+    n = len(adjacency)
+    draws = ~(adjacency | adjacency.T)
+    np.fill_diagonal(draws, False)
+    draw_degrees = draws.sum(axis=1).tolist()
+    out_degrees = adjacency.sum(axis=1).tolist()
+    packed_draws = np.packbits(draws, axis=1)
+    packed_beaten_by = np.packbits(adjacency.T, axis=1)  # row v: who beats v
+    shared_draws = beat_both = 0
+    for a in range(n):
+        bs = a + 1 + np.flatnonzero(draws[a, a + 1 :])  # drawn pairs {a, b}, a < b
+        shared_draws += int(np.bitwise_count(packed_draws[a] & packed_draws[bs]).sum())
+        beat_both += int(np.bitwise_count(packed_beaten_by[a] & packed_beaten_by[bs]).sum())
+    d = sum(draw_degrees) // 2
+    t_d = shared_draws // 3  # each drawn triangle, once per drawn pair
+    no_draw = comb(n, 3) - (d * (n - 2) - sum(comb(x, 2) for x in draw_degrees) + t_d)
+    return no_draw - sum(comb(x, 2) for x in out_degrees) + beat_both
 
 
 def strong_components(n: int, edges: list[tuple[int, int, int]]) -> list[tuple[int, ...]]:

@@ -142,6 +142,16 @@ class TestEnumerateCommand:
         )
         assert peak_mb < 80
 
+    def test_wide_listing_is_written_in_bounded_memory(self, tmp_path):
+        # 2,000 lines of 4,000 bytes; in pieces of 8,192 lines it peaked at 81 MB.
+        out = tmp_path / "wide.txt"
+        code, peak_mb = run_with_peak_rss(out, "enumerate", "--budget", "1", "--k", "2000")
+        assert code == 0
+        assert file_sha256(out) == (
+            "20ba5a90f4e2c4c7230d5048d520d2a38c87645bd0272c312a66b90a12bb84ac"
+        )
+        assert peak_mb < 50
+
     def test_space_limit_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "5")
         code, out, err = run(capsys, "enumerate")

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -54,6 +55,10 @@ CYCLES_6_3 = [
 small_spaces = st.tuples(
     st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=4)
 )
+
+# Row tiles of the 3-cycle count and row blocks of the SCC search: the real
+# size, which no small space exceeds, and sizes that split small spaces.
+TILE_ROWS = [1, 2, 7, dominance_module._COUNT_ROWS]
 
 
 def bitmask_oracle(graph):
@@ -265,21 +270,47 @@ class TestThreeCycles:
         graph = build_graph(0, 3)
         assert find_three_cycles(graph) == []
 
-    @given(small_spaces)
-    def test_count_matches_listing_and_oracle(self, space):
+    @given(small_spaces, st.sampled_from(TILE_ROWS))
+    def test_count_matches_listing_and_oracle(self, space, rows):
+        # small_spaces fit in one tile of the real size; smaller tiles take
+        # the multi-tile path.
         budget, k = space
         graph = build_graph(budget, k)
-        cycles = find_three_cycles(graph)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "_COUNT_ROWS", rows)
+            count = len(find_three_cycles(graph))
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
         oracle = _oracles.three_cycles(nodes, oracle_edges)
-        assert len(cycles) == len(list(cycles)) == len(oracle)
+        assert count == len(list(find_three_cycles(graph))) == len(oracle)
+        assert count == _oracles.three_cycle_count(graph.beats)
 
     @pytest.mark.parametrize(
-        "budget, k, count", [(40, 4, 1_260_582), (30, 6, 7_728_511)]
+        "budget, k, count",
+        [(6, 3, 2), (12, 4, 139), (40, 4, 1_260_582), (30, 6, 7_728_511), (60, 4, 32_143_068)],
     )
     def test_pinned_counts_without_listing(self, budget, k, count):
-        assert len(find_three_cycles(build_graph(budget, k))) == count
+        # (40, 4), (30, 6) and (60, 4) have 632, 1,206 and 1,906 nodes: two,
+        # three and four tiles of the real size.
+        graph = build_graph(budget, k)
+        assert len(find_three_cycles(graph)) == _oracles.three_cycle_count(graph.beats) == count
+
+    def test_count_memory_stays_in_tiles(self, monkeypatch):
+        # tracemalloc sees numpy's arrays, not BLAS's own buffers.
+        graph = build_graph(30, 6)
+        n = len(graph.beats)
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                assert len(find_three_cycles(graph)) == 7_728_511
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak() < n * n * 4  # under one float32 n x n square
+        monkeypatch.setattr(dominance_module, "_COUNT_ROWS", 128)
+        assert traced_peak() < 3 * 128 * n * 4
 
     @given(small_spaces)
     def test_index_blocks_match_bitmask_oracle(self, space):
@@ -333,13 +364,15 @@ class TestComponents:
             (3, 4, 5, 6),
         ]
 
-    @given(small_spaces)
-    def test_sizes_match_oracle(self, space):
+    @given(small_spaces, st.sampled_from(TILE_ROWS))
+    def test_sizes_match_oracle(self, space, rows):
         budget, k = space
         graph = build_graph(budget, k)
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
-        sccs = strongly_connected_components(graph)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "_COUNT_ROWS", rows)
+            sccs = strongly_connected_components(graph)
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
 
     @pytest.mark.parametrize("budget, k", [(0, 3), (20, 2), (30, 3)])
@@ -352,6 +385,21 @@ class TestComponents:
         sccs = strongly_connected_components(graph)
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
         assert max(map(len, sccs)) == {0: 1, 20: 1, 30: 88}[budget]
+
+    def test_search_memory_stays_in_row_blocks(self, monkeypatch):
+        # A block gathers 128 rows of beats, or of the int8 margin and its
+        # sign; the whole search once gathered every frontier row at a time.
+        graph = build_graph(30, 6)
+        n = len(graph.beats)
+        monkeypatch.setattr(dominance_module, "_COUNT_ROWS", 128)
+        tracemalloc.start()
+        try:
+            sccs = strongly_connected_components(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(map(len, sccs))[-1] == 1186
+        assert peak < 3 * 128 * n
 
     def test_components_partition_nodes(self, graph_6_3):
         sccs = strongly_connected_components(graph_6_3)

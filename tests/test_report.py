@@ -20,6 +20,7 @@ from capcycle import (
     emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
+    format_allocation,
     graph_json_pieces,
     matchup_json_dict,
     matchup_summary_line,
@@ -307,11 +308,25 @@ class TestGraphExports:
         monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
         report = analyze(10, 3)
         line_pieces = list(dot_pieces(report.graph))[1:]
-        line_pieces += _allocation_lines(composition_tuples(10, 3))
         assert len(line_pieces) > 66 // 5
         assert max(len(piece.lstrip("\n").split("\n")) for piece in line_pieces) == 5
         json_pieces = list(analysis_json_pieces(report))
         assert max(piece.count('"winner"') for piece in json_pieces) == 5
+
+    @pytest.mark.parametrize("budget, k, lines", [(10, 3, 2), (10, 7, 1), (3, 8, 1)])
+    def test_allocation_pieces_hold_about_record_rows_values(
+        self, monkeypatch, budget, k, lines
+    ):
+        # max(1, 7 // k) lines a piece: a line of k values never shares a
+        # piece past 7 values, but a line wider than that still gets one.
+        monkeypatch.setattr(report_module, "_RECORD_ROWS", 7)
+        values = list(composition_tuples(budget, k))
+        pieces = list(_allocation_lines(iter(values), k))
+        assert [len(piece.lstrip("\n").split("\n")) for piece in pieces[:-1]] == [lines] * (
+            len(pieces) - 1
+        )
+        assert len(pieces) == -(-len(values) // lines)
+        assert "".join(pieces) == "\n".join(map(format_allocation, values))
 
     def test_rebuilt_report_writes_the_same_text(self):
         report = analyze(10, 3)  # 22 cycles in 5 blocks
