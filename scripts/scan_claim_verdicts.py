@@ -10,8 +10,6 @@ Usage: python scripts/scan_claim_verdicts.py [--max-budget N] [--max-k N]
 
 import argparse
 
-import numpy as np
-
 from capcycle import analyze, format_allocation
 
 
@@ -32,7 +30,7 @@ def main() -> None:
                 verdict = f"fails ({free})"
             print(
                 f"{budget:>3} {k:>2} {r.partition_count:>6} "
-                f"{np.count_nonzero(r.graph.beats):>7} {len(r.three_cycles):>7}  {verdict}"
+                f"{r.graph.n_edges:>7} {len(r.three_cycles):>7}  {verdict}"
             )
         print()
 

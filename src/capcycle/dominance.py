@@ -32,22 +32,41 @@ Cycle = tuple[Partition, Partition, Partition]
 # A block and its text take a few MB whatever the space's size.
 _RECORD_ROWS = 8_192
 
-# Rows of ``beats`` that the 3-cycle count casts to float32, and that SCC
-# gathers, at a time: the count's transients are about 2 * _COUNT_ROWS * n
-# float32 values, 33 MB at the 8,037 nodes of (100, 4). Every entry of a
-# product of two such tiles counts two-step paths, at most n < 2^24, so the
-# float32 product is exact.
-_COUNT_ROWS = 512
+# Rows of ``margin`` that SCC and the counter table read at a time: a block
+# and its compares take a few times 512 * n bytes, 4 MB at the 8,037 nodes
+# of (100, 4), where the margin itself is 65 MB.
+_BLOCK_ROWS = 512
+
+# Columns of ``margin`` that the margin kernel fills at a time: its score
+# table has one row per distinct face and this many columns.
+_MARGIN_COLS = 128
+
+
+def _count_rows(n: int) -> int:
+    """Rows of a 3-cycle count tile for n nodes: the largest power of two at
+    most n / 8, clamped to [128, 1024], so 128 at the 1,206 nodes of (30, 6)
+    and 512 at the 8,037 of (100, 4).
+
+    A tile's transients are two float32 operands of at most B * n values and
+    a B x n boolean compare, about 9 * B * n bytes for B rows. B <= n / 8
+    from n = 1,024 up, so that is at most 9/8 of the int8 margin's n^2 bytes;
+    below, it is at most 1,152 * n bytes. Larger tiles make fewer, faster
+    BLAS calls, so B grows with n: on a 2-vCPU host, (100, 4) took 4.9 s
+    with 128-row tiles and 3.6 s with 512.
+    """
+    return min(1024, max(128, 1 << (max(1, n // 8).bit_length() - 1)))
 
 
 @dataclass(frozen=True)
 class DominanceGraph:
     """Exhaustive pairwise classification of the capped strategy space.
 
-    The relation is held once: the n x n ``margin`` matrix, computed from
-    the nodes at the narrowest exact integer dtype, and ``beats``, its
-    strict-edge adjacency. Edges, draws, cycles, components, counters and
-    the undominated set are views of these two.
+    The relation is held once, as the n x n ``margin`` matrix, computed
+    from the nodes at the narrowest exact integer dtype: one byte per node
+    pair up to k = 11. Node i beats node j when margin[i, j] > 0, and the
+    matrix is antisymmetric. Edges, draws, cycles, components, counters and
+    the undominated set are read from it a block of rows at a time, or by a
+    reduction that copies nothing.
     Every unordered node pair appears exactly once, either as a strict
     edge (with its positive win margin) or as a draw pair. Nodes are in
     lexicographically descending order, matching enumerate_partitions.
@@ -63,10 +82,10 @@ class DominanceGraph:
         values = [p.values for p in self.nodes]
         return _margins(values, values)
 
-    @cached_property
-    def beats(self) -> np.ndarray:
-        """beats[i, j] is True when node i strictly beats node j."""
-        return self.margin > 0
+    @property
+    def n_edges(self) -> int:
+        """The number of strict edges: each is a pair of nonzero margins."""
+        return np.count_nonzero(self.margin) // 2
 
     def pair_blocks(self, strict: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Index arrays (first, second) of the strict edges (winner, loser),
@@ -81,7 +100,7 @@ class DominanceGraph:
         step = max(1, _RECORD_ROWS // max(n, 1))
         for start in range(0, n, step):
             if strict:
-                block = self.beats[start : start + step]
+                block = self.margin[start : start + step] > 0
             else:  # row start + i draws column j > start + i
                 block = np.triu(self.margin[start : start + step] == 0, start + 1)
             first, second = np.nonzero(block)
@@ -128,10 +147,11 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     where rows and cols hold allocations' value tuples.
 
     Score table: a face of rank v (among the distinct face values) nets
-    score[j, v] against cols[j], the number of its faces below v minus
-    the number above v. The table is as wide as the number of distinct
-    faces, whatever the budget. The margin sums the scores of rows'
-    faces, one face position at a time.
+    score[v, j] against cols[j], the number of its faces below v minus
+    the number above v. The table is as long as the number of distinct
+    faces, whatever the budget, and is made for _MARGIN_COLS columns at a
+    time. Those columns of the margin sum the scores of rows' faces, one
+    face position at a time.
     """
     values = [*rows, *cols]
     # Faces of 2^63 and up are ranked as Python ints: a mix of those and
@@ -140,23 +160,28 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     faces = np.array(values, dtype=exact)
     distinct = np.unique(faces)
     ranks = np.searchsorted(distinct, faces)
+    row_faces, col_ranks = ranks[: len(rows)].T, ranks[len(rows) :]
     k = ranks.shape[1]
     # Every score is in [-k, k], and every partial sum of k of them in
     # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
     # int8 for k <= 11, int16 for k <= 181.
     dtype = np.min_scalar_type(-k * k)
-    # counts[j, v + 1] is how many faces of cols[j] have rank v, so below[j, v]
-    # counts its faces under rank v and score = below - (k - faces up to v).
-    # Each of these lies in [-k, 2k]: inside +-k^2 for k >= 2, and int8 holds
-    # it at k = 1, so no intermediate is wider than the margin.
-    counts = np.zeros((len(cols), len(distinct) + 1), dtype=dtype)
-    for face in ranks[len(rows) :].T:
-        counts[np.arange(len(cols)), face + 1] += 1  # one face per row: no pair repeats
-    below = np.cumsum(counts, axis=1, dtype=dtype)
-    score = below[:, :-1] + below[:, 1:] - k
-    margin = np.zeros((len(rows), len(cols)), dtype=dtype)
-    for face in ranks[: len(rows)].T:
-        margin += score[:, face].T
+    margin = np.empty((len(rows), len(cols)), dtype=dtype)
+    for start in range(0, len(cols), _MARGIN_COLS):
+        block = col_ranks[start : start + _MARGIN_COLS]
+        # counts[v + 1, j] is how many faces of column j have rank v, so
+        # below[v, j] counts its faces under rank v and score = below - (k -
+        # faces up to v). Each of these lies in [-k, 2k]: inside +-k^2 for
+        # k >= 2, and int8 holds it at k = 1, so none is wider than the margin.
+        counts = np.zeros((len(distinct) + 1, len(block)), dtype=dtype)
+        for face in block.T:
+            counts[face + 1, np.arange(len(block))] += 1  # one face per column: no pair repeats
+        below = np.cumsum(counts, axis=0, dtype=dtype)
+        score = below[:-1] + below[1:] - k
+        total = score[row_faces[0]]
+        for face in row_faces[1:]:
+            total += score[face]
+        margin[:, start : start + _MARGIN_COLS] = total
     return margin
 
 
@@ -164,10 +189,22 @@ def _best_dominators(margin: np.ndarray) -> list[tuple[int, int] | None]:
     """Per column j, (row, margin) of its largest positive margin, or None.
 
     Ties go to the highest row index: with rows in descending node order,
-    that is the lexicographically smallest partition.
+    that is the lexicographically smallest partition. Reduced a block of
+    rows at a time into a running best, which a later block takes on a tie:
+    _BLOCK_ROWS rows, or as many more as keep a narrow margin's block near
+    _BLOCK_ROWS^2 cells, so a counter search batch is one block.
     """
-    best_rows = len(margin) - 1 - np.argmax(margin[::-1], axis=0)
-    best = margin[best_rows, np.arange(margin.shape[1])]
+    columns = np.arange(margin.shape[1])
+    step = _BLOCK_ROWS * max(1, _BLOCK_ROWS // len(columns))
+    best_rows = np.zeros(len(columns), dtype=np.intp)
+    best = np.full(len(columns), np.iinfo(margin.dtype).min, dtype=margin.dtype)
+    for start in range(0, len(margin), step):
+        block = margin[start : start + step]
+        rows = len(block) - 1 - np.argmax(block[::-1], axis=0)
+        values = block[rows, columns]
+        later = values >= best
+        best_rows[later] = start + rows[later]
+        best[later] = values[later]
     return [
         (row, value) if value > 0 else None
         for row, value in zip(best_rows.tolist(), best.tolist())
@@ -185,13 +222,12 @@ class ThreeCycles:
     """The directed 3-cycles of a graph: counted exactly, listed on iteration.
 
     ``len()`` counts them exactly on first use, without listing any: each
-    cycle once, in the tile of _COUNT_ROWS adjacency rows that holds its
-    highest node index (see ``_count``). ``index_blocks`` walks the
-    adjacency one row at a time and yields the cycles as node-index
-    arrays; iterating maps those to partitions. Each cycle comes once,
-    smallest node (by value) first, sorted by ascending node values.
-    Compares equal to any sequence that holds the same cycles in the same
-    order.
+    cycle once, in the tile of ``margin`` rows that holds its highest node
+    index (see ``_count``). ``index_blocks`` walks the margin one row at a
+    time and yields the cycles as node-index arrays; iterating maps those
+    to partitions. Each cycle comes once, smallest node (by value) first,
+    sorted by ascending node values. Compares equal to any sequence that
+    holds the same cycles in the same order.
     """
 
     def __init__(self, graph: DominanceGraph) -> None:
@@ -200,30 +236,34 @@ class ThreeCycles:
     @cached_property
     def _count(self) -> int:
         """Cycles whose highest index lies in the row tile M = [b0, b1), summed
-        over the tiles of the strict-edge adjacency A.
+        over the tiles of the strict-edge adjacency A = (margin > 0), whose
+        rows come from _count_rows(n).
 
         Those wholly inside M number trace(A_MM^3) / 3. Every other one has
         exactly one rotation x -> y -> z with x in M, y < b0 and z < b1, so the
         rest of the tile's count is the sum, over column tiles C of [0, b1),
         of (A[M, :b0] @ A[:b0, C]) under the mask A[C, M]^T. Each operand is
-        cast to float32 one tile at a time, so no n x n square is made, and
-        the work is about n^3 / 3 multiply-adds. The masked sums are float64
-        and the traces at most _COUNT_ROWS^3, all far below 2^53, so exact.
+        compared and cast to float32 one tile at a time, so no n x n square is
+        made, and the work is about n^3 / 3 multiply-adds. Every entry of a
+        product counts two-step paths, at most n < 2^24, so the float32
+        products are exact; the masked sums are float64 and the traces at
+        most 1024^3, all far below 2^53, so exact.
         """
-        beats = self.graph.beats
-        n = len(beats)
+        margin = self.graph.margin
+        n = len(margin)
+        rows = _count_rows(n)
         count = 0
-        for b0 in range(0, n, _COUNT_ROWS):
-            b1 = min(b0 + _COUNT_ROWS, n)
-            inside = beats[b0:b1, b0:b1].astype(np.float32)
+        for b0 in range(0, n, rows):
+            b1 = min(b0 + rows, n)
+            inside = _adjacency(margin[b0:b1, b0:b1])
             trace = np.einsum("ij,ji->", inside @ inside, inside, dtype=np.float64)
             count += int(trace) // 3
             if b0:
-                out = beats[b0:b1, :b0].astype(np.float32)  # x in M beats y < b0
-                for c0 in range(0, b1, _COUNT_ROWS):
-                    c1 = min(c0 + _COUNT_ROWS, b1)
-                    paths = out @ beats[:b0, c0:c1].astype(np.float32)  # y beats z
-                    closing = beats[c0:c1, b0:b1]  # z beats x
+                out = _adjacency(margin[b0:b1, :b0])  # x in M beats y < b0
+                for c0 in range(0, b1, rows):
+                    c1 = min(c0 + rows, b1)
+                    paths = out @ _adjacency(margin[:b0, c0:c1])  # y beats z
+                    closing = margin[c0:c1, b0:b1] > 0  # z beats x
                     count += int(np.einsum("ij,ji->", paths, closing, dtype=np.float64))
         return count
 
@@ -239,11 +279,12 @@ class ThreeCycles:
         canonical order. Lazy: taking the first few cycles computes only
         the first blocks. Rows with no cycle yield no block.
         """
-        beats = self.graph.beats
-        for x in range(len(beats) - 1, -1, -1):
-            ys = np.flatnonzero(beats[x, :x])[::-1]  # x beats y
-            zs = np.flatnonzero(beats[:x, x])[::-1]  # z beats x
-            rows, cols = np.nonzero(beats[ys][:, zs])  # y beats z
+        margin = self.graph.margin
+        for x in range(len(margin) - 1, -1, -1):
+            row = margin[x, :x]
+            ys = np.flatnonzero(row > 0)[::-1]  # x beats y
+            zs = np.flatnonzero(row < 0)[::-1]  # z beats x
+            rows, cols = np.nonzero(margin[ys][:, zs] > 0)  # y beats z
             if rows.size:
                 block = np.empty((rows.size, 3), dtype=np.int32)
                 block[:, 0] = x
@@ -274,15 +315,20 @@ class ThreeCycles:
         return f"ThreeCycles(budget={g.budget}, k={g.k}, count={len(self)})"
 
 
+def _adjacency(block: np.ndarray) -> np.ndarray:
+    """The strict edges of a block of ``margin`` as a float32 0/1 matrix."""
+    return (block > 0).astype(np.float32)
+
+
 def find_three_cycles(graph: DominanceGraph) -> ThreeCycles:
     """All directed 3-cycles of ``graph``: ``len()`` counts them, iterating lists them."""
     return ThreeCycles(graph)
 
 
 def _row_blocks(indices: np.ndarray) -> Iterator[np.ndarray]:
-    """``indices`` cut into pieces of at most _COUNT_ROWS."""
-    for start in range(0, len(indices), _COUNT_ROWS):
-        yield indices[start : start + _COUNT_ROWS]
+    """``indices`` cut into pieces of at most _BLOCK_ROWS."""
+    for start in range(0, len(indices), _BLOCK_ROWS):
+        yield indices[start : start + _BLOCK_ROWS]
 
 
 def _reach(
@@ -290,7 +336,7 @@ def _reach(
 ) -> np.ndarray:
     """Mask of the nodes that ``root`` reaches within ``allowed``, which holds
     root, where ``rows(block)`` gives the boolean adjacency rows of the nodes
-    in ``block``: at most _COUNT_ROWS frontier rows are gathered at a time."""
+    in ``block``: at most _BLOCK_ROWS frontier rows are gathered at a time."""
     seen = np.zeros_like(allowed)
     seen[root] = True
     frontier = seen.copy()
@@ -311,18 +357,24 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
     and assigning it can leave more such nodes. Then forward-backward search
     (Fleischer, Hendrickson & Pinar, 2000) over boolean node masks: the
     component of the lowest unassigned node is what it reaches forward along
-    ``beats`` rows, searched backward from it within that set. Both read
-    matrix rows only: the nodes that beat i are row i of ``margin < 0``.
+    rows of ``margin > 0``, searched backward from it within that set. Both
+    read matrix rows only: the nodes that beat i are row i of ``margin < 0``.
     """
-    beats, margin = graph.beats, graph.margin
-    successors = beats.__getitem__
+    margin = graph.margin
+
+    def successors(block: np.ndarray) -> np.ndarray:
+        return margin[block] > 0
 
     def predecessors(block: np.ndarray) -> np.ndarray:
         return margin[block] < 0
 
-    in_degree = beats.sum(axis=0)
-    out_degree = beats.sum(axis=1)
-    unassigned = np.ones(len(beats), dtype=bool)
+    n = len(margin)
+    in_degree = np.empty(n, dtype=np.intp)
+    out_degree = np.empty(n, dtype=np.intp)
+    for block in _row_blocks(np.arange(n)):
+        out_degree[block] = successors(block).sum(axis=1)
+        in_degree[block] = predecessors(block).sum(axis=1)
+    unassigned = np.ones(n, dtype=bool)
     components = []
     while True:
         trimmed = np.flatnonzero(unassigned & ((in_degree == 0) | (out_degree == 0)))
@@ -345,7 +397,7 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
 
 def undominated(graph: DominanceGraph) -> list[Partition]:
     """Nodes with no incoming strict edge, in node order."""
-    beaten = graph.beats.any(axis=0)
+    beaten = graph.margin.max(axis=0) > 0
     return [graph.nodes[i] for i in np.flatnonzero(~beaten).tolist()]
 
 

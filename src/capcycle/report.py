@@ -221,27 +221,38 @@ def _text_rows(texts: Iterable[str]) -> np.ndarray:
     return rows.view(f"V{rows.itemsize}")
 
 
-def _records(fields: list[bytes | np.ndarray]) -> str:
-    """The text of every row run together; a row is the concatenation of
-    ``fields``.
+class _Records:
+    """Listing pieces formatted in one byte buffer, which grows to the
+    largest piece and is reused for every later one, so the pieces of a
+    listing do not each allocate and free an array of their own."""
 
-    A field is a literal byte string, the same in every row, or a
-    ``_text_rows`` array with one entry per row. The rows are filled into
-    one structured array and its bytes are read out without the zero
-    padding. That is exact because every text comes from json.dumps or
-    str, and neither writes a NUL byte.
-    """
-    n_rows = next(len(field) for field in fields if isinstance(field, np.ndarray))
-    rec = np.empty(
-        n_rows,
-        [
-            (f"f{i}", f"S{len(field)}" if isinstance(field, bytes) else field.dtype)
-            for i, field in enumerate(fields)
-        ],
-    )
-    for i, field in enumerate(fields):
-        rec[f"f{i}"] = field
-    return rec.tobytes().translate(None, b"\0").decode("ascii")
+    def __init__(self) -> None:
+        self._buffer = np.empty(0, dtype=np.uint8)
+
+    def __call__(self, fields: list[bytes | np.ndarray]) -> str:
+        """The text of every row run together; a row is the concatenation of
+        ``fields``.
+
+        A field is a literal byte string, the same in every row, or a
+        ``_text_rows`` array with one entry per row. The rows are filled into
+        the buffer, viewed as one structured array, and its bytes are read out
+        without the zero padding. That is exact because every text comes from
+        json.dumps or str, and neither writes a NUL byte.
+        """
+        n_rows = next(len(field) for field in fields if isinstance(field, np.ndarray))
+        dtype = np.dtype(
+            [
+                (f"f{i}", f"S{len(field)}" if isinstance(field, bytes) else field.dtype)
+                for i, field in enumerate(fields)
+            ]
+        )
+        size = n_rows * dtype.itemsize
+        if size > self._buffer.size:
+            self._buffer = np.empty(size, dtype=np.uint8)
+        rec = self._buffer[:size].view(dtype)
+        for i, field in enumerate(fields):
+            rec[f"f{i}"] = field
+        return rec.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _slices(n: int) -> Iterator[slice]:
@@ -291,13 +302,14 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
         + [f'  n{i} [label="{format_allocation(node)}"];' for i, node in enumerate(nodes)]
     )
     numbers = _numbers(graph)
+    records = _Records()
     node = nodes.__getitem__
     for w, l in _pair_slices(graph, True):
         tables = map(matchup_table, map(node, w.tolist()), map(node, l.tolist()))
         wins = np.fromiter(
             map(attrgetter("wins_a", "wins_b"), tables), dtype=(np.intp, 2), count=len(w)
         )
-        yield _records(
+        yield records(
             [
                 b"\n  n",
                 numbers[w],
@@ -311,7 +323,7 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
             ]
         )
     for first, second in _pair_slices(graph, False):
-        yield _records(
+        yield records(
             [b"\n  n", numbers[first], b" -> n", numbers[second], b" [dir=none, style=dashed];"]
         )
     yield "\n}"
@@ -372,9 +384,10 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
     yield "{" + _json_members({"budget": g.budget, "k": g.k}) + ', "nodes": ['
     yield ", ".join(node_texts)
     numbers = _numbers(g)
+    records = _Records()
     yield '], "edges": ['
     yield from _list_body(
-        _records(
+        records(
             [
                 b', {"winner": ',
                 numbers[w],
@@ -389,14 +402,14 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
     )
     yield '], "draws": ['
     yield from _list_body(
-        _records([b", [", numbers[first], b", ", numbers[second], b"]"])
+        records([b", [", numbers[first], b", ", numbers[second], b"]"])
         for first, second in _pair_slices(g, False)
     )
     yield '], "three_cycles": ['
     # One piece per slice of an index block, whose cycles all start at x.
     node_rows = _text_rows(node_texts)
     yield from _list_body(
-        _records(
+        records(
             [
                 f", [{node_texts[block[0, 0]]}, ".encode("ascii"),
                 node_rows[block[part, 1]],
@@ -509,7 +522,7 @@ def _showcase_lines(report: AnalysisReport) -> list[str]:
 def render_analysis_text(report: AnalysisReport) -> str:
     """Human-readable report; states the counter-claim verdict explicitly."""
     n = len(report.graph.nodes)
-    n_edges = np.count_nonzero(report.graph.beats)
+    n_edges = report.graph.n_edges
     n_draws = n * (n - 1) // 2 - n_edges  # every other unordered pair draws
     n_cycles = len(report.three_cycles)
     lines = [

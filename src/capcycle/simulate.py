@@ -26,6 +26,7 @@ from .matchups import Cell, MatchupTable, TiePolicy, matchup_table
 _MASK64 = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _BLOCK = 8192  # outputs per block; bounds the simulator's working memory
+_SERIES_BLOCK = 32_768  # series played at a time, about 48 bytes of state each
 
 MAX_BEST_OF = 10**6
 MAX_SERIES = 10**6
@@ -197,9 +198,18 @@ def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesS
     need = (config.best_of + 1) // 2
     # A series lasts at most best_of decisive rolls of two outputs; twice that leaves room for ties.
     width = min(_BLOCK, 4 * config.best_of)
-    seeds = _outputs(config.seed, config.n_series)
-    tallies, _ = _play(table, seeds, lambda wa, wb, _: np.maximum(wa, wb) >= need, width)
-    a_wins, b_wins, ties = tallies.sum(axis=1).tolist()
-    a_series = int(np.count_nonzero(tallies[0] == need))
+    # Only the sums of a block of series are kept. Series s (from 0) starts
+    # from master output s + 1, the mix of seed + (s + 1) * gamma, so the
+    # block from series ``start`` draws its seeds from seed + start * gamma.
+    totals, a_series = np.zeros(3, dtype=np.int64), 0
+    for start in range(0, config.n_series, _SERIES_BLOCK):
+        seeds = _outputs(
+            (config.seed + start * _GAMMA) & _MASK64,
+            min(_SERIES_BLOCK, config.n_series - start),
+        )
+        tallies, _ = _play(table, seeds, lambda wa, wb, _: np.maximum(wa, wb) >= need, width)
+        totals += tallies.sum(axis=1)
+        a_series += int(np.count_nonzero(tallies[0] == need))
+    a_wins, b_wins, ties = totals.tolist()
     games = a_wins + b_wins + (ties if config.tie_policy is TiePolicy.NOGAME else 0)
     return SeriesStats(games, a_wins, b_wins, ties, a_series, config.n_series - a_series)

@@ -44,16 +44,21 @@ _LAUNCHER = (
 )
 
 
-def run_with_peak_rss(out_path, *argv):
-    """Run the capcycle CLI with stdout to ``out_path``; returns its exit
-    code and its peak RSS in MB."""
+def python_peak_rss(out_path, *args):
+    """Run the interpreter with ``args`` and stdout to ``out_path``; returns
+    its exit code and its peak RSS in MB."""
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, str(out_path), sys.executable, "-m", "capcycle",
-         *argv],
+        [sys.executable, "-c", _LAUNCHER, str(out_path), sys.executable, *args],
         capture_output=True,
         text=True,
     )
     return proc.returncode, int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+
+
+def run_with_peak_rss(out_path, *argv):
+    """Run the capcycle CLI with stdout to ``out_path``; returns its exit
+    code and its peak RSS in MB."""
+    return python_peak_rss(out_path, "-m", "capcycle", *argv)
 
 
 def file_sha256(path):
@@ -261,6 +266,19 @@ class TestAnalyzeCommand:
         assert "intransitive 3-cycles: 32143068" in lines
         assert "  ... (32143058 more; the JSON formats refuse above 10000000)" in lines
         assert peak_mb < 500
+
+    def test_text_report_working_memory_stays_small(self, tmp_path):
+        # Past the imports, (30, 6) holds its 1.45 MB int8 margin and one
+        # stage's blocks at a time. With a cached bool adjacency beside the
+        # margin and fixed 512-row float32 count tiles it took 11 to 13 MB.
+        code, peak_mb = run_with_peak_rss(
+            tmp_path / "report.txt", "analyze", "--budget", "30", "--k", "6"
+        )
+        assert code == 0
+        assert "intransitive 3-cycles: 7728511" in (tmp_path / "report.txt").read_text()
+        code, import_mb = python_peak_rss(tmp_path / "import.txt", "-c", "import capcycle.cli")
+        assert code == 0
+        assert peak_mb - import_mb < 8
 
     def test_dense_faces_score_in_the_margin_dtype(self, tmp_path):
         # 3,001 nodes over 6,001 distinct faces: a score table filled through

@@ -56,9 +56,10 @@ small_spaces = st.tuples(
     st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=4)
 )
 
-# Row tiles of the 3-cycle count and row blocks of the SCC search: the real
-# size, which no small space exceeds, and sizes that split small spaces.
-TILE_ROWS = [1, 2, 7, dominance_module._COUNT_ROWS]
+# Row tiles of the 3-cycle count, and row blocks of the SCC search and the
+# counter table: sizes that split small spaces, and the smallest real size,
+# which no small space exceeds.
+TILE_ROWS = [1, 2, 7, 128]
 
 
 def bitmask_oracle(graph):
@@ -145,7 +146,7 @@ def assert_blocks_concatenate(graph, rows):
     block over max(rows, n - 1) pairs. Returns the block sizes, strict then
     draw."""
     n = len(graph.nodes)
-    wholes = (np.nonzero(graph.beats), np.nonzero(np.triu(graph.margin == 0, 1)))
+    wholes = (np.nonzero(graph.margin > 0), np.nonzero(np.triu(graph.margin == 0, 1)))
     sizes = []
     for strict, whole in zip((True, False), wholes):
         with pytest.MonkeyPatch.context() as patch:
@@ -199,8 +200,8 @@ class TestMarginKernel:
             for j, b in enumerate(nodes):
                 t = matchup_table(a, b)
                 assert graph.margin[i, j] == t.wins_a - t.wins_b
-        assert graph.beats.dtype == np.bool_
-        assert (graph.beats == (graph.margin > 0)).all()
+        assert (graph.margin == -graph.margin.T).all()
+        assert graph.n_edges == np.count_nonzero(graph.margin > 0)
 
     @pytest.mark.parametrize("k, dtype", [(11, np.int8), (12, np.int16)])
     def test_narrow_dtype_equals_int64_oracle(self, k, dtype):
@@ -222,9 +223,29 @@ class TestMarginKernel:
         assert margin.dtype == dtype
         assert margin.tolist() == [[k * k, 0], [0, -k * k]]
 
-    def test_two_bytes_per_node_pair(self):
-        graph = build_graph(30, 6)
-        assert graph.margin.nbytes + graph.beats.nbytes == 2 * len(graph.nodes) ** 2
+    def test_one_byte_per_node_pair(self):
+        # Every stage of the report reads margin blocks: the graph keeps no
+        # other array.
+        report = analyze(30, 6)
+        report.scc, report.undominated, report.counters, len(report.three_cycles)
+        next(report.three_cycles.index_blocks())
+        graph = report.graph
+        assert graph.margin.nbytes == len(graph.nodes) ** 2
+        arrays = [name for name, value in vars(graph).items() if isinstance(value, np.ndarray)]
+        assert arrays == ["margin"]
+
+    def test_dense_faces_score_in_column_blocks(self):
+        # 3,001 nodes over 6,001 distinct faces: a score table of every column
+        # peaked at 70 MB for the 9 MB margin.
+        values = [p.values for p in build_graph(6000, 2).nodes]
+        tracemalloc.start()
+        try:
+            margin = _margins(values, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert margin.dtype == np.int8
+        assert peak < 2 * margin.nbytes
 
     @pytest.mark.parametrize("top", [2**63, 2**64, 10**30])
     def test_faces_past_int64_stay_exact(self, top):
@@ -277,40 +298,42 @@ class TestThreeCycles:
         budget, k = space
         graph = build_graph(budget, k)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dominance_module, "_COUNT_ROWS", rows)
+            patch.setattr(dominance_module, "_count_rows", lambda n: rows)
             count = len(find_three_cycles(graph))
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
         oracle = _oracles.three_cycles(nodes, oracle_edges)
         assert count == len(list(find_three_cycles(graph))) == len(oracle)
-        assert count == _oracles.three_cycle_count(graph.beats)
+        assert count == _oracles.three_cycle_count(graph.margin > 0)
 
     @pytest.mark.parametrize(
         "budget, k, count",
         [(6, 3, 2), (12, 4, 139), (40, 4, 1_260_582), (30, 6, 7_728_511), (60, 4, 32_143_068)],
     )
     def test_pinned_counts_without_listing(self, budget, k, count):
-        # (40, 4), (30, 6) and (60, 4) have 632, 1,206 and 1,906 nodes: two,
-        # three and four tiles of the real size.
+        # (40, 4), (30, 6) and (60, 4) have 632, 1,206 and 1,906 nodes: 5, 10
+        # and 15 tiles of the real size, 128 rows.
         graph = build_graph(budget, k)
-        assert len(find_three_cycles(graph)) == _oracles.three_cycle_count(graph.beats) == count
+        adjacency = graph.margin > 0
+        assert len(find_three_cycles(graph)) == _oracles.three_cycle_count(adjacency) == count
 
-    def test_count_memory_stays_in_tiles(self, monkeypatch):
+    def test_count_memory_stays_in_tiles(self):
         # tracemalloc sees numpy's arrays, not BLAS's own buffers.
         graph = build_graph(30, 6)
-        n = len(graph.beats)
+        n = len(graph.margin)
+        tracemalloc.start()
+        try:
+            assert len(find_three_cycles(graph)) == 7_728_511
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 128 * n * 4  # 9 bytes per tile cell, at 128 rows
 
-        def traced_peak():
-            tracemalloc.start()
-            try:
-                assert len(find_three_cycles(graph)) == 7_728_511
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert traced_peak() < n * n * 4  # under one float32 n x n square
-        monkeypatch.setattr(dominance_module, "_COUNT_ROWS", 128)
-        assert traced_peak() < 3 * 128 * n * 4
+    @pytest.mark.parametrize(
+        "n, rows", [(1, 128), (632, 128), (1206, 128), (2048, 256), (8037, 512), (10**5, 1024)]
+    )
+    def test_count_tiles_grow_with_n(self, n, rows):
+        assert dominance_module._count_rows(n) == rows
 
     @given(small_spaces)
     def test_index_blocks_match_bitmask_oracle(self, space):
@@ -371,7 +394,7 @@ class TestComponents:
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dominance_module, "_COUNT_ROWS", rows)
+            patch.setattr(dominance_module, "_BLOCK_ROWS", rows)
             sccs = strongly_connected_components(graph)
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
 
@@ -387,11 +410,11 @@ class TestComponents:
         assert max(map(len, sccs)) == {0: 1, 20: 1, 30: 88}[budget]
 
     def test_search_memory_stays_in_row_blocks(self, monkeypatch):
-        # A block gathers 128 rows of beats, or of the int8 margin and its
-        # sign; the whole search once gathered every frontier row at a time.
+        # A block gathers 128 rows of the int8 margin and its sign; the whole
+        # search once gathered every frontier row at a time.
         graph = build_graph(30, 6)
-        n = len(graph.beats)
-        monkeypatch.setattr(dominance_module, "_COUNT_ROWS", 128)
+        n = len(graph.margin)
+        monkeypatch.setattr(dominance_module, "_BLOCK_ROWS", 128)
         tracemalloc.start()
         try:
             sccs = strongly_connected_components(graph)
@@ -519,12 +542,16 @@ class TestCounterStrategy:
 
 
 class TestBestCounters:
-    @given(small_spaces)
-    def test_agrees_with_counter_strategy(self, space):
+    @given(small_spaces, st.sampled_from(TILE_ROWS))
+    def test_agrees_with_counter_strategy(self, space, rows):
+        # Blocks of fewer rows than the space has must pass ties on to the
+        # later block, as the lexicographically smaller partition.
         budget, k = space
         graph = build_graph(budget, k)
         candidates = [p.values for p in graph.nodes]
-        fast = best_counters(graph)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "_BLOCK_ROWS", rows)
+            fast = best_counters(graph)
         for node, entry in zip(graph.nodes, fast):
             slow = counter_strategy(node)
             expected = _oracles.counter(node.values, candidates)
@@ -533,6 +560,19 @@ class TestBestCounters:
             else:
                 assert (entry[0].values, entry[1]) == expected
                 assert entry == slow
+
+    def test_counter_table_reads_row_blocks(self):
+        # An argmax over the whole reversed margin copied all of it.
+        graph = build_graph(60, 4)
+        n = len(graph.nodes)
+        tracemalloc.start()
+        try:
+            best = best_counters(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert None not in best
+        assert peak < 2 * dominance_module._BLOCK_ROWS * n < graph.margin.nbytes
 
 
 class TestClaim:

@@ -285,6 +285,15 @@ class TestSimulateBestOf:
         assert stats.a_series_wins + stats.b_series_wins == 10_000
         assert len(calls) <= 30
 
+    @pytest.mark.parametrize("block", [1, 7, 250])
+    def test_series_blocks_continue_the_seed_stream(self, block, monkeypatch):
+        # A block of series draws its seeds where the previous block stopped,
+        # so the tallies do not depend on how the series are blocked.
+        config = SimConfig(11, 1, best_of=5, n_series=1000)
+        whole = simulate_best_of(MTL, NY, config)
+        monkeypatch.setattr(simulate_module, "_SERIES_BLOCK", block)
+        assert simulate_best_of(MTL, NY, config) == whole
+
     def test_even_pair_splits_series_evenly(self):
         # (4,2,0) vs (5,1,0) is a 4-4 draw pair, so p = 1/2 under reroll
         n_series = 400
