@@ -7,10 +7,10 @@ or a JSON export with more 3-cycles to list than report.MAX_LISTED_CYCLES.
 The CAPCYCLE_MAX_SPACE environment variable, a nonnegative integer,
 overrides the enumeration limit.
 
-Output is written as it is produced: the JSON and DOT exports and the
-enumerate listing come in pieces of at most dominance._RECORD_ROWS records
-or lines, each written with one write call, so none of them is held
-whole. Every refusal happens before the first byte is written.
+Output is written as it is produced, one write call a piece: the JSON and
+DOT listings come in pieces of at most dominance._RECORD_ROWS records, and
+the enumerate listing in pieces of about that many values, so no output is
+held whole. Every refusal happens before the first byte is written.
 """
 
 from __future__ import annotations

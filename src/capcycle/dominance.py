@@ -32,29 +32,30 @@ Cycle = tuple[Partition, Partition, Partition]
 # A block and its text take a few MB whatever the space's size.
 _RECORD_ROWS = 8_192
 
-# Rows of ``margin`` that SCC and the counter table read at a time: a block
-# and its compares take a few times 512 * n bytes, 4 MB at the 8,037 nodes
-# of (100, 4), where the margin itself is 65 MB.
-_BLOCK_ROWS = 512
 
-# Columns of ``margin`` that the margin kernel fills at a time: its score
-# table has one row per distinct face and this many columns.
-_MARGIN_COLS = 128
+def _block_rows(n: int) -> int:
+    """Rows or columns of a matrix over n nodes that a stage reads or fills
+    at once: the margin kernel's column blocks, the 3-cycle count tiles,
+    SCC's degree sums, trim and frontier gathers, and the counter table's
+    reduction. The largest power of two at most n / 8, clamped to [128,
+    1024], so 128 at the 1,206 nodes of (30, 6) and 512 at the 8,037 of
+    (100, 4).
 
-
-def _count_rows(n: int) -> int:
-    """Rows of a 3-cycle count tile for n nodes: the largest power of two at
-    most n / 8, clamped to [128, 1024], so 128 at the 1,206 nodes of (30, 6)
-    and 512 at the 8,037 of (100, 4).
-
-    A tile's transients are two float32 operands of at most B * n values and
-    a B x n boolean compare, about 9 * B * n bytes for B rows. B <= n / 8
-    from n = 1,024 up, so that is at most 9/8 of the int8 margin's n^2 bytes;
-    below, it is at most 1,152 * n bytes. Larger tiles make fewer, faster
-    BLAS calls, so B grows with n: on a 2-vCPU host, (100, 4) took 4.9 s
-    with 128-row tiles and 3.6 s with 512.
+    Each stage's transients are a few arrays of B x n values for B rows, at
+    most c * B * n bytes, where the margin kernel's n counts the distinct
+    faces too. The count tile's c is the largest: two float32 operands of
+    at most B * n values and a B x n boolean compare, about 9 * B * n
+    bytes. B <= n / 8 from n = 1,024 up, so that is at most 9/8 of the
+    int8 margin's n^2 bytes; below, it is at most 1,152 * n bytes.
+    Larger blocks make fewer, faster BLAS calls, so B grows with n: on a
+    2-vCPU host, (100, 4) took 4.9 s with 128-row tiles and 3.6 s with 512.
     """
     return min(1024, max(128, 1 << (max(1, n // 8).bit_length() - 1)))
+
+
+def _slices(length: int, size: int) -> Iterator[slice]:
+    """range(length) as consecutive slices of ``size``, the last one shorter."""
+    return (slice(start, start + size) for start in range(0, length, size))
 
 
 @dataclass(frozen=True)
@@ -89,23 +90,26 @@ class DominanceGraph:
 
     def pair_blocks(self, strict: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Index arrays (first, second) of the strict edges (winner, loser),
-        or of the drawn pairs (first < second) when not ``strict``, made
-        max(1, _RECORD_ROWS // n) matrix rows at a time.
+        or of the drawn pairs (first < second) when not ``strict``, in blocks
+        of at most _RECORD_ROWS pairs: each written listing piece is a block.
 
-        A block holds at most max(_RECORD_ROWS, n - 1) pairs, and may hold
-        none. Concatenated, the blocks list every pair once, sorted by first
-        and then second, and no index array of the whole listing is ever held.
+        The pairs of max(1, _RECORD_ROWS // n) matrix rows are found at a
+        time and cut into blocks of _RECORD_ROWS, the last one shorter; rows
+        with no pair make no block. Concatenated, the blocks list every pair
+        once, sorted by first and then second, and no index array of the
+        whole listing is ever held.
         """
         n = len(self.nodes)
-        step = max(1, _RECORD_ROWS // max(n, 1))
-        for start in range(0, n, step):
+        pairs = _RECORD_ROWS
+        for rows in _slices(n, max(1, pairs // max(n, 1))):
             if strict:
-                block = self.margin[start : start + step] > 0
+                block = self.margin[rows] > 0
             else:  # row start + i draws column j > start + i
-                block = np.triu(self.margin[start : start + step] == 0, start + 1)
+                block = np.triu(self.margin[rows] == 0, rows.start + 1)
             first, second = np.nonzero(block)
-            first += start
-            yield first, second
+            first += rows.start
+            for part in _slices(len(first), pairs):
+                yield first[part], second[part]
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -149,9 +153,9 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     Score table: a face of rank v (among the distinct face values) nets
     score[v, j] against cols[j], the number of its faces below v minus
     the number above v. The table is as long as the number of distinct
-    faces, whatever the budget, and is made for _MARGIN_COLS columns at a
-    time. Those columns of the margin sum the scores of rows' faces, one
-    face position at a time.
+    faces, whatever the budget, and is made for _block_rows(len(cols))
+    columns at a time. Those columns of the margin sum the scores of rows'
+    faces, one face position at a time.
     """
     values = [*rows, *cols]
     # Faces of 2^63 and up are ranked as Python ints: a mix of those and
@@ -167,21 +171,24 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     # int8 for k <= 11, int16 for k <= 181.
     dtype = np.min_scalar_type(-k * k)
     margin = np.empty((len(rows), len(cols)), dtype=dtype)
-    for start in range(0, len(cols), _MARGIN_COLS):
-        block = col_ranks[start : start + _MARGIN_COLS]
-        # counts[v + 1, j] is how many faces of column j have rank v, so
-        # below[v, j] counts its faces under rank v and score = below - (k -
+    for part in _slices(len(cols), _block_rows(len(cols))):
+        block = col_ranks[part]
+        # counts[j, v + 1] is how many faces of column j have rank v, so
+        # below[j, v] counts its faces under rank v and score = below - (k -
         # faces up to v). Each of these lies in [-k, 2k]: inside +-k^2 for
         # k >= 2, and int8 holds it at k = 1, so none is wider than the margin.
-        counts = np.zeros((len(distinct) + 1, len(block)), dtype=dtype)
+        # The sums run along contiguous rows, then the table is transposed
+        # once: down the columns of a (faces x columns) table they took twice
+        # as long at (6000, 2) once 256 columns outgrew the cache.
+        counts = np.zeros((len(block), len(distinct) + 1), dtype=dtype)
         for face in block.T:
-            counts[face + 1, np.arange(len(block))] += 1  # one face per column: no pair repeats
-        below = np.cumsum(counts, axis=0, dtype=dtype)
-        score = below[:-1] + below[1:] - k
+            counts[np.arange(len(block)), face + 1] += 1  # one face per column: no pair repeats
+        below = np.cumsum(counts, axis=1, dtype=dtype)
+        score = np.ascontiguousarray((below[:, :-1] + below[:, 1:] - k).T)
         total = score[row_faces[0]]
         for face in row_faces[1:]:
             total += score[face]
-        margin[:, start : start + _MARGIN_COLS] = total
+        margin[:, part] = total
     return margin
 
 
@@ -189,21 +196,19 @@ def _best_dominators(margin: np.ndarray) -> list[tuple[int, int] | None]:
     """Per column j, (row, margin) of its largest positive margin, or None.
 
     Ties go to the highest row index: with rows in descending node order,
-    that is the lexicographically smallest partition. Reduced a block of
-    rows at a time into a running best, which a later block takes on a tie:
-    _BLOCK_ROWS rows, or as many more as keep a narrow margin's block near
-    _BLOCK_ROWS^2 cells, so a counter search batch is one block.
+    that is the lexicographically smallest partition. Reduced
+    _block_rows(len(margin)) rows at a time into a running best, which a
+    later block takes on a tie.
     """
     columns = np.arange(margin.shape[1])
-    step = _BLOCK_ROWS * max(1, _BLOCK_ROWS // len(columns))
     best_rows = np.zeros(len(columns), dtype=np.intp)
     best = np.full(len(columns), np.iinfo(margin.dtype).min, dtype=margin.dtype)
-    for start in range(0, len(margin), step):
-        block = margin[start : start + step]
+    for part in _slices(len(margin), _block_rows(len(margin))):
+        block = margin[part]
         rows = len(block) - 1 - np.argmax(block[::-1], axis=0)
         values = block[rows, columns]
         later = values >= best
-        best_rows[later] = start + rows[later]
+        best_rows[later] = part.start + rows[later]
         best[later] = values[later]
     return [
         (row, value) if value > 0 else None
@@ -237,7 +242,7 @@ class ThreeCycles:
     def _count(self) -> int:
         """Cycles whose highest index lies in the row tile M = [b0, b1), summed
         over the tiles of the strict-edge adjacency A = (margin > 0), whose
-        rows come from _count_rows(n).
+        rows come from _block_rows(n).
 
         Those wholly inside M number trace(A_MM^3) / 3. Every other one has
         exactly one rotation x -> y -> z with x in M, y < b0 and z < b1, so the
@@ -251,7 +256,7 @@ class ThreeCycles:
         """
         margin = self.graph.margin
         n = len(margin)
-        rows = _count_rows(n)
+        rows = _block_rows(n)
         count = 0
         for b0 in range(0, n, rows):
             b1 = min(b0 + rows, n)
@@ -325,25 +330,21 @@ def find_three_cycles(graph: DominanceGraph) -> ThreeCycles:
     return ThreeCycles(graph)
 
 
-def _row_blocks(indices: np.ndarray) -> Iterator[np.ndarray]:
-    """``indices`` cut into pieces of at most _BLOCK_ROWS."""
-    for start in range(0, len(indices), _BLOCK_ROWS):
-        yield indices[start : start + _BLOCK_ROWS]
-
-
 def _reach(
     rows: Callable[[np.ndarray], np.ndarray], root: int, allowed: np.ndarray
 ) -> np.ndarray:
     """Mask of the nodes that ``root`` reaches within ``allowed``, which holds
     root, where ``rows(block)`` gives the boolean adjacency rows of the nodes
-    in ``block``: at most _BLOCK_ROWS frontier rows are gathered at a time."""
+    in ``block``: _block_rows(len(allowed)) frontier rows are gathered at a
+    time."""
     seen = np.zeros_like(allowed)
     seen[root] = True
     frontier = seen.copy()
     while frontier.any():
         step = np.zeros_like(seen)
-        for block in _row_blocks(np.flatnonzero(frontier)):
-            step |= rows(block).any(axis=0)
+        nodes = np.flatnonzero(frontier)
+        for part in _slices(len(nodes), _block_rows(len(allowed))):
+            step |= rows(nodes[part]).any(axis=0)
         frontier = step & allowed & ~seen
         seen |= frontier
     return seen
@@ -362,16 +363,17 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
     """
     margin = graph.margin
 
-    def successors(block: np.ndarray) -> np.ndarray:
+    def successors(block: np.ndarray | slice) -> np.ndarray:
         return margin[block] > 0
 
-    def predecessors(block: np.ndarray) -> np.ndarray:
+    def predecessors(block: np.ndarray | slice) -> np.ndarray:
         return margin[block] < 0
 
     n = len(margin)
+    rows = _block_rows(n)
     in_degree = np.empty(n, dtype=np.intp)
     out_degree = np.empty(n, dtype=np.intp)
-    for block in _row_blocks(np.arange(n)):
+    for block in _slices(n, rows):  # views of the margin, not copies
         out_degree[block] = successors(block).sum(axis=1)
         in_degree[block] = predecessors(block).sum(axis=1)
     unassigned = np.ones(n, dtype=bool)
@@ -382,9 +384,9 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
             break
         unassigned[trimmed] = False
         components += ((i,) for i in trimmed.tolist())
-        for block in _row_blocks(trimmed):
-            in_degree -= successors(block).sum(axis=0)
-            out_degree -= predecessors(block).sum(axis=0)
+        for part in _slices(len(trimmed), rows):
+            in_degree -= successors(trimmed[part]).sum(axis=0)
+            out_degree -= predecessors(trimmed[part]).sum(axis=0)
     while unassigned.any():
         root = int(np.argmax(unassigned))
         forward = _reach(successors, root, unassigned)

@@ -22,8 +22,9 @@ from .allocations import (
     composition_count,
     format_allocation,
 )
+from . import dominance
 from .dominance import (
-    _RECORD_ROWS,
+    _slices,
     ClaimVerdict,
     Cycle,
     DominanceGraph,
@@ -255,18 +256,6 @@ class _Records:
         return rec.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _slices(n: int) -> Iterator[slice]:
-    return (slice(start, start + _RECORD_ROWS) for start in range(0, n, _RECORD_ROWS))
-
-
-def _pair_slices(graph: DominanceGraph, strict: bool) -> Iterator[tuple[np.ndarray, ...]]:
-    """graph.pair_blocks(strict) cut into index arrays of at most
-    _RECORD_ROWS pairs: the strict edges, or the draws when not ``strict``."""
-    for first, second in graph.pair_blocks(strict):
-        for part in _slices(len(first)):
-            yield first[part], second[part]
-
-
 def _numbers(graph: DominanceGraph) -> np.ndarray:
     """The text of every integer a listing writes, as a _text_rows array
     indexed by value.
@@ -286,7 +275,7 @@ def _allocation_lines(values: Iterator[tuple[int, ...]], k: int) -> Iterator[str
     """One line per k-value tuple, newline-separated, about _RECORD_ROWS values
     a piece: max(1, _RECORD_ROWS // k) lines, so a piece is small however
     wide its lines are."""
-    lines = max(1, _RECORD_ROWS // k)
+    lines = max(1, dominance._RECORD_ROWS // k)
     separator = ""
     while batch := list(islice(values, lines)):
         yield separator + "\n".join(map(format_allocation, batch))
@@ -295,7 +284,7 @@ def _allocation_lines(values: Iterator[tuple[int, ...]], k: int) -> Iterator[str
 
 def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
     """emit_dot's text in pieces: the header and node lines, then the edge
-    lines and the draw lines _RECORD_ROWS at a time, then the closing brace."""
+    lines and the draw lines one pair block a piece, then the closing brace."""
     nodes = graph.nodes
     yield "\n".join(
         ["digraph dominance {", "  rankdir=LR;"]
@@ -304,7 +293,7 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
     numbers = _numbers(graph)
     records = _Records()
     node = nodes.__getitem__
-    for w, l in _pair_slices(graph, True):
+    for w, l in graph.pair_blocks(True):
         tables = map(matchup_table, map(node, w.tolist()), map(node, l.tolist()))
         wins = np.fromiter(
             map(attrgetter("wins_a", "wins_b"), tables), dtype=(np.intp, 2), count=len(w)
@@ -322,7 +311,7 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
                 b'"];',
             ]
         )
-    for first, second in _pair_slices(graph, False):
+    for first, second in graph.pair_blocks(False):
         yield records(
             [b"\n  n", numbers[first], b" -> n", numbers[second], b" [dir=none, style=dashed];"]
         )
@@ -398,12 +387,12 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
                 b"}",
             ]
         )
-        for w, l in _pair_slices(g, True)
+        for w, l in g.pair_blocks(True)
     )
     yield '], "draws": ['
     yield from _list_body(
         records([b", [", numbers[first], b", ", numbers[second], b"]"])
-        for first, second in _pair_slices(g, False)
+        for first, second in g.pair_blocks(False)
     )
     yield '], "three_cycles": ['
     # One piece per slice of an index block, whose cycles all start at x.
@@ -419,7 +408,7 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
             ]
         )
         for block in report.three_cycles.index_blocks()
-        for part in _slices(len(block))
+        for part in _slices(len(block), dominance._RECORD_ROWS)
     )
     yield "], " + tail + "}"
 

@@ -452,7 +452,6 @@ class TestStreamedOutput:
     @pytest.fixture(autouse=True)
     def small_pieces(self, monkeypatch):
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 5)
-        monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
 
     @SPACES
     def test_exports_equal_library_text(self, capsys, budget, k):
@@ -517,7 +516,6 @@ class TestUsageAndOutput:
 
     def test_output_written_in_slices_is_unchanged(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 7)
-        monkeypatch.setattr(report_module, "_RECORD_ROWS", 7)
         expected = "".join(analysis_json_pieces(analyze(6, 3))) + "\n"
         code, out, _ = run(capsys, "analyze", "--format", "json")
         assert code == 0

@@ -56,9 +56,10 @@ small_spaces = st.tuples(
     st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=4)
 )
 
-# Row tiles of the 3-cycle count, and row blocks of the SCC search and the
-# counter table: sizes that split small spaces, and the smallest real size,
-# which no small space exceeds.
+# Values of the one block rule, _block_rows: the margin kernel's column
+# blocks, the 3-cycle count's row tiles, and the row blocks of the SCC search
+# and the counter table. Sizes that split small spaces, and the smallest real
+# size, which no small space exceeds.
 TILE_ROWS = [1, 2, 7, 128]
 
 
@@ -142,29 +143,36 @@ class TestBuildGraph:
 
 def assert_blocks_concatenate(graph, rows):
     """pair_blocks, with blocks of ``rows`` pairs asked, concatenated, lists
-    the strict edges and the draws of the whole matrix in order, with no
-    block over max(rows, n - 1) pairs. Returns the block sizes, strict then
-    draw."""
+    the strict edges and the draws of the whole matrix in order. Its blocks
+    are the pairs of max(1, rows // n) matrix rows at a time, cut into
+    blocks of ``rows``, and none is empty. Returns the block sizes, strict
+    then draw."""
     n = len(graph.nodes)
+    step = max(1, rows // n)
     wholes = (np.nonzero(graph.margin > 0), np.nonzero(np.triu(graph.margin == 0, 1)))
     sizes = []
     for strict, whole in zip((True, False), wholes):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dominance_module, "_RECORD_ROWS", rows)
             blocks = list(graph.pair_blocks(strict))
-        assert len(blocks) == -(-n // max(1, rows // n))
         sizes.append([len(first) for first, _ in blocks])
-        assert max(sizes[-1]) <= max(rows, n - 1)
-        for got, want in zip(zip(*blocks), whole):
+        per_row_block = np.bincount(whole[0] // step, minlength=-(-n // step)).tolist()
+        assert sizes[-1] == [
+            min(rows, pairs - start)
+            for pairs in per_row_block
+            for start in range(0, pairs, rows)
+        ]
+        for got, want in zip(zip(*blocks), whole):  # no blocks: sizes held it empty
             assert np.concatenate(got).tolist() == want.tolist()
     return sizes
 
 
-# Pairs asked per block, as a function of the node count n.
+# Pairs asked per block, as a function of the node count n; a block holds
+# at least one pair.
 BLOCK_ROWS = {
     "1": lambda n: 1,
     "2": lambda n: 2,
-    "n - 1": lambda n: n - 1,
+    "n - 1": lambda n: max(1, n - 1),
     "n": lambda n: n,
     "10**6": lambda n: 10**6,
 }
@@ -177,11 +185,12 @@ class TestPairBlocks:
         assert_blocks_concatenate(graph, BLOCK_ROWS[rows](len(graph.nodes)))
 
     def test_empty_blocks(self, graph_6_3):
-        # One row a block: 6,0,0 beats nothing and 4,1,1 draws no later
-        # node, so row 0's strict block and row 3's draw block are empty.
-        strict, draws = assert_blocks_concatenate(graph_6_3, 1)
-        assert strict == [0, 1, 1, 3, 3, 3, 3]
-        assert draws == [0, 2, 4, 0, 0, 1, 0]
+        # Two pairs a block, one row at a time: rows hold 0, 1, 1, 3, 3, 3, 3
+        # strict pairs and 0, 2, 4, 0, 0, 1, 0 draws, so a row with none
+        # makes no block and a row with three makes two.
+        strict, draws = assert_blocks_concatenate(graph_6_3, 2)
+        assert strict == [1, 1, 2, 1, 2, 1, 2, 1, 2, 1]
+        assert draws == [2, 2, 2, 1]
 
     def test_blocks_are_index_arrays(self, graph_6_3, monkeypatch):
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 14)
@@ -247,6 +256,22 @@ class TestMarginKernel:
         assert margin.dtype == np.int8
         assert peak < 2 * margin.nbytes
 
+    @given(small_spaces, st.sampled_from(TILE_ROWS))
+    def test_column_blocks_keep_values_and_dtype(self, space, rows):
+        # small_spaces fit in one block of the real size; smaller blocks take
+        # the path with several blocks and a short last one.
+        budget, k = space
+        nodes = build_graph(budget, k).nodes
+        values = [p.values for p in nodes]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "_block_rows", lambda n: rows)
+            margin = _margins(values, values)
+        assert margin.dtype == np.min_scalar_type(-k * k)
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                t = matchup_table(a, b)
+                assert margin[i, j] == t.wins_a - t.wins_b
+
     @pytest.mark.parametrize("top", [2**63, 2**64, 10**30])
     def test_faces_past_int64_stay_exact(self, top):
         # Mixed with small values, faces from 2^63 up would be inferred as
@@ -298,7 +323,7 @@ class TestThreeCycles:
         budget, k = space
         graph = build_graph(budget, k)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dominance_module, "_count_rows", lambda n: rows)
+            patch.setattr(dominance_module, "_block_rows", lambda n: rows)
             count = len(find_three_cycles(graph))
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
@@ -333,7 +358,7 @@ class TestThreeCycles:
         "n, rows", [(1, 128), (632, 128), (1206, 128), (2048, 256), (8037, 512), (10**5, 1024)]
     )
     def test_count_tiles_grow_with_n(self, n, rows):
-        assert dominance_module._count_rows(n) == rows
+        assert dominance_module._block_rows(n) == rows
 
     @given(small_spaces)
     def test_index_blocks_match_bitmask_oracle(self, space):
@@ -394,7 +419,7 @@ class TestComponents:
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dominance_module, "_BLOCK_ROWS", rows)
+            patch.setattr(dominance_module, "_block_rows", lambda n: rows)
             sccs = strongly_connected_components(graph)
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
 
@@ -409,20 +434,20 @@ class TestComponents:
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
         assert max(map(len, sccs)) == {0: 1, 20: 1, 30: 88}[budget]
 
-    def test_search_memory_stays_in_row_blocks(self, monkeypatch):
-        # A block gathers 128 rows of the int8 margin and its sign; the whole
-        # search once gathered every frontier row at a time.
-        graph = build_graph(30, 6)
-        n = len(graph.margin)
-        monkeypatch.setattr(dominance_module, "_BLOCK_ROWS", 128)
-        tracemalloc.start()
-        try:
-            sccs = strongly_connected_components(graph)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sorted(map(len, sccs))[-1] == 1186
-        assert peak < 3 * 128 * n
+    def test_search_memory_stays_in_row_blocks(self):
+        # A block gathers _block_rows(n) rows of the int8 margin and its sign;
+        # the whole search once gathered every frontier row at a time.
+        for (budget, k), largest in [((30, 6), 1186), ((60, 4), 1885)]:
+            graph = build_graph(budget, k)
+            n = len(graph.margin)
+            tracemalloc.start()
+            try:
+                sccs = strongly_connected_components(graph)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert max(map(len, sccs)) == largest
+            assert peak < 3 * dominance_module._block_rows(n) * n
 
     def test_components_partition_nodes(self, graph_6_3):
         sccs = strongly_connected_components(graph_6_3)
@@ -550,7 +575,7 @@ class TestBestCounters:
         graph = build_graph(budget, k)
         candidates = [p.values for p in graph.nodes]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dominance_module, "_BLOCK_ROWS", rows)
+            patch.setattr(dominance_module, "_block_rows", lambda n: rows)
             fast = best_counters(graph)
         for node, entry in zip(graph.nodes, fast):
             slow = counter_strategy(node)
@@ -563,16 +588,17 @@ class TestBestCounters:
 
     def test_counter_table_reads_row_blocks(self):
         # An argmax over the whole reversed margin copied all of it.
-        graph = build_graph(60, 4)
-        n = len(graph.nodes)
-        tracemalloc.start()
-        try:
-            best = best_counters(graph)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert None not in best
-        assert peak < 2 * dominance_module._BLOCK_ROWS * n < graph.margin.nbytes
+        for budget, k in [(30, 6), (60, 4)]:
+            graph = build_graph(budget, k)
+            n = len(graph.nodes)
+            tracemalloc.start()
+            try:
+                best = best_counters(graph)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sum(entry is None for entry in best) == len(undominated(graph))
+            assert peak < 2 * dominance_module._block_rows(n) * n < graph.margin.nbytes
 
 
 class TestClaim:

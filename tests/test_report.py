@@ -294,7 +294,6 @@ class TestGraphExports:
         # (10, 3) has 22 cycles in 5 blocks, 66 edges and 25 draws, so slices
         # of 1 and 3 rows split every listing and most blocks.
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", rows)
-        monkeypatch.setattr(report_module, "_RECORD_ROWS", rows)
         # Every piece is held until the join, so a piece that shared memory
         # with the record buffer its writer reuses would show.
         report = analyze(10, 3)
@@ -309,7 +308,6 @@ class TestGraphExports:
         # The CLI writes each piece whole, so this bound is what keeps a
         # write small. (10, 3) has 66 compositions, 66 edges and 25 draws.
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 5)
-        monkeypatch.setattr(report_module, "_RECORD_ROWS", 5)
         report = analyze(10, 3)
         line_pieces = list(dot_pieces(report.graph))[1:]
         assert len(line_pieces) > 66 // 5
@@ -317,13 +315,37 @@ class TestGraphExports:
         json_pieces = list(analysis_json_pieces(report))
         assert max(piece.count('"winner"') for piece in json_pieces) == 5
 
+    @pytest.mark.parametrize("rows", [1, 3, 13])
+    def test_pair_pieces_are_the_pair_blocks(self, rows, monkeypatch):
+        # The piece size has one owner, dominance: each DOT and JSON piece of
+        # edges or draws is one pair block, of at most ``rows`` records.
+        # (10, 3) has 14 nodes, so one matrix row holds up to 13 pairs.
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", rows)
+        report = analyze(10, 3)
+        graph = report.graph
+        edges, draws = (
+            [len(first) for first, _ in graph.pair_blocks(strict)] for strict in (True, False)
+        )
+        assert sum(edges) == 66 and sum(draws) == 25
+        assert max(edges + draws) <= rows
+        dot = list(dot_pieces(graph))[1:-1]
+        assert [piece.count(" -> ") for piece in dot] == edges + draws
+        json_pieces = list(graph_json_pieces(report))
+        edges_at = json_pieces.index('], "edges": [')
+        draws_at = json_pieces.index('], "draws": [')
+        cycles_at = json_pieces.index('], "three_cycles": [')
+        listed = json_pieces[edges_at + 1 : draws_at]
+        assert [piece.count('"winner"') for piece in listed] == edges
+        listed = json_pieces[draws_at + 1 : cycles_at]
+        assert [piece.count("[") for piece in listed] == draws
+
     @pytest.mark.parametrize("budget, k, lines", [(10, 3, 2), (10, 7, 1), (3, 8, 1)])
     def test_allocation_pieces_hold_about_record_rows_values(
         self, monkeypatch, budget, k, lines
     ):
         # max(1, 7 // k) lines a piece: a line of k values never shares a
         # piece past 7 values, but a line wider than that still gets one.
-        monkeypatch.setattr(report_module, "_RECORD_ROWS", 7)
+        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 7)
         values = list(composition_tuples(budget, k))
         pieces = list(_allocation_lines(iter(values), k))
         assert [len(piece.lstrip("\n").split("\n")) for piece in pieces[:-1]] == [lines] * (
