@@ -97,7 +97,7 @@ def _build_parser() -> _Parser:
 
     p = add("counter", _cmd_counter, "best same-cap counter-strategy")
     p.add_argument("--a", required=True, metavar="CSV")
-    p.add_argument("--budget", type=int, default=None, help="defaults to sum of --a")
+    p.add_argument("--budget", type=int, default=None, help="must equal the sum of --a")
 
     p = add("analyze", _cmd_analyze, "full strategy-space report")
     p.add_argument("--budget", type=int, default=6)
@@ -166,7 +166,11 @@ def _cmd_graph(args, limit: int) -> Iterator[str]:
 
 def _cmd_counter(args, limit: int) -> str:
     a = parse_allocation(args.a)
-    found = counter_strategy(a, args.budget, limit)
+    if args.budget is not None and args.budget != a.budget:
+        raise ValueError(
+            f"counter search budget {args.budget} must equal the allocation's budget {a.budget}"
+        )
+    found = counter_strategy(a, limit)
     if found is None:
         return "counter: none"
     counter, margin = found

@@ -192,28 +192,18 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     return margin
 
 
-def _best_dominators(margin: np.ndarray) -> list[tuple[int, int] | None]:
-    """Per column j, (row, margin) of its largest positive margin, or None.
+def _strongest_beaters(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of margins, one node against the candidate columns: the
+    highest column that holds the row's smallest entry, and minus that
+    entry, in the margin's dtype.
 
-    Ties go to the highest row index: with rows in descending node order,
-    that is the lexicographically smallest partition. Reduced
-    _block_rows(len(margin)) rows at a time into a running best, which a
-    later block takes on a tie.
+    That column is the candidate that beats the node by the most, and the
+    value is its margin over the node, positive only if it beats the node at
+    all. Ties go to the highest column: with candidates in descending node
+    order, that is the lexicographically smallest partition.
     """
-    columns = np.arange(margin.shape[1])
-    best_rows = np.zeros(len(columns), dtype=np.intp)
-    best = np.full(len(columns), np.iinfo(margin.dtype).min, dtype=margin.dtype)
-    for part in _slices(len(margin), _block_rows(len(margin))):
-        block = margin[part]
-        rows = len(block) - 1 - np.argmax(block[::-1], axis=0)
-        values = block[rows, columns]
-        later = values >= best
-        best_rows[later] = part.start + rows[later]
-        best[later] = values[later]
-    return [
-        (row, value) if value > 0 else None
-        for row, value in zip(best_rows.tolist(), best.tolist())
-    ]
+    columns = rows.shape[1] - 1 - np.argmin(rows[:, ::-1], axis=1)
+    return columns, -rows[np.arange(len(rows)), columns]
 
 
 def build_graph(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> DominanceGraph:
@@ -404,7 +394,7 @@ def undominated(graph: DominanceGraph) -> list[Partition]:
 
 
 def counter_strategy(
-    a: Allocation, budget: int | None = None, limit: int = DEFAULT_SPACE_LIMIT
+    a: Allocation, limit: int = DEFAULT_SPACE_LIMIT
 ) -> tuple[Partition, int] | None:
     """Best same-cap answer to ``a``: a strict dominator of maximum margin.
 
@@ -412,20 +402,15 @@ def counter_strategy(
     Returns None when nothing beats ``a``, which is a legitimate finding,
     not an error.
     """
-    if budget is None:
-        budget = a.budget
-    elif budget != a.budget:
-        raise ValueError(
-            f"counter search budget {budget} must equal the allocation's budget {a.budget}"
-        )
     # Ranked as value tuples, _RECORD_ROWS at a time: only the winner becomes
-    # a Partition. A later batch wins a tie, as the higher row does within one.
-    candidates = partition_tuples(budget, a.k, limit)
+    # a Partition. a's row against a batch is minus the batch's column against
+    # a. A later batch wins a tie, as the higher column does within one.
+    candidates = partition_tuples(a.budget, a.k, limit)
     best = None
     while batch := list(islice(candidates, _RECORD_ROWS)):
-        (found,) = _best_dominators(_margins(batch, [a.values]))
-        if found is not None and (best is None or found[1] >= best[1]):
-            best = batch[found[0]], found[1]
+        (column,), (value,) = _strongest_beaters(-_margins(batch, [a.values]).T)
+        if value > 0 and (best is None or value >= best[1]):
+            best = batch[column], int(value)
     return None if best is None else (Partition(best[0]), best[1])
 
 
@@ -433,10 +418,18 @@ def best_counters(graph: DominanceGraph) -> list[tuple[Partition, int] | None]:
     """Per node, the maximum-margin strict dominator (same tie-break), or None.
 
     Same answer as running counter_strategy on every node, read off the
-    columns of the margin matrix.
+    rows of the margin matrix: the nodes that beat node j are the negative
+    entries of row j. Each block of _block_rows(n) rows is answered in full,
+    so nothing is merged across blocks.
     """
+    margin = graph.margin
+    n = len(margin)
+    columns = np.empty(n, dtype=np.intp)
+    values = np.empty(n, dtype=margin.dtype)
+    for part in _slices(n, _block_rows(n)):
+        columns[part], values[part] = _strongest_beaters(margin[part])
     nodes = graph.nodes
     return [
-        None if best is None else (nodes[best[0]], best[1])
-        for best in _best_dominators(graph.margin)
+        (nodes[column], value) if value > 0 else None
+        for column, value in zip(columns.tolist(), values.tolist())
     ]

@@ -79,14 +79,6 @@ class MatchupTable:
         )
 
 
-def require_same_k(a: Allocation, b: Allocation) -> None:
-    """Raise DimensionMismatchError unless both sides have the same k."""
-    if a.k != b.k:
-        raise DimensionMismatchError(
-            f"allocations have different category counts: {a.k} vs {b.k}"
-        )
-
-
 def _table(
     a_values: tuple[int, ...],
     b_values: tuple[int, ...],
@@ -124,7 +116,9 @@ def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     xs, ys = a.values, b.values
     k = len(xs)
     if len(ys) != k:
-        require_same_k(a, b)
+        raise DimensionMismatchError(
+            f"allocations have different category counts: {a.k} vs {b.k}"
+        )
     faces = sorted(ys)
     wins_a = sum(map(bisect_left, repeat(faces, k), xs))
     at_most = sum(map(bisect_right, repeat(faces, k), xs))

@@ -223,7 +223,7 @@ class TestCounterCommand:
     def test_budget_mismatch_exits_1(self, capsys):
         code, _, err = run(capsys, "counter", "--a", "6,0,0", "--budget", "7")
         assert code == 1
-        assert "must equal" in err
+        assert err == "capcycle: counter search budget 7 must equal the allocation's budget 6\n"
 
     def test_many_candidate_batches(self, capsys):
         # 461,313 candidates, ranked in 57 batches.

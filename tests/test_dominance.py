@@ -497,11 +497,6 @@ class TestCounterStrategy:
     def test_order_of_entries_is_irrelevant(self):
         assert counter_strategy(Allocation((0, 3, 3))) == (Partition((4, 1, 1)), 1)
 
-    def test_explicit_budget_must_match(self):
-        with pytest.raises(ValueError):
-            counter_strategy(Allocation((3, 3, 0)), budget=7)
-        assert counter_strategy(Allocation((3, 3, 0)), budget=6) is not None
-
     def test_max_margin_then_lex_tiebreak(self):
         # (6,0,0) is beaten with margin 3 by 2,2,2 / 3,2,1 / 4,1,1.
         found = counter_strategy(Allocation((6, 0, 0)))
@@ -566,25 +561,39 @@ class TestCounterStrategy:
         assert found is not None and len(made) <= 1
 
 
+def assert_counters_match_oracle(graph, rows):
+    """best_counters at ``rows``-row blocks and counter_strategy of every node
+    equal the oracle, with Python-int margins."""
+    candidates = [p.values for p in graph.nodes]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dominance_module, "_block_rows", lambda n: rows)
+        fast = best_counters(graph)
+    for node, entry in zip(graph.nodes, fast):
+        slow = counter_strategy(node)
+        expected = _oracles.counter(node.values, candidates)
+        if expected is None:
+            assert entry is None and slow is None
+        else:
+            assert (entry[0].values, entry[1]) == expected
+            assert entry == slow
+            assert type(entry[1]) is int and type(slow[1]) is int
+
+
 class TestBestCounters:
     @given(small_spaces, st.sampled_from(TILE_ROWS))
     def test_agrees_with_counter_strategy(self, space, rows):
-        # Blocks of fewer rows than the space has must pass ties on to the
-        # later block, as the lexicographically smaller partition.
+        # Each block of rows answers its nodes in full, whatever its size;
+        # only counter_strategy's batches pass ties on to a later batch.
         budget, k = space
-        graph = build_graph(budget, k)
-        candidates = [p.values for p in graph.nodes]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dominance_module, "_block_rows", lambda n: rows)
-            fast = best_counters(graph)
-        for node, entry in zip(graph.nodes, fast):
-            slow = counter_strategy(node)
-            expected = _oracles.counter(node.values, candidates)
-            if expected is None:
-                assert entry is None and slow is None
-            else:
-                assert (entry[0].values, entry[1]) == expected
-                assert entry == slow
+        assert_counters_match_oracle(build_graph(budget, k), rows)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_int16_margin_matches_oracle(self, rows):
+        # small_spaces have k <= 4, so int8 margins; (10, 12) has 42 nodes
+        # and needs int16.
+        graph = build_graph(10, 12)
+        assert graph.margin.dtype == np.int16
+        assert_counters_match_oracle(graph, rows)
 
     def test_counter_table_reads_row_blocks(self):
         # An argmax over the whole reversed margin copied all of it.
