@@ -36,17 +36,22 @@ _RECORD_ROWS = 8_192
 def _block_rows(n: int) -> int:
     """Rows or columns of a matrix over n nodes that a stage reads or fills
     at once: the margin kernel's column blocks, the 3-cycle count tiles,
-    SCC's degree sums, trim and frontier gathers, and the counter table's
-    reduction. The largest power of two at most n / 8, clamped to [128,
-    1024], so 128 at the 1,206 nodes of (30, 6) and 512 at the 8,037 of
-    (100, 4).
+    the 3-cycle walk's candidate rows, SCC's degree sums, trim and frontier
+    gathers, and the counter table's reduction. The largest power of two at
+    most n / 8, clamped to [128, 1024], so 128 at the 1,206 nodes of
+    (30, 6) and 512 at the 8,037 of (100, 4).
 
     Each stage's transients are a few arrays of B x n values for B rows, at
     most c * B * n bytes, where the margin kernel's n counts the distinct
-    faces too. The count tile's c is the largest: two float32 operands of
-    at most B * n values and a B x n boolean compare, about 9 * B * n
-    bytes. B <= n / 8 from n = 1,024 up, so that is at most 9/8 of the
-    int8 margin's n^2 bytes; below, it is at most 1,152 * n bytes.
+    faces too. The count tile's c is about 9: two float32 operands of at
+    most B * n values and a B x n boolean compare. The walk's c is 3 + 48 * d,
+    where d < 1 is the share of a block's B x n cells that are cycles: a
+    B x n int8 gather, the columns it keeps and their compare, then 36 bytes
+    a cycle while its block is made (two intp indices, one gathered column
+    and the int32 row) and 12 while its reader holds it. The densest block
+    has d = 0.21 at (30, 6) and 0.16 at (60, 4), so c < 13 there. B <= n / 8
+    from n = 1,024 up, so 9 * B * n is at most 9/8 of the int8 margin's n^2
+    bytes; below, it is at most 1,152 * n bytes.
     Larger blocks make fewer, faster BLAS calls, so B grows with n: on a
     2-vCPU host, (100, 4) took 4.9 s with 128-row tiles and 3.6 s with 512.
     """
@@ -157,14 +162,18 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     columns at a time. Those columns of the margin sum the scores of rows'
     faces, one face position at a time.
     """
-    values = [*rows, *cols]
+    values = rows if rows is cols else [*rows, *cols]  # the graph's faces, ranked once
     # Faces of 2^63 and up are ranked as Python ints: a mix of those and
     # small values would otherwise be inferred as float64 and lose bits.
     exact = np.int64 if max(map(max, values)) < 2**63 else object
     faces = np.array(values, dtype=exact)
-    distinct = np.unique(faces)
-    ranks = np.searchsorted(distinct, faces)
-    row_faces, col_ranks = ranks[: len(rows)].T, ranks[len(rows) :]
+    # With return_inverse, np.unique sorts: numpy >= 2.3's hash path for the
+    # bare call imports numpy.ma for a masked-array check, about 15 ms and
+    # 1 MB of every process. Object faces compare as Python ints, so they
+    # stay exact. numpy 1.x returns the inverse flat.
+    distinct, ranks = np.unique(faces, return_inverse=True)
+    ranks = ranks.reshape(faces.shape)
+    row_faces, col_ranks = ranks[: len(rows)].T, ranks[len(ranks) - len(cols) :]
     k = ranks.shape[1]
     # Every score is in [-k, k], and every partial sum of k of them in
     # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
@@ -218,11 +227,12 @@ class ThreeCycles:
 
     ``len()`` counts them exactly on first use, without listing any: each
     cycle once, in the tile of ``margin`` rows that holds its highest node
-    index (see ``_count``). ``index_blocks`` walks the margin one row at a
-    time and yields the cycles as node-index arrays; iterating maps those
-    to partitions. Each cycle comes once, smallest node (by value) first,
-    sorted by ascending node values. Compares equal to any sequence that
-    holds the same cycles in the same order.
+    index (see ``_count``). ``index_blocks`` walks the margin one node x at
+    a time, a block of candidate rows at a time, and yields the cycles as
+    node-index arrays; iterating maps those to partitions. Each cycle comes
+    once, smallest node (by value) first, sorted by ascending node values.
+    Compares equal to any sequence that holds the same cycles in the same
+    order.
     """
 
     def __init__(self, graph: DominanceGraph) -> None:
@@ -266,26 +276,30 @@ class ThreeCycles:
         return self._count
 
     def index_blocks(self) -> Iterator[np.ndarray]:
-        """The cycles (x, y, z) as (m, 3) int32 node-index arrays, one per x.
+        """The cycles (x, y, z) as (m, 3) int32 node-index arrays: one per x
+        and per slice of _block_rows(n) of the nodes y that x beats, whose
+        margin rows are read one slice at a time.
 
         With nodes in descending value order, the lexicographically
         smallest node of a cycle is its highest index x, so x runs from
-        high to low, and within a block y and then z descend: the
-        canonical order. Lazy: taking the first few cycles computes only
-        the first blocks. Rows with no cycle yield no block.
+        high to low, the slices of y descend, and within a block y and then
+        z descend: the canonical order. Lazy: taking the first few cycles
+        computes only the first blocks. Slices with no cycle yield no block.
         """
         margin = self.graph.margin
+        size = _block_rows(len(margin))
         for x in range(len(margin) - 1, -1, -1):
             row = margin[x, :x]
             ys = np.flatnonzero(row > 0)[::-1]  # x beats y
             zs = np.flatnonzero(row < 0)[::-1]  # z beats x
-            rows, cols = np.nonzero(margin[ys][:, zs] > 0)  # y beats z
-            if rows.size:
-                block = np.empty((rows.size, 3), dtype=np.int32)
-                block[:, 0] = x
-                block[:, 1] = ys[rows]
-                block[:, 2] = zs[cols]
-                yield block
+            for part in _slices(len(ys), size):
+                rows, cols = np.nonzero(margin[ys[part]][:, zs] > 0)  # y beats z
+                if rows.size:
+                    block = np.empty((rows.size, 3), dtype=np.int32)
+                    block[:, 0] = x
+                    block[:, 1] = ys[part][rows]
+                    block[:, 2] = zs[cols]
+                    yield block
 
     def __iter__(self) -> Iterator[Cycle]:
         nodes = self.graph.nodes

@@ -395,7 +395,8 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
         for first, second in g.pair_blocks(False)
     )
     yield '], "three_cycles": ['
-    # One piece per slice of an index block, whose cycles all start at x.
+    # One piece per slice of an index block: every cycle in it starts at
+    # the same x, so that node's text is written once for the piece.
     node_rows = _text_rows(node_texts)
     yield from _list_body(
         records(

@@ -589,3 +589,22 @@ class TestUsageAndOutput:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["graph"], ["counter", "--a", "3,2,1"]], ids=lambda a: a[0]
+    )
+    def test_runs_leave_out_numpy_ma(self, argv):
+        # numpy >= 2.3's hash path in a bare np.unique imports numpy.ma, about
+        # 15 ms and 1 MB, for a masked-array check the margin kernel never needs.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from capcycle.cli import run_cli; code = run_cli(sys.argv[1:]); "
+                'print(code, "numpy.ma" in sys.modules, file=sys.stderr)',
+                *argv,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stderr == "0 False\n"

@@ -360,9 +360,13 @@ class TestThreeCycles:
     def test_count_tiles_grow_with_n(self, n, rows):
         assert dominance_module._block_rows(n) == rows
 
-    @given(small_spaces)
-    def test_index_blocks_match_bitmask_oracle(self, space):
-        assert_blocks_match_bitmask_oracle(build_graph(*space))
+    @given(small_spaces, st.sampled_from(TILE_ROWS))
+    def test_index_blocks_match_bitmask_oracle(self, space, rows):
+        # Smaller blocks cut one x's candidate rows into several slices.
+        graph = build_graph(*space)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "_block_rows", lambda n: rows)
+            assert_blocks_match_bitmask_oracle(graph)
 
     @pytest.mark.parametrize("budget, k", [(20, 5), (40, 4)])
     def test_pinned_index_blocks_match_bitmask_oracle(self, budget, k):
@@ -389,7 +393,24 @@ class TestThreeCycles:
         oracle = bitmask_oracle(graph)
         expected = [tuple(nodes[i] for i in t) for t in islice(oracle, 10)]
         assert [tuple(p.values for p in c) for c in islice(cycles, 10)] == expected
-        assert pulled == [394]  # of 32,143,068 cycles, only the first block's
+        assert pulled == [177]  # of 32,143,068 cycles, only the first block's
+
+    def test_walk_memory_stays_in_row_blocks(self):
+        # Gathering every candidate row of an x at once peaked at 23.8 and
+        # 39.3 B·n bytes. The bound is _block_rows' c for the walk, with d the
+        # densest block's share of its B x n cells.
+        for budget, k in [(30, 6), (60, 4)]:
+            graph = build_graph(budget, k)
+            n = len(graph.margin)
+            rows = dominance_module._block_rows(n)
+            walk = find_three_cycles(graph).index_blocks()
+            tracemalloc.start()
+            try:
+                densest = max(len(block) for block in walk) / (rows * n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < (3 + 48 * densest) * rows * n < 13 * rows * n
 
     def test_compares_elementwise(self, graph_6_3):
         cycles = find_three_cycles(graph_6_3)

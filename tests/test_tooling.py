@@ -1,7 +1,7 @@
 """The README library example and the scripts run as users run them, the
 public names are the ones they use, the benchmark's reference commands print
-their recorded stdout, and the benchmark trace finds its layers and counts one
-matchup per DOT edge."""
+their recorded stdout, and the benchmark trace finds its layers, counts one
+matchup per DOT edge and sizes an analysis as its report does."""
 
 import hashlib
 import importlib
@@ -95,6 +95,22 @@ def test_traced_graph_makes_one_matchup_per_edge():
     lines = traced.stdout.splitlines()
     assert record["sizes"]["n_edges"] == sum(" -> " in s and "[label=" in s for s in lines)
     assert record["sizes"]["n_draws"] == sum("style=dashed" in s for s in lines) > 0
+
+
+def test_traced_analysis_sizes_match_its_report():
+    # The benchmark's traced analyze-json run reads its node, edge, draw and
+    # cycle counts through the layer wrappers; they must be the report's own.
+    command = ["analyze", "--budget", "12", "--k", "4", "--format", "json"]
+    traced = _run([sys.executable, "perfbench/traced.py", *command])
+    sizes = json.loads(traced.stderr.splitlines()[-1])["sizes"]
+    report = json.loads(traced.stdout)
+    assert len(report["nodes"]) == report["partition_count"]
+    assert sizes == {
+        "n_nodes": report["partition_count"],
+        "n_edges": len(report["edges"]),
+        "n_draws": len(report["draws"]),
+        "n_cycles": len(report["three_cycles"]),
+    }
 
 
 def test_public_names_are_used():
