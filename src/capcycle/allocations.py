@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -112,7 +111,6 @@ def composition_count(budget: int, k: int) -> int:
     return math.comb(budget + k - 1, k - 1)
 
 
-@lru_cache(maxsize=None)
 def partition_count(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> int:
     """Count partitions of the budget into at most ``k`` nonzero parts.
 

@@ -8,11 +8,10 @@ A series goes to whichever side wins more cells, ties being neutral.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import repeat
+from typing import NamedTuple
 
 from .allocations import Allocation
 from .errors import AllTiesError, DimensionMismatchError
@@ -47,17 +46,12 @@ class TiePolicy(Enum):
     NOGAME = "nogame"
 
 
-@dataclass(frozen=True)
-class MatchupTable:
+class MatchupTable(NamedTuple):
     """The matchup between two allocations: aggregate cell counts, computed
-    when the table is made, and the k x k cell grid, built on first read.
+    when the table is made, and the k x k cell grid, built when it is read.
 
     Tables compare and hash by both sides' values and the counts, so two
     matchups with the same grid but different salaries are not equal.
-    matchup_table makes one per call without running the generated
-    ``__init__`` (see _table): the fields go straight into the instance
-    dict, which is what that ``__init__`` fills, so the table is the same
-    object either way.
     """
 
     a_values: tuple[int, ...]
@@ -67,7 +61,7 @@ class MatchupTable:
     ties: int
     k: int
 
-    @cached_property
+    @property
     def cells(self) -> tuple[tuple[Cell, ...], ...]:
         """Row i, column j: the outcome of a's i-th value against b's j-th."""
         return tuple(
@@ -79,39 +73,14 @@ class MatchupTable:
         )
 
 
-def _table(
-    a_values: tuple[int, ...],
-    b_values: tuple[int, ...],
-    wins_a: int,
-    wins_b: int,
-    ties: int,
-    k: int,
-) -> MatchupTable:
-    """MatchupTable(a_values, b_values, wins_a, wins_b, ties, k), made without
-    its generated ``__init__``.
-
-    Being frozen, that ``__init__`` sets each field through
-    object.__setattr__, a third of a matchup_table call. MatchupTable has
-    no slots, defaults or __post_init__, so its ``__init__`` does nothing
-    but fill the instance dict in field order; filling it here in the
-    same order gives a table that compares, hashes, prints and caches
-    ``cells`` exactly as the constructed one.
-    """
-    table = object.__new__(MatchupTable)
-    vars(table).update(
-        a_values=a_values, b_values=b_values, wins_a=wins_a, wins_b=wins_b, ties=ties, k=k
-    )
-    return table
-
-
 def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     """Compare every category of ``a`` against every category of ``b``.
 
     The counts are computed now, by bisecting b's sorted values: a face x
     beats the faces below it and ties those equal to it. Every comparison
     is between Python ints, so the counts stay exact past 2^63. The
-    ``cells`` grid is built on first read. The budgets need not match; the
-    cap constraint lives at enumeration time, not here.
+    ``cells`` grid is built each time it is read. The budgets need not
+    match; the cap constraint lives at enumeration time, not here.
     """
     xs, ys = a.values, b.values
     k = len(xs)
@@ -122,7 +91,7 @@ def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     faces = sorted(ys)
     wins_a = sum(map(bisect_left, repeat(faces, k), xs))
     at_most = sum(map(bisect_right, repeat(faces, k), xs))
-    return _table(xs, ys, wins_a, k * k - at_most, at_most - wins_a, k)
+    return MatchupTable(xs, ys, wins_a, k * k - at_most, at_most - wins_a, k)
 
 
 def series_outcome(table: MatchupTable) -> SeriesOutcome:

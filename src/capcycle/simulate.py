@@ -8,8 +8,8 @@ probabilities; long best-of series converge to the analytic majority
 winner.
 
 One core, ``_play``, turns the stream into rolls: a run of games is one
-row, each series a row started from the next output of the master seed,
-and a single roll a row that stops after one roll. Many rows share a block.
+row, and each series a row started from the next output of the master
+seed. Many rows share a block.
 """
 
 from __future__ import annotations
@@ -55,13 +55,13 @@ def _rejection_threshold(k: int) -> int:
 
 def _play(
     table: MatchupTable, states: np.ndarray | list[int], done: Callable, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Roll one row per state until ``done``; returns (tallies, end states).
+) -> np.ndarray:
+    """Roll one row per state until ``done``; returns the tallies: a wins,
+    b wins and ties, one column per row.
 
-    ``tallies`` holds a wins, b wins and ties, one column per row. Outputs at
-    or above floor(2^64 / k) * k are rejected; a row's kept outputs pair up in
-    stream order as (a's index, b's index) mod k. A row stops at the first
-    roll where ``done`` holds for its running tallies, its state just past it.
+    Outputs at or above floor(2^64 / k) * k are rejected; a row's kept
+    outputs pair up in stream order as (a's index, b's index) mod k. A row
+    stops at the first roll where ``done`` holds for its running tallies.
     A block plays the whole rolls that all of up to _BLOCK // width rows hold
     in ``width`` outputs each, so no tally depends on the width or grouping.
     """
@@ -96,17 +96,7 @@ def _play(
         tallies[:, rows] = ta[row, last], tb[row, last], tt[row, last]
         states[rows] += (cols[row, 2 * last + 1] + 1).astype(np.uint64) * np.uint64(_GAMMA)
         live = rows[~over]
-    return tallies, states
-
-
-def sample_cell(a: Allocation, b: Allocation, state: int) -> tuple[int, Cell]:
-    """Roll both dice once: returns (new_state, cell outcome).
-
-    Draws a's index first, then b's, each by rejection-sampled uniform
-    draws over 0..k-1.
-    """
-    tallies, states = _play(matchup_table(a, b), [state & _MASK64], lambda *t: sum(t) > 0, 2)
-    return int(states[0]), (Cell.A_WIN, Cell.B_WIN, Cell.TIE)[tallies[:, 0].argmax()]
+    return tallies
 
 
 @dataclass(frozen=True)
@@ -176,7 +166,7 @@ def simulate_games(a: Allocation, b: Allocation, config: SimConfig) -> SeriesSta
         raise AllTiesError("every cell ties; reroll play can never finish a game")
 
     n = config.n_games
-    tallies, _ = _play(
+    tallies = _play(
         table, [config.seed], lambda wa, wb, ties: wa + wb + (0 if reroll else ties) >= n, _BLOCK
     )
     return SeriesStats(n, *tallies[:, 0].tolist())
@@ -207,7 +197,7 @@ def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesS
             (config.seed + start * _GAMMA) & _MASK64,
             min(_SERIES_BLOCK, config.n_series - start),
         )
-        tallies, _ = _play(table, seeds, lambda wa, wb, _: np.maximum(wa, wb) >= need, width)
+        tallies = _play(table, seeds, lambda wa, wb, _: np.maximum(wa, wb) >= need, width)
         totals += tallies.sum(axis=1)
         a_series += int(np.count_nonzero(tallies[0] == need))
     a_wins, b_wins, ties = totals.tolist()

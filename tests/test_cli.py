@@ -479,6 +479,45 @@ class TestStreamedOutput:
             assert out == "\n".join(map(format_allocation, items)) + "\n"
 
 
+def _exports(budget, k):
+    space = ["--budget", str(budget), "--k", str(k)]
+    return [
+        ["analyze", *space],
+        ["analyze", *space, "--format", "json"],
+        ["graph", *space],
+        ["graph", *space, "--format", "json"],
+    ]
+
+
+class TestBlockSizeInvariance:
+    """No block or piece size shows in stdout: every matrix stage's rows at
+    a time (_block_rows) and every listing's records at a time (_RECORD_ROWS)
+    leave every command's output as it is at the defaults."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *_exports(6, 3),
+            *_exports(12, 4),
+            *_exports(10, 12),  # k = 12: an int16 margin
+            ["enumerate", "--budget", "12", "--k", "4"],
+            ["enumerate", "--budget", "12", "--k", "4", "--partitions"],
+            ["counter", "--a", "5,4,2,1"],
+            ["counter", "--a", "2,2,2,1,1,1,1,0,0,0,0,0"],
+        ],
+        ids=" ".join,
+    )
+    def test_stdout_equals_the_default(self, capsys, monkeypatch, argv):
+        code, expected, _ = run(capsys, *argv)
+        assert code == 0 and expected
+        for block in (1, 2, 7):
+            for records in (1, 3):
+                with monkeypatch.context() as patch:
+                    patch.setattr(dominance_module, "_block_rows", lambda n: block)
+                    patch.setattr(dominance_module, "_RECORD_ROWS", records)
+                    assert run(capsys, *argv) == (0, expected, "")
+
+
 class TestUsageAndOutput:
     def test_no_command_exits_1(self, capsys):
         code, _, err = run(capsys)

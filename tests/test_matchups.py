@@ -135,12 +135,6 @@ class TestMatchupTable:
         assert [[c.value for c in row] for row in t.cells] == _oracles.cell_grid(a, b)
         assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(a, b)
 
-    def test_cells_built_once_on_first_read(self):
-        t = matchup_table(MTL, NY)
-        assert "cells" not in vars(t)
-        assert t.cells is t.cells
-        assert "cells" in vars(t)
-
     @given(wide_values_k)
     def test_same_table_as_the_dataclass_builds(self, pair):
         a, b = (Allocation(tuple(side)) for side in pair)
@@ -149,9 +143,9 @@ class TestMatchupTable:
         assert made == built and built == made
         assert hash(made) == hash(built)
         assert repr(made) == repr(built)
-        assert sorted(vars(made)) == sorted(vars(built))
         assert made.cells == built.cells
-        assert sorted(vars(made)) == sorted(vars(built))  # both cached cells
+        with pytest.raises(AttributeError):
+            made.wins_a = 0
 
     def test_equality_and_hash_follow_the_values(self):
         t, again = matchup_table(MTL, NY), matchup_table(MTL, NY)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from capcycle import (
     Allocation,
     AllTiesError,
-    Cell,
     DimensionMismatchError,
     SimConfig,
     TiePolicy,
@@ -15,18 +14,23 @@ from capcycle import (
     simulate_games,
 )
 import capcycle.simulate as simulate_module
-from capcycle.simulate import _BLOCK, _GAMMA, _outputs, sample_cell
+from capcycle.simulate import _BLOCK, _GAMMA, _outputs
 
 from . import _oracles
 
 MTL = Allocation((1, 1, 4))
 NY = Allocation((3, 3, 0))
 BOS = Allocation((2, 2, 2))
-SIGN = {Cell.A_WIN: 1, Cell.B_WIN: -1, Cell.TIE: 0}
 
 # Reference splitmix64 outputs from state 0 (also reproduced by the
 # independently transcribed oracle below).
 REF_FROM_ZERO = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+def _first_roll(a, b, seed):
+    """+1 if a wins the first roll from ``seed``, -1 if b wins, 0 on a tie."""
+    stats = simulate_games(a, b, SimConfig(seed, 1, TiePolicy.NOGAME))
+    return stats.a_game_wins - stats.b_game_wins
 
 
 class TestPrng:
@@ -48,38 +52,6 @@ class TestPrng:
     def test_output_range(self, seed):
         (out,) = _outputs(seed, 1).tolist()
         assert isinstance(out, int) and 0 <= out < 2**64
-
-
-class TestSampleCell:
-    def test_deterministic(self):
-        state1, cell1 = sample_cell(MTL, NY, 42)
-        state2, cell2 = sample_cell(MTL, NY, 42)
-        assert (state1, cell1) == (state2, cell2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            sample_cell(Allocation((1, 2)), NY, 0)
-
-    def test_outcome_matches_manual_replay(self):
-        # replay the draws with the oracle generator: a's index, then b's
-        state = 7
-        outs = _oracles.splitmix64_outputs(state, 2)
-        threshold = (2**64 // 3) * 3
-        assert all(o < threshold for o in outs)  # no rejection on this path
-        i, j = outs[0] % 3, outs[1] % 3
-        x, y = MTL.values[i], NY.values[j]
-        expected = Cell.A_WIN if x > y else Cell.B_WIN if x < y else Cell.TIE
-        _, cell = sample_cell(MTL, NY, 7)
-        assert cell is expected
-
-    def test_statistics_roughly_match(self):
-        counts = {Cell.A_WIN: 0, Cell.B_WIN: 0, Cell.TIE: 0}
-        state = 0
-        for _ in range(9000):
-            state, cell = sample_cell(MTL, NY, state)
-            counts[cell] += 1
-        assert counts[Cell.TIE] == 0  # no equal values in this pair
-        assert abs(counts[Cell.A_WIN] / 9000 - 5 / 9) < 0.02
 
 
 class TestSimConfig:
@@ -172,6 +144,10 @@ class TestSimulateGames:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             simulate_games(Allocation((1, 2)), NY, SimConfig(seed=0, n_games=1))
+
+    def test_one_game_matches_manual_replay(self):
+        # one NOGAME game is one roll, replayed by the oracle: a's index, then b's
+        assert _first_roll(MTL, NY, 7) == _oracles.roll(MTL.values, NY.values, 7)[1]
 
     def test_salaries_past_two_to_the_63_replay_oracle(self):
         # as numpy arrays these would be uint64, where 0 - 2^63 wraps
@@ -323,8 +299,7 @@ class TestIndexSampling:
         # 2^64 - 1 is the one output k = 3 rejects; put it at stream position m
         seed = _oracles.splitmix64_seed_for(2**64 - 1, m)
         assert _oracles.splitmix64_outputs(seed, m + 1)[m] == 2**64 - 1
-        state, cell = sample_cell(MTL, NY, seed)
-        assert (state, SIGN[cell]) == _oracles.roll(MTL.values, NY.values, seed)
+        assert _first_roll(MTL, NY, seed) == _oracles.roll(MTL.values, NY.values, seed)[1]
 
         drawish = Allocation((3, 2, 1))  # 1/3 of rolls tie against BOS
         for policy in TiePolicy:
