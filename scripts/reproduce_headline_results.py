@@ -46,7 +46,7 @@ def main() -> None:
         name_b, b = TEAMS[(i + 1) % len(TEAMS)]
         table = matchup_table(a, b)
         print()
-        print(emit_matchup_grid(a, b, table, name_a, name_b))
+        print(emit_matchup_grid(table, name_a, name_b))
         print(matchup_summary_line(table, name_a, name_b))
 
     banner("full strategy-space analysis at budget 6")

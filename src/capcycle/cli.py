@@ -139,11 +139,11 @@ def _cmd_matchup(args, limit: int) -> str:
     b = parse_allocation(args.b)
     table = matchup_table(a, b)
     if args.format == "json":
-        return to_json_text(matchup_json_dict(a, b, table))
+        return to_json_text(matchup_json_dict(table))
     if args.format == "csv":
-        return emit_matchup_csv(a, b, table, args.label_a, args.label_b)
+        return emit_matchup_csv(table, args.label_a, args.label_b)
     lines = [
-        emit_matchup_grid(a, b, table, args.label_a, args.label_b),
+        emit_matchup_grid(table, args.label_a, args.label_b),
         matchup_summary_line(table, args.label_a, args.label_b),
     ]
     if a.budget != b.budget:

@@ -129,34 +129,30 @@ def analyze(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> AnalysisRe
 # matchup grid rendering
 
 
-def emit_matchup_grid(
-    a: Allocation,
-    b: Allocation,
-    table: MatchupTable,
-    label_a: str = "A",
-    label_b: str = "B",
-) -> str:
-    """Text grid: b's values head the columns, a's values head the rows,
-    each interior cell names the winning side or "tie"."""
-    corner = f"{label_a}\\{label_b}"
+def _matchup_rows(
+    table: MatchupTable, label_a: str, label_b: str, corner: str
+) -> list[list[str]]:
+    """The matchup grid as text rows: ``corner`` and b's values head the
+    columns, then one row per a value, the value and each cell's winner, a
+    label or "tie"."""
     cell_texts = {Cell.A_WIN: label_a, Cell.B_WIN: label_b, Cell.TIE: "tie"}
-    col_w = max(
-        len(label_a), len(label_b), 3, *(len(str(v)) for v in b.values)
-    )
-    head_w = max(len(corner), *(len(str(v)) for v in a.values))
-
-    lines = [
-        corner.rjust(head_w)
-        + " |"
-        + "".join(f" {str(v).rjust(col_w)}" for v in b.values)
+    return [[corner, *map(str, table.b_values)]] + [
+        [str(value), *(cell_texts[c] for c in row)]
+        for value, row in zip(table.a_values, table.cells)
     ]
-    lines.append("-" * head_w + "-+" + "-" * (table.k * (col_w + 1)))
-    for value, row in zip(a.values, table.cells):
-        lines.append(
-            str(value).rjust(head_w)
-            + " |"
-            + "".join(f" {cell_texts[c].rjust(col_w)}" for c in row)
-        )
+
+
+def emit_matchup_grid(table: MatchupTable, label_a: str = "A", label_b: str = "B") -> str:
+    """Text grid of the table: b's values head the columns, a's the rows,
+    each interior cell names the winning side or "tie"."""
+    rows = _matchup_rows(table, label_a, label_b, f"{label_a}\\{label_b}")
+    col_w = max(len(label_a), len(label_b), 3, *map(len, rows[0][1:]))
+    head_w = max(len(row[0]) for row in rows)
+    lines = [
+        row[0].rjust(head_w) + " |" + "".join(f" {t.rjust(col_w)}" for t in row[1:])
+        for row in rows
+    ]
+    lines.insert(1, "-" * head_w + "-+" + "-" * (table.k * (col_w + 1)))
     return "\n".join(lines)
 
 
@@ -176,33 +172,24 @@ def matchup_summary_line(
     )
 
 
-def emit_matchup_csv(
-    a: Allocation,
-    b: Allocation,
-    table: MatchupTable,
-    label_a: str = "A",
-    label_b: str = "B",
-) -> str:
-    """CSV grid: header row/column carry the input values, cells the winner."""
+def emit_matchup_csv(table: MatchupTable, label_a: str = "A", label_b: str = "B") -> str:
+    """CSV grid of the table: header row/column carry its values, cells the winner."""
     import csv
     import io
 
-    cell_texts = {Cell.A_WIN: label_a, Cell.B_WIN: label_b, Cell.TIE: "tie"}
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([""] + [str(v) for v in b.values])
-    for value, row in zip(a.values, table.cells):
-        writer.writerow([str(value)] + [cell_texts[c] for c in row])
+    csv.writer(buf, lineterminator="\n").writerows(_matchup_rows(table, label_a, label_b, ""))
     return buf.getvalue().rstrip("\n")
 
 
-def matchup_json_dict(a: Allocation, b: Allocation, table: MatchupTable) -> dict[str, Any]:
+def matchup_json_dict(table: MatchupTable) -> dict[str, Any]:
+    """The matchup as a dict for json.dumps; each budget is its side's sum."""
     return {
-        "a": list(a.values),
-        "b": list(b.values),
+        "a": list(table.a_values),
+        "b": list(table.b_values),
         "k": table.k,
-        "a_budget": a.budget,
-        "b_budget": b.budget,
+        "a_budget": sum(table.a_values),
+        "b_budget": sum(table.b_values),
         "wins_a": table.wins_a,
         "wins_b": table.wins_b,
         "ties": table.ties,
@@ -456,12 +443,15 @@ def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
 def analysis_from_json_dict(payload: dict[str, Any]) -> AnalysisReport:
     """Rebuild an AnalysisReport from its JSON form.
 
-    Only "budget", "k" and "nodes" are read: the graph over those nodes
-    determines every other field, so the rebuilt report equals the one
-    that was written.
+    The report is ``analyze(payload["budget"], payload["k"])``, which
+    determines every other field, so it equals the one that was written.
+    Raises ValueError when the payload's "nodes" are not that report's
+    nodes: only what the JSON export writes is read back.
     """
-    nodes = tuple(Partition(tuple(v)) for v in payload["nodes"])
-    return AnalysisReport(DominanceGraph(payload["budget"], payload["k"], nodes))
+    report = analyze(payload["budget"], payload["k"])
+    if payload["nodes"] != [list(p.values) for p in report.graph.nodes]:
+        raise ValueError("the payload's nodes are not the partitions of its budget and k")
+    return report
 
 
 def to_json_text(payload: dict[str, Any]) -> str:

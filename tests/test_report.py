@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 import capcycle.dominance as dominance_module
 import capcycle.report as report_module
@@ -98,9 +101,40 @@ def assert_text_matches_oracle(report):
     )
 
 
+@st.composite
+def matchup_sides(draw):
+    """Two sides of 1 to 6 values with unequal budgets, a's holding one
+    value of at least 2^63."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    value = st.one_of(st.integers(0, 9), st.integers(0, 2**64))
+    a, b = (draw(st.lists(value, min_size=k, max_size=k)) for _ in range(2))
+    a[draw(st.integers(0, k - 1))] = draw(st.integers(2**63, 2**70))
+    assume(sum(a) != sum(b))
+    return tuple(a), tuple(b)
+
+
+# No whitespace, so a grid cell is its text stripped; longer than any value
+# above at up to 30 characters.
+labels = st.text(alphabet='ab,"Z', min_size=1, max_size=30)
+
+
+def grid_fields(grid: str, k: int) -> list[list[str]]:
+    """The grid's header and body rows split at its column rule."""
+    head, rule, *body = grid.split("\n")
+    head_w = rule.index("+") - 1
+    width = (len(rule) - head_w - 2) // k
+    assert rule == "-" * head_w + "-+" + "-" * (k * width)
+    rows = []
+    for line in [head, *body]:
+        assert len(line) == len(rule) and line[head_w : head_w + 2] == " |"
+        cells = [line[head_w + 2 + j * width :][:width] for j in range(k)]
+        rows.append([text.strip() for text in [line[:head_w], *cells]])
+    return rows
+
+
 class TestMatchupRendering:
     def test_grid_frozen(self):
-        grid = emit_matchup_grid(MTL, NY, matchup_table(MTL, NY), "MTL", "NY")
+        grid = emit_matchup_grid(matchup_table(MTL, NY), "MTL", "NY")
         assert grid == EXPECTED_GRID
 
     def test_summary_line(self):
@@ -112,17 +146,17 @@ class TestMatchupRendering:
         assert matchup_summary_line(t) == "A wins 4, B wins 4, ties 1; outcome: draw"
 
     def test_csv_frozen(self):
-        out = emit_matchup_csv(MTL, NY, matchup_table(MTL, NY), "MTL", "NY")
+        out = emit_matchup_csv(matchup_table(MTL, NY), "MTL", "NY")
         assert out == EXPECTED_CSV
 
     def test_grid_shows_ties(self):
         a, b = Allocation((2, 2, 2)), Allocation((3, 2, 1))
-        grid = emit_matchup_grid(a, b, matchup_table(a, b))
+        grid = emit_matchup_grid(matchup_table(a, b))
         assert "tie" in grid
 
     def test_identical_constant_allocations_all_tie_body(self):
         c = Allocation((2, 2, 2))
-        grid = emit_matchup_grid(c, c, matchup_table(c, c))
+        grid = emit_matchup_grid(matchup_table(c, c))
         body = grid.splitlines()[2:]
         assert len(body) == 3
         for line in body:
@@ -131,13 +165,13 @@ class TestMatchupRendering:
 
     def test_single_cell_grid(self):
         a, b = Allocation((2,)), Allocation((1,))
-        grid = emit_matchup_grid(a, b, matchup_table(a, b))
+        grid = emit_matchup_grid(matchup_table(a, b))
         lines = grid.splitlines()
         assert len(lines) == 3
         assert lines[2].split("|")[1].split() == ["A"]
 
     def test_json_dict(self):
-        payload = matchup_json_dict(MTL, NY, matchup_table(MTL, NY))
+        payload = matchup_json_dict(matchup_table(MTL, NY))
         assert payload == {
             "a": [1, 1, 4],
             "b": [3, 3, 0],
@@ -155,6 +189,26 @@ class TestMatchupRendering:
             ],
         }
         json.dumps(payload)  # must be serializable as-is
+
+
+    @given(matchup_sides(), labels, labels)
+    @example(((2**63, 1), (1, 2**63)), "a,b", "LONGLABEL")
+    @example(((2**64, 0, 5), (5, 5, 5)), 'say"hi"', "Z" * 30)
+    def test_renderers_match_oracle_grid(self, sides, label_a, label_b):
+        a, b = sides
+        table = matchup_table(Allocation(a), Allocation(b))
+        texts = {"A": label_a, "B": label_b, "tie": "tie"}
+        body = [
+            [str(x), *(texts[c] for c in row)] for x, row in zip(a, _oracles.cell_grid(a, b))
+        ]
+        header = [str(y) for y in b]
+        grid = emit_matchup_grid(table, label_a, label_b)
+        assert grid_fields(grid, len(a)) == [[f"{label_a}\\{label_b}", *header], *body]
+        out = emit_matchup_csv(table, label_a, label_b)
+        assert list(csv.reader(io.StringIO(out))) == [["", *header], *body]
+        payload = matchup_json_dict(table)
+        assert (payload["a"], payload["b"]) == (list(a), list(b))
+        assert (payload["a_budget"], payload["b_budget"]) == (sum(a), sum(b))
 
 
 class TestAnalyze:
@@ -262,6 +316,22 @@ class TestGraphExports:
         assert rebuilt == report_6_3
         assert rebuilt.counters == report_6_3.counters
         assert rebuilt.claim == report_6_3.claim
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload.update(budget=7),
+            lambda payload: payload.update(k=4),
+            lambda payload: payload.update(nodes=[]),
+            lambda payload: payload["nodes"][3].pop(),
+        ],
+        ids=["budget", "k", "empty-nodes", "short-node"],
+    )
+    def test_rebuild_refuses_a_payload_the_export_did_not_write(self, report_6_3, edit):
+        payload = analysis_json_dict(report_6_3)
+        edit(payload)
+        with pytest.raises(ValueError, match="not the partitions of its budget and k"):
+            analysis_from_json_dict(payload)
 
     def test_graph_json_skips_the_counter_table(self, monkeypatch):
         def refuse(graph):
