@@ -11,7 +11,7 @@ without loss.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,9 +38,10 @@ class Allocation:
             raise EmptyAllocationError("allocation needs at least one category")
         checked = []
         for v in vals:
-            if not isinstance(v, numbers.Integral):
-                raise AllocationError(f"salaries must be whole numbers, got {v!r}")
-            v = int(v)
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise AllocationError(f"salaries must be whole numbers, got {v!r}") from None
             if v < 0:
                 raise NegativeEntryError(f"salaries must be nonnegative, got {v}")
             checked.append(v)

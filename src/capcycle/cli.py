@@ -238,6 +238,7 @@ def _write_text(stream: TextIO, output: str | Iterable[str]) -> None:
     """Write ``output``, one text or its pieces in order, then a newline."""
     for piece in [output] if isinstance(output, str) else output:
         stream.write(piece)
+        del piece  # freed before the generator makes the next piece
     stream.write("\n")
 
 

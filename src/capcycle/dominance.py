@@ -299,6 +299,7 @@ class ThreeCycles:
                     block[:, 0] = x
                     block[:, 1] = ys[part][rows]
                     block[:, 2] = zs[cols]
+                    del rows, cols
                     yield block
 
     def __iter__(self) -> Iterator[Cycle]:

@@ -209,38 +209,31 @@ def _text_rows(texts: Iterable[str]) -> np.ndarray:
     return rows.view(f"V{rows.itemsize}")
 
 
-class _Records:
-    """Listing pieces formatted in one byte buffer, which grows to the
-    largest piece and is reused for every later one, so the pieces of a
-    listing do not each allocate and free an array of their own."""
+def _records(fields: list[bytes | np.ndarray]) -> str:
+    """The text of every row run together; a row is the concatenation of
+    ``fields``.
 
-    def __init__(self) -> None:
-        self._buffer = np.empty(0, dtype=np.uint8)
-
-    def __call__(self, fields: list[bytes | np.ndarray]) -> str:
-        """The text of every row run together; a row is the concatenation of
-        ``fields``.
-
-        A field is a literal byte string, the same in every row, or a
-        ``_text_rows`` array with one entry per row. The rows are filled into
-        the buffer, viewed as one structured array, and its bytes are read out
-        without the zero padding. That is exact because every text comes from
-        json.dumps or str, and neither writes a NUL byte.
-        """
-        n_rows = next(len(field) for field in fields if isinstance(field, np.ndarray))
-        dtype = np.dtype(
-            [
-                (f"f{i}", f"S{len(field)}" if isinstance(field, bytes) else field.dtype)
-                for i, field in enumerate(fields)
-            ]
-        )
-        size = n_rows * dtype.itemsize
-        if size > self._buffer.size:
-            self._buffer = np.empty(size, dtype=np.uint8)
-        rec = self._buffer[:size].view(dtype)
-        for i, field in enumerate(fields):
-            rec[f"f{i}"] = field
-        return rec.tobytes().translate(None, b"\0").decode("ascii")
+    A field is a literal byte string, the same in every row, or a
+    ``_text_rows`` array with one entry per row. The rows are filled into a
+    fresh byte buffer, viewed as one structured array, and the buffer is read
+    out without the zero padding. That is exact because every text comes from
+    json.dumps or str, and neither writes a NUL byte. The padded buffer is
+    freed before the text is decoded, so a piece is held at most twice.
+    """
+    n_rows = next(len(field) for field in fields if isinstance(field, np.ndarray))
+    dtype = np.dtype(
+        [
+            (f"f{i}", f"S{len(field)}" if isinstance(field, bytes) else field.dtype)
+            for i, field in enumerate(fields)
+        ]
+    )
+    text = bytearray(n_rows * dtype.itemsize)
+    rec = np.frombuffer(text, dtype=dtype)
+    for i, field in enumerate(fields):
+        rec[f"f{i}"] = field
+    del rec
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def _numbers(graph: DominanceGraph) -> np.ndarray:
@@ -278,28 +271,26 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
         + [f'  n{i} [label="{format_allocation(node)}"];' for i, node in enumerate(nodes)]
     )
     numbers = _numbers(graph)
-    records = _Records()
-    node = nodes.__getitem__
+    node = np.array(nodes, dtype=object)
     for w, l in graph.pair_blocks(True):
-        tables = map(matchup_table, map(node, w.tolist()), map(node, l.tolist()))
-        wins = np.fromiter(
-            map(attrgetter("wins_a", "wins_b"), tables), dtype=(np.intp, 2), count=len(w)
-        )
-        yield records(
+        tables = map(matchup_table, node[w], node[l])
+        # margin = wins_w - wins_l, so the loser's count is exact from the margin.
+        wins = np.fromiter(map(attrgetter("wins_a"), tables), dtype=np.intp, count=len(w))
+        yield _records(
             [
                 b"\n  n",
                 numbers[w],
                 b" -> n",
                 numbers[l],
                 b' [label="',
-                numbers[wins[:, 0]],
+                numbers[wins],
                 b"-",
-                numbers[wins[:, 1]],
+                numbers[wins - graph.margin[w, l]],
                 b'"];',
             ]
         )
     for first, second in graph.pair_blocks(False):
-        yield records(
+        yield _records(
             [b"\n  n", numbers[first], b" -> n", numbers[second], b" [dir=none, style=dashed];"]
         )
     yield "\n}"
@@ -360,10 +351,9 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
     yield "{" + _json_members({"budget": g.budget, "k": g.k}) + ', "nodes": ['
     yield ", ".join(node_texts)
     numbers = _numbers(g)
-    records = _Records()
     yield '], "edges": ['
     yield from _list_body(
-        records(
+        _records(
             [
                 b', {"winner": ',
                 numbers[w],
@@ -378,7 +368,7 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
     )
     yield '], "draws": ['
     yield from _list_body(
-        records([b", [", numbers[first], b", ", numbers[second], b"]"])
+        _records([b", [", numbers[first], b", ", numbers[second], b"]"])
         for first, second in g.pair_blocks(False)
     )
     yield '], "three_cycles": ['
@@ -386,7 +376,7 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
     # the same x, so that node's text is written once for the piece.
     node_rows = _text_rows(node_texts)
     yield from _list_body(
-        records(
+        _records(
             [
                 f", [{node_texts[block[0, 0]]}, ".encode("ascii"),
                 node_rows[block[part, 1]],

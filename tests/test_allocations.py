@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -48,6 +50,28 @@ class TestAllocation:
     def test_non_integer_rejected(self):
         with pytest.raises(AllocationError):
             Allocation((1.5, 2))
+
+    @pytest.mark.parametrize(
+        "values, error, message",
+        [
+            ((1, 2.0, -1), AllocationError, "salaries must be whole numbers, got 2.0"),
+            ((1, -1, 2.0), NegativeEntryError, "salaries must be nonnegative, got -1"),
+            ((Fraction(1, 2), 1), AllocationError, "salaries must be whole numbers, got Fraction(1, 2)"),
+            (("3",), AllocationError, "salaries must be whole numbers, got '3'"),
+            ((np.int64(3), 1.5), AllocationError, "salaries must be whole numbers, got 1.5"),
+            ((True, -2), NegativeEntryError, "salaries must be nonnegative, got -2"),
+        ],
+    )
+    def test_first_bad_value_is_reported(self, values, error, message):
+        with pytest.raises(AllocationError) as caught:
+            Allocation(values)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    def test_integer_types_become_ints(self):
+        values = Allocation((np.int64(3), True, 0)).values
+        assert values == (3, 1, 0)
+        assert all(type(v) is int for v in values)
 
     def test_new_allocation_accepts_iterables(self):
         assert Allocation(iter([2, 2, 2])) == Allocation((2, 2, 2))

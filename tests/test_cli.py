@@ -479,6 +479,37 @@ class TestStreamedOutput:
             assert out == "\n".join(map(format_allocation, items)) + "\n"
 
 
+class TestClosedPipe:
+    """A reader that stops early closes the pipe while the listing is being
+    written: the CLI exits 1 at its next write, with nothing on stderr."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--budget", "20", "--k", "5"],
+            ["graph", "--budget", "20", "--k", "5", "--format", "json"],
+            ["analyze", "--budget", "20", "--k", "5", "--format", "json"],
+            ["enumerate", "--budget", "150", "--k", "4"],
+        ],
+        ids=["graph-dot", "graph-json", "analyze-json", "enumerate"],
+    )
+    def test_exits_1_without_a_traceback(self, argv):
+        # Each output is 0.5 to 7 MB, far more than a pipe buffers.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "capcycle", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert len(proc.stdout.read(300)) == 300
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.returncode == 1
+        assert err == b""
+
+
 def _exports(budget, k):
     space = ["--budget", str(budget), "--k", str(k)]
     return [

@@ -1,7 +1,8 @@
-"""The README library example and the scripts run as users run them, the
-public names are the ones they use, the benchmark's reference commands print
-their recorded stdout, and the benchmark trace finds its layers, counts one
-matchup per DOT edge and sizes an analysis as its report does."""
+"""The README library example, its CLI transcript and the scripts run as
+users run them, the public names are the ones they use, the benchmark's
+reference commands print their recorded stdout, and the benchmark trace finds
+its layers, counts one matchup per DOT edge and sizes an analysis as its
+report does."""
 
 import hashlib
 import importlib
@@ -9,6 +10,7 @@ import json
 import os
 import re
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +26,15 @@ def _readme_library_block() -> str:
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _readme_transcript() -> tuple[list[str], str]:
+    """The README's one CLI transcript: the arguments after ``$ capcycle``
+    and the text printed below them."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n\$ capcycle (matchup .*?)```", readme, re.S).group(1)
+    command, output = block.split("\n", 1)
+    return shlex.split(command), output
 
 
 def _run(argv: list[str]) -> subprocess.CompletedProcess:
@@ -47,6 +58,11 @@ def test_runs_and_repeats_exactly(argv):
     first = _run([sys.executable, *argv]).stdout
     assert first
     assert _run([sys.executable, *argv]).stdout == first
+
+
+def test_readme_transcript_is_the_cli_output():
+    argv, output = _readme_transcript()
+    assert _run([sys.executable, "-m", "capcycle", *argv]).stdout == output
 
 
 def test_traced_layers_resolve():
