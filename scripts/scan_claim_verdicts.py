@@ -30,7 +30,7 @@ def main() -> None:
                 verdict = f"fails ({free})"
             print(
                 f"{budget:>3} {k:>2} {r.partition_count:>6} "
-                f"{r.graph.n_edges:>7} {len(r.three_cycles):>7}  {verdict}"
+                f"{r.n_edges:>7} {len(r.three_cycles):>7}  {verdict}"
             )
         print()
 

@@ -20,6 +20,7 @@ from .allocations import (
 )
 from .dominance import (
     ClaimVerdict,
+    CounterEntry,
     DominanceGraph,
     ThreeCycles,
     build_graph,
@@ -42,8 +43,6 @@ from .matchups import (
     win_probability,
 )
 from .report import (
-    AnalysisReport,
-    CounterEntry,
     analysis_from_json_dict,
     analysis_json_pieces,
     analyze,
@@ -73,7 +72,6 @@ __all__ = [
     "Allocation",
     "AllocationError",
     "AllTiesError",
-    "AnalysisReport",
     "CapcycleError",
     "Cell",
     "ClaimVerdict",

@@ -178,10 +178,10 @@ def _cmd_counter(args, limit: int) -> str:
 
 
 def _cmd_analyze(args, limit: int) -> str | Iterator[str]:
-    report = analyze(args.budget, args.k, limit)
+    graph = analyze(args.budget, args.k, limit)
     if args.format == "json":
-        return analysis_json_pieces(report)
-    return render_analysis_text(report)
+        return analysis_json_pieces(graph)
+    return render_analysis_text(graph)
 
 
 def _cmd_simulate(args, limit: int) -> str:
@@ -202,12 +202,7 @@ def _cmd_simulate(args, limit: int) -> str:
     else:
         stats = simulate_games(a, b, config)
 
-    table = matchup_table(a, b)
-    try:
-        exact_p = win_probability(table, policy)
-    except AllTiesError:
-        exact_p = None
-
+    exact_p = win_probability(matchup_table(a, b), policy)
     if args.format == "json":
         return to_json_text(simulation_json_dict(config, stats, exact_p))
 
@@ -224,10 +219,7 @@ def _cmd_simulate(args, limit: int) -> str:
         lines.append("empirical a frequency: undefined (no decisive games)")
     else:
         lines.append(f"empirical a frequency: {freq:.4f}")
-    if exact_p is None:
-        lines.append("exact p(a): undefined (all cells tie)")
-    else:
-        lines.append(f"exact p(a): {_fraction_text(exact_p)}")
+    lines.append(f"exact p(a): {_fraction_text(exact_p)}")
     if config.best_of is not None:
         lines.append(f"series: best-of-{config.best_of} x {config.n_series}")
         lines.append(f"series wins: a {stats.a_series_wins}, b {stats.b_series_wins}")
@@ -255,10 +247,12 @@ def _write(output: str | Iterable[str], out_path: str | None) -> int:
     try:
         _write_text(sys.stdout, output)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe. Point stdout at the null device, so the
-        # flush at interpreter exit does not fail again.
+    except OSError as exc:
+        # Point stdout at the null device, so the flush at interpreter exit
+        # does not fail again. A closed pipe means the reader has gone: quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"capcycle: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 

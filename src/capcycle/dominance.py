@@ -1,14 +1,15 @@
-"""Strict-dominance digraph over all capped strategies.
+"""Strict-dominance digraph over all capped strategies, and its analysis.
 
 Nodes are canonical partitions of the budget; a directed edge means the
 winner takes strictly more matchup cells than the loser. The interesting
 structure is the intransitive part: directed 3-cycles and nontrivial
 strongly connected components, plus the set of strategies nothing beats.
+The graph is the analysis: those, the claim verdict and the counter table
+are its properties, each computed by this module's functions on first read.
 """
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +21,7 @@ from .allocations import (
     DEFAULT_SPACE_LIMIT,
     Allocation,
     Partition,
+    composition_count,
     enumerate_partitions,
     partition_tuples,
 )
@@ -64,8 +66,33 @@ def _slices(length: int, size: int) -> Iterator[slice]:
 
 
 @dataclass(frozen=True)
+class CounterEntry:
+    """One row of the counter-strategy table."""
+
+    node: Partition
+    counter: Partition | None
+    margin: int | None
+
+
+@dataclass(frozen=True)
+class ClaimVerdict:
+    """Whether every capped strategy has a strictly better same-cap answer.
+
+    ``counterexamples`` lists the strategies with no strict dominator;
+    the claim holds exactly when that list is empty.
+    """
+
+    counterexamples: tuple[Partition, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.counterexamples
+
+
+@dataclass(frozen=True)
 class DominanceGraph:
-    """Exhaustive pairwise classification of the capped strategy space.
+    """Exhaustive pairwise classification of the capped strategy space, and
+    the analysis read from it.
 
     The relation is held once, as the n x n ``margin`` matrix, computed
     from the nodes at the narrowest exact integer dtype: one byte per node
@@ -76,6 +103,9 @@ class DominanceGraph:
     Every unordered node pair appears exactly once, either as a strict
     edge (with its positive win margin) or as a draw pair. Nodes are in
     lexicographically descending order, matching enumerate_partitions.
+    The 3-cycles, components, undominated set and counter table are
+    computed on first read and then kept; reading one computes only what
+    it needs.
     """
 
     budget: int
@@ -136,19 +166,42 @@ class DominanceGraph:
             for pair in zip(first.tolist(), second.tolist())
         )
 
+    @property
+    def composition_count(self) -> int:
+        """Ordered allocations of the budget across the k categories."""
+        return composition_count(self.budget, self.k)
 
-@dataclass(frozen=True)
-class ClaimVerdict:
-    """Whether every capped strategy has a strictly better same-cap answer.
+    @property
+    def partition_count(self) -> int:
+        return len(self.nodes)
 
-    ``counterexamples`` lists the strategies with no strict dominator;
-    the claim holds exactly when that list is empty.
-    """
+    @cached_property
+    def three_cycles(self) -> ThreeCycles:
+        return find_three_cycles(self)
 
-    holds: bool
-    counterexamples: tuple[Partition, ...]
-    budget: int
-    k: int
+    @cached_property
+    def scc(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(strongly_connected_components(self))
+
+    @property
+    def scc_sizes(self) -> tuple[int, ...]:
+        return tuple(sorted(map(len, self.scc), reverse=True))
+
+    @cached_property
+    def undominated(self) -> tuple[Partition, ...]:
+        return tuple(undominated(self))
+
+    @property
+    def claim(self) -> ClaimVerdict:
+        return ClaimVerdict(self.undominated)
+
+    @cached_property
+    def counters(self) -> tuple[CounterEntry, ...]:
+        """One entry per node, in node order: its best counter, or none."""
+        return tuple(
+            CounterEntry(node, *(pair or (None, None)))
+            for node, pair in zip(self.nodes, best_counters(self))
+        )
 
 
 def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -231,12 +284,14 @@ class ThreeCycles:
     a time, a block of candidate rows at a time, and yields the cycles as
     node-index arrays; iterating maps those to partitions. Each cycle comes
     once, smallest node (by value) first, sorted by ascending node values.
-    Compares equal to any sequence that holds the same cycles in the same
-    order.
     """
 
     def __init__(self, graph: DominanceGraph) -> None:
-        self.graph = graph
+        # The graph caches this object, so it keeps what it reads rather than
+        # the graph: a reference cycle would keep a dropped graph's margin
+        # alive until a garbage collector pass.
+        self.budget, self.k = graph.budget, graph.k
+        self.margin, self.nodes = graph.margin, graph.nodes
 
     @cached_property
     def _count(self) -> int:
@@ -254,7 +309,7 @@ class ThreeCycles:
         products are exact; the masked sums are float64 and the traces at
         most 1024^3, all far below 2^53, so exact.
         """
-        margin = self.graph.margin
+        margin = self.margin
         n = len(margin)
         rows = _block_rows(n)
         count = 0
@@ -286,7 +341,7 @@ class ThreeCycles:
         z descend: the canonical order. Lazy: taking the first few cycles
         computes only the first blocks. Slices with no cycle yield no block.
         """
-        margin = self.graph.margin
+        margin = self.margin
         size = _block_rows(len(margin))
         for x in range(len(margin) - 1, -1, -1):
             row = margin[x, :x]
@@ -303,7 +358,7 @@ class ThreeCycles:
                     yield block
 
     def __iter__(self) -> Iterator[Cycle]:
-        nodes = self.graph.nodes
+        nodes = self.nodes
         for block in self.index_blocks():
             # A block can hold thousands of cycles; converting it a slice at
             # a time keeps a short listing from building them all as ints.
@@ -311,18 +366,8 @@ class ThreeCycles:
                 for x, y, z in block[start : start + 256].tolist():
                     yield nodes[x], nodes[y], nodes[z]
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ThreeCycles) and other.graph == self.graph:
-            return True
-        if not isinstance(other, (ThreeCycles, Sequence)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    __hash__ = None  # equal to lists, which are unhashable
-
     def __repr__(self) -> str:
-        g = self.graph
-        return f"ThreeCycles(budget={g.budget}, k={g.k}, count={len(self)})"
+        return f"ThreeCycles(budget={self.budget}, k={self.k}, count={len(self)})"
 
 
 def _adjacency(block: np.ndarray) -> np.ndarray:

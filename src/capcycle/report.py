@@ -1,40 +1,24 @@
-"""Report assembly and rendering: grids, DOT, JSON, and the text analysis.
+"""Rendering: matchup grids, DOT, JSON and the text analysis, and the JSON
+reader.
 
-Everything here is deterministic: fixed node order, fixed edge order,
-fixed serialization, so repeated runs are byte-identical.
+The analysis itself is the DominanceGraph (see dominance); this module only
+writes it out. Everything here is deterministic: fixed node order, fixed
+edge order, fixed serialization, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from fractions import Fraction
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .allocations import (
-    DEFAULT_SPACE_LIMIT,
-    Allocation,
-    Partition,
-    composition_count,
-    format_allocation,
-)
+from .allocations import DEFAULT_SPACE_LIMIT, Allocation, format_allocation
 from . import dominance
-from .dominance import (
-    _slices,
-    ClaimVerdict,
-    Cycle,
-    DominanceGraph,
-    ThreeCycles,
-    best_counters,
-    build_graph,
-    find_three_cycles,
-    strongly_connected_components,
-    undominated,
-)
+from .dominance import _slices, Cycle, DominanceGraph, build_graph
 from .errors import SpaceTooLargeError
 from .matchups import Cell, MatchupTable, SeriesOutcome, matchup_table, series_outcome
 from .simulate import SeriesStats, SimConfig
@@ -55,74 +39,12 @@ _TEXT_CYCLE_CAP = 20  # text report prints all cycles up to this many
 MAX_LISTED_CYCLES = 10**7
 
 
-@dataclass(frozen=True)
-class CounterEntry:
-    """One row of the counter-strategy table."""
-
-    node: Partition
-    counter: Partition | None
-    margin: int | None
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    """Full strategy-space report for one (budget, k).
-
-    The dominance graph is the one stored field: every other field is a
-    view of it. The cycles, components, undominated set and counter table
-    are computed on first use and then kept.
-    """
-
-    graph: DominanceGraph
-
-    @property
-    def budget(self) -> int:
-        return self.graph.budget
-
-    @property
-    def k(self) -> int:
-        return self.graph.k
-
-    @property
-    def composition_count(self) -> int:
-        return composition_count(self.budget, self.k)
-
-    @property
-    def partition_count(self) -> int:
-        return len(self.graph.nodes)
-
-    @cached_property
-    def three_cycles(self) -> ThreeCycles:
-        return find_three_cycles(self.graph)
-
-    @cached_property
-    def scc(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(strongly_connected_components(self.graph))
-
-    @property
-    def scc_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted((len(s) for s in self.scc), reverse=True))
-
-    @cached_property
-    def undominated(self) -> tuple[Partition, ...]:
-        return tuple(undominated(self.graph))
-
-    @property
-    def claim(self) -> ClaimVerdict:
-        return ClaimVerdict(not self.undominated, self.undominated, self.budget, self.k)
-
-    @cached_property
-    def counters(self) -> tuple[CounterEntry, ...]:
-        return tuple(
-            CounterEntry(node, pair[0] if pair else None, pair[1] if pair else None)
-            for node, pair in zip(self.graph.nodes, best_counters(self.graph))
-        )
-
-
-def analyze(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> AnalysisReport:
-    """The report for the capped strategy space: the graph is built now, the
-    rest of the report on first use."""
-    return AnalysisReport(build_graph(budget, k, limit))
+def analyze(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> DominanceGraph:
+    """The analysis of the capped strategy space: the graph is built now, its
+    cycles, components and counters on first read."""
+    # A function of its own, not an alias: perfbench/traced.py times
+    # analyze and build_graph as separate layers.
+    return build_graph(budget, k, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +238,16 @@ def _list_body(pieces: Iterable[str]) -> Iterator[str]:
         yield from pieces
 
 
-def _graph_tail(report: AnalysisReport) -> str:
+def _graph_tail(graph: DominanceGraph) -> str:
     """The graph schema's members after "three_cycles".
 
-    Raises SpaceTooLargeError when the report has more than
+    Raises SpaceTooLargeError when the graph has more than
     MAX_LISTED_CYCLES 3-cycles to list. The JSON writers call this before
     they return their pieces, so a refusal comes before the first byte,
-    and the report fields these members compute on first use run while
+    and the graph fields these members compute on first read run while
     the heap is still small.
     """
-    n_cycles = len(report.three_cycles)
+    n_cycles = len(graph.three_cycles)
     if n_cycles > MAX_LISTED_CYCLES:
         raise SpaceTooLargeError(
             f"{n_cycles} 3-cycles exceed the JSON listing limit {MAX_LISTED_CYCLES}; "
@@ -333,24 +255,23 @@ def _graph_tail(report: AnalysisReport) -> str:
         )
     return _json_members(
         {
-            "scc": [list(group) for group in report.scc],
-            "undominated": [list(p.values) for p in report.undominated],
+            "scc": [list(group) for group in graph.scc],
+            "undominated": [list(p.values) for p in graph.undominated],
             "claim": {
-                "holds": report.claim.holds,
-                "counterexamples": [list(p.values) for p in report.claim.counterexamples],
+                "holds": graph.claim.holds,
+                "counterexamples": [list(p.values) for p in graph.claim.counterexamples],
             },
         }
     )
 
 
-def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
+def _json_pieces(graph: DominanceGraph, tail: str) -> Iterator[str]:
     """The graph schema's members up to "three_cycles", then ``tail``, as a
     JSON object in pieces."""
-    g = report.graph
-    node_texts = [json.dumps(list(p.values)) for p in g.nodes]
-    yield "{" + _json_members({"budget": g.budget, "k": g.k}) + ', "nodes": ['
+    node_texts = [json.dumps(list(p.values)) for p in graph.nodes]
+    yield "{" + _json_members({"budget": graph.budget, "k": graph.k}) + ', "nodes": ['
     yield ", ".join(node_texts)
-    numbers = _numbers(g)
+    numbers = _numbers(graph)
     yield '], "edges": ['
     yield from _list_body(
         _records(
@@ -360,16 +281,16 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
                 b', "loser": ',
                 numbers[l],
                 b', "margin": ',
-                numbers[g.margin[w, l]],
+                numbers[graph.margin[w, l]],
                 b"}",
             ]
         )
-        for w, l in g.pair_blocks(True)
+        for w, l in graph.pair_blocks(True)
     )
     yield '], "draws": ['
     yield from _list_body(
         _records([b", [", numbers[first], b", ", numbers[second], b"]"])
-        for first, second in g.pair_blocks(False)
+        for first, second in graph.pair_blocks(False)
     )
     yield '], "three_cycles": ['
     # One piece per slice of an index block: every cycle in it starts at
@@ -385,63 +306,63 @@ def _json_pieces(report: AnalysisReport, tail: str) -> Iterator[str]:
                 b"]",
             ]
         )
-        for block in report.three_cycles.index_blocks()
+        for block in graph.three_cycles.index_blocks()
         for part in _slices(len(block), dominance._RECORD_ROWS)
     )
     yield "], " + tail + "}"
 
 
-def graph_json_pieces(report: AnalysisReport) -> Iterator[str]:
+def graph_json_pieces(graph: DominanceGraph) -> Iterator[str]:
     """The dominance-graph export schema (no counter table) as JSON text
     pieces, made as they are read.
 
     Byte for byte what json.dumps gives for the schema, written straight
     from the margin matrix and the 3-cycle index blocks. Raises
     SpaceTooLargeError when called, before any piece is made, if the
-    report has more than MAX_LISTED_CYCLES 3-cycles to list.
+    graph has more than MAX_LISTED_CYCLES 3-cycles to list.
     """
-    return _json_pieces(report, _graph_tail(report))
+    return _json_pieces(graph, _graph_tail(graph))
 
 
-def analysis_json_pieces(report: AnalysisReport) -> Iterator[str]:
+def analysis_json_pieces(graph: DominanceGraph) -> Iterator[str]:
     """Graph schema plus census counts and the counter-strategy table, as
     JSON text pieces; refuses as graph_json_pieces does."""
-    graph_tail = _graph_tail(report)
+    graph_tail = _graph_tail(graph)
     counters = [
         {
             "node": list(entry.node.values),
             "counter": list(entry.counter.values) if entry.counter else None,
             "margin": entry.margin,
         }
-        for entry in report.counters
+        for entry in graph.counters
     ]
     tail = _json_members(
         {
-            "composition_count": report.composition_count,
-            "partition_count": report.partition_count,
+            "composition_count": graph.composition_count,
+            "partition_count": graph.partition_count,
             "counters": counters,
         }
     )
-    return _json_pieces(report, f"{graph_tail}, {tail}")
+    return _json_pieces(graph, f"{graph_tail}, {tail}")
 
 
-def analysis_json_dict(report: AnalysisReport) -> dict[str, Any]:
+def analysis_json_dict(graph: DominanceGraph) -> dict[str, Any]:
     """analysis_json_pieces parsed: the same schema as a dict."""
-    return json.loads("".join(analysis_json_pieces(report)))
+    return json.loads("".join(analysis_json_pieces(graph)))
 
 
-def analysis_from_json_dict(payload: dict[str, Any]) -> AnalysisReport:
-    """Rebuild an AnalysisReport from its JSON form.
+def analysis_from_json_dict(payload: dict[str, Any]) -> DominanceGraph:
+    """Rebuild an analysis from its JSON form.
 
-    The report is ``analyze(payload["budget"], payload["k"])``, which
+    The analysis is ``analyze(payload["budget"], payload["k"])``, which
     determines every other field, so it equals the one that was written.
-    Raises ValueError when the payload's "nodes" are not that report's
+    Raises ValueError when the payload's "nodes" are not that analysis's
     nodes: only what the JSON export writes is read back.
     """
-    report = analyze(payload["budget"], payload["k"])
-    if payload["nodes"] != [list(p.values) for p in report.graph.nodes]:
+    graph = analyze(payload["budget"], payload["k"])
+    if payload["nodes"] != [list(p.values) for p in graph.nodes]:
         raise ValueError("the payload's nodes are not the partitions of its budget and k")
-    return report
+    return graph
 
 
 def to_json_text(payload: dict[str, Any]) -> str:
@@ -458,7 +379,7 @@ def _cycle_line(cycle: Cycle) -> str:
     return " -> ".join(parts)
 
 
-def _showcase_lines(report: AnalysisReport) -> list[str]:
+def _showcase_lines(graph: DominanceGraph) -> list[str]:
     lines = [
         "showcase teams: "
         + " / ".join(f"{name} {format_allocation(v)}" for name, v in SHOWCASE_TEAMS)
@@ -472,7 +393,7 @@ def _showcase_lines(report: AnalysisReport) -> list[str]:
         t = matchup_table(Allocation(vi), Allocation(vj))
         results.append(f"{name_i} beats {name_j} {t.wins_a}-{t.wins_b}")
     lines.append("  " + "; ".join(results))
-    by_node = {entry.node.values: entry for entry in report.counters}
+    by_node = {entry.node.values: entry for entry in graph.counters}
     counter_bits = []
     all_covered = True
     for name, values in SHOWCASE_TEAMS:
@@ -489,22 +410,22 @@ def _showcase_lines(report: AnalysisReport) -> list[str]:
     return lines
 
 
-def render_analysis_text(report: AnalysisReport) -> str:
+def render_analysis_text(graph: DominanceGraph) -> str:
     """Human-readable report; states the counter-claim verdict explicitly."""
-    n = len(report.graph.nodes)
-    n_edges = report.graph.n_edges
+    n = graph.partition_count
+    n_edges = graph.n_edges
     n_draws = n * (n - 1) // 2 - n_edges  # every other unordered pair draws
-    n_cycles = len(report.three_cycles)
+    n_cycles = len(graph.three_cycles)
     lines = [
-        f"strategy space at budget {report.budget} across {report.k} categories",
-        f"compositions (ordered allocations): {report.composition_count}",
-        f"partitions (canonical strategies): {report.partition_count}",
+        f"strategy space at budget {graph.budget} across {graph.k} categories",
+        f"compositions (ordered allocations): {graph.composition_count}",
+        f"partitions (canonical strategies): {graph.partition_count}",
         f"strict dominance edges: {n_edges}",
         f"draw pairs: {n_draws}",
         f"intransitive 3-cycles: {n_cycles}",
     ]
     shown = n_cycles if n_cycles <= _TEXT_CYCLE_CAP else 10
-    for cycle in islice(report.three_cycles, shown):
+    for cycle in islice(graph.three_cycles, shown):
         lines.append("  " + _cycle_line(cycle))
     if n_cycles > _TEXT_CYCLE_CAP:
         if n_cycles <= MAX_LISTED_CYCLES:
@@ -514,32 +435,33 @@ def render_analysis_text(report: AnalysisReport) -> str:
         lines.append(f"  ... ({n_cycles - 10} more; {rest})")
     lines.append(
         "strongly connected component sizes: "
-        + ",".join(str(s) for s in report.scc_sizes)
+        + ",".join(str(s) for s in graph.scc_sizes)
     )
-    if report.undominated:
+    if graph.undominated:
         lines.append(
             "undominated strategies: "
-            + "; ".join(format_allocation(p) for p in report.undominated)
+            + "; ".join(format_allocation(p) for p in graph.undominated)
         )
     else:
         lines.append("undominated strategies: none")
-    if report.claim.holds:
+    counterexamples = graph.claim.counterexamples
+    if not counterexamples:
         lines.append(
             "universal counter claim: HOLDS "
-            f"(every allocation of {report.budget} across {report.k} categories "
+            f"(every allocation of {graph.budget} across {graph.k} categories "
             "has a strictly better same-cap answer)"
         )
     else:
-        ce = "; ".join(format_allocation(p) for p in report.claim.counterexamples)
+        ce = "; ".join(format_allocation(p) for p in counterexamples)
         lines.append(
             "universal counter claim: FAILS "
-            f"({len(report.claim.counterexamples)} undominated strateg"
-            f"{'y' if len(report.claim.counterexamples) == 1 else 'ies'}: {ce})"
+            f"({len(counterexamples)} undominated strateg"
+            f"{'y' if len(counterexamples) == 1 else 'ies'}: {ce})"
         )
-    if report.budget == SHOWCASE_BUDGET and report.k == SHOWCASE_K:
-        lines.extend(_showcase_lines(report))
+    if graph.budget == SHOWCASE_BUDGET and graph.k == SHOWCASE_K:
+        lines.extend(_showcase_lines(graph))
     lines.append("counter-strategy table:")
-    for entry in report.counters:
+    for entry in graph.counters:
         if entry.counter is None:
             lines.append(f"  {format_allocation(entry.node)}: none")
         else:
@@ -554,8 +476,10 @@ def render_analysis_text(report: AnalysisReport) -> str:
 # simulation serialization
 
 
-def simulation_json_dict(config: SimConfig, stats: SeriesStats, exact_p) -> dict[str, Any]:
-    """The "simulation" report block; exact_p is a Fraction or None."""
+def simulation_json_dict(
+    config: SimConfig, stats: SeriesStats, exact_p: Fraction
+) -> dict[str, Any]:
+    """The "simulation" report block, with the exact per-game p(a)."""
     return {
         "simulation": {
             "seed": config.seed,
@@ -568,10 +492,6 @@ def simulation_json_dict(config: SimConfig, stats: SeriesStats, exact_p) -> dict
             "tie_games": stats.tie_games,
             "a_series_wins": stats.a_series_wins,
             "b_series_wins": stats.b_series_wins,
-            "exact_p": (
-                {"num": exact_p.numerator, "den": exact_p.denominator}
-                if exact_p is not None
-                else None
-            ),
+            "exact_p": {"num": exact_p.numerator, "den": exact_p.denominator},
         }
     }

@@ -348,12 +348,11 @@ def series_win_probability(wins_a: int, wins_b: int, best_of: int) -> Fraction:
     return sum(comb(m - 1 + j, j) * p**m * q**j for j in range(m))
 
 
-def graph_json_dict(report) -> dict:
+def graph_json_dict(g) -> dict:
     """The dominance-graph export schema, built as nested lists and dicts.
 
     Cycles come from bitmask_three_cycles over the graph's strict edges.
     """
-    g = report.graph
     nodes = [list(p.values) for p in g.nodes]
     return {
         "budget": g.budget,
@@ -365,27 +364,27 @@ def graph_json_dict(report) -> dict:
             [nodes[x], nodes[y], nodes[z]]
             for x, y, z in bitmask_three_cycles(len(nodes), g.edges)
         ],
-        "scc": [list(group) for group in report.scc],
-        "undominated": [list(p.values) for p in report.undominated],
+        "scc": [list(group) for group in g.scc],
+        "undominated": [list(p.values) for p in g.undominated],
         "claim": {
-            "holds": report.claim.holds,
-            "counterexamples": [list(p.values) for p in report.claim.counterexamples],
+            "holds": g.claim.holds,
+            "counterexamples": [list(p.values) for p in g.claim.counterexamples],
         },
     }
 
 
-def analysis_json_dict(report) -> dict:
+def analysis_json_dict(g) -> dict:
     """Graph schema plus census counts and the counter-strategy table."""
-    payload = graph_json_dict(report)
-    payload["composition_count"] = report.composition_count
-    payload["partition_count"] = report.partition_count
+    payload = graph_json_dict(g)
+    payload["composition_count"] = g.composition_count
+    payload["partition_count"] = g.partition_count
     payload["counters"] = [
         {
             "node": list(entry.node.values),
             "counter": list(entry.counter.values) if entry.counter else None,
             "margin": entry.margin,
         }
-        for entry in report.counters
+        for entry in g.counters
     ]
     return payload
 

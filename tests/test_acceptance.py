@@ -93,17 +93,16 @@ def test_acceptance_2_intransitive_cycle():
 
 
 def test_acceptance_3_strategy_space_census():
-    report = analyze(6, 3)
-    graph = report.graph
+    graph = analyze(6, 3)
     failures = []
 
     checks = [
-        ("compositions", report.composition_count, 28),
-        ("partitions", report.partition_count, 7),
+        ("compositions", graph.composition_count, 28),
+        ("partitions", graph.partition_count, 7),
         ("edges", len(graph.edges), 14),
         ("draw pairs", len(graph.draw_pairs), 7),
-        ("scc sizes", report.scc_sizes, (4, 1, 1, 1)),
-        ("undominated", [p.values for p in report.undominated], [(4, 2, 0)]),
+        ("scc sizes", graph.scc_sizes, (4, 1, 1, 1)),
+        ("undominated", [p.values for p in graph.undominated], [(4, 2, 0)]),
     ]
     for name, got, want in checks:
         if got != want:
@@ -118,7 +117,7 @@ def test_acceptance_3_strategy_space_census():
         failures.append("edge list disagrees with oracle")
     if sorted(graph.draw_pairs) != sorted(oracle_draws):
         failures.append("draw pairs disagree with oracle")
-    if list(report.scc_sizes) != _oracles.scc_sizes(len(nodes), oracle_edges):
+    if list(graph.scc_sizes) != _oracles.scc_sizes(len(nodes), oracle_edges):
         failures.append("scc sizes disagree with oracle")
     if [p.values for p in undominated(graph)] != _oracles.undominated(nodes, oracle_edges):
         failures.append("undominated set disagrees with oracle")

@@ -421,6 +421,30 @@ class TestSimulateCommand:
         assert code == 1
         assert "every cell ties" in err
 
+    def test_all_ties_without_rerolls_answer_zero(self, capsys):
+        # Under nogame every tie is a game, so p(a) is 0 of k^2 cells.
+        argv = [
+            "simulate", "--a", "1,1", "--b", "1,1", "--games", "5", "--seed", "0",
+            "--tie-policy", "nogame",
+        ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "exact p(a): 0/1 (0.0000)" in out.splitlines()
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["simulation"]["exact_p"] == {"num": 0, "den": 1}
+
+    @pytest.mark.parametrize("policy", ["reroll", "nogame"])
+    def test_all_ties_best_of_exits_1(self, capsys, policy):
+        code, out, err = run(
+            capsys,
+            "simulate", "--a", "1,1", "--b", "1,1", "--games", "5", "--seed", "0",
+            "--tie-policy", policy, "--best-of", "3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "every cell ties" in err
+
     def test_series_games_over_cap_exits_1(self, capsys):
         code, out, err = run(
             capsys,
@@ -629,6 +653,26 @@ class TestUsageAndOutput:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err
         assert "Exception ignored" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["graph", "--budget", "12", "--k", "4"]],
+        ids=["flush", "write"],
+    )
+    def test_full_stdout_exits_1_with_one_line(self, argv):
+        # The analysis's 800 bytes fail at the flush, the graph's 18 KB at a write.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "capcycle", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "capcycle: cannot write stdout: No space left on device"
+        ]
 
     def test_identical_invocations_are_byte_identical(self, capsys):
         args = ["analyze", "--format", "json"]

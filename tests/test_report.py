@@ -15,7 +15,6 @@ from capcycle import (
     Allocation,
     SimConfig,
     SpaceTooLargeError,
-    TiePolicy,
     analysis_from_json_dict,
     analysis_json_pieces,
     analyze,
@@ -218,14 +217,14 @@ class TestAnalyze:
         assert (r.budget, r.k) == (6, 3)
         assert r.composition_count == 28
         assert r.partition_count == 7
-        assert len(r.graph.edges) == 14
-        assert len(r.graph.draw_pairs) == 7
+        assert len(r.edges) == 14
+        assert len(r.draw_pairs) == 7
         assert r.scc_sizes == (4, 1, 1, 1)
         assert [p.values for p in r.undominated] == [(4, 2, 0)]
         assert r.claim.holds is False
 
     def test_counter_table_covers_every_node(self, report_6_3):
-        assert [e.node for e in report_6_3.counters] == list(report_6_3.graph.nodes)
+        assert [e.node for e in report_6_3.counters] == list(report_6_3.nodes)
         by_node = {e.node.values: e for e in report_6_3.counters}
         assert by_node[(4, 2, 0)].counter is None
         assert by_node[(3, 3, 0)].counter.values == (4, 1, 1)
@@ -234,10 +233,10 @@ class TestAnalyze:
 
 class TestGraphExports:
     def test_dot_frozen(self):
-        assert emit_dot(analyze(6, 3).graph) == EXPECTED_DOT
+        assert emit_dot(analyze(6, 3)) == EXPECTED_DOT
 
     def test_dot_single_node_space(self):
-        dot = emit_dot(analyze(0, 3).graph)
+        dot = emit_dot(analyze(0, 3))
         assert 'n0 [label="0,0,0"];' in dot
         assert "->" not in dot
 
@@ -256,8 +255,8 @@ class TestGraphExports:
         # Three and two nodes, but win counts up to 33 and 78 and an int16
         # margin: the number table must reach past the node indices.
         report = analyze(budget, k)
-        assert report.graph.margin.dtype == np.int16
-        assert emit_dot(report.graph) == _oracles.dot(report.graph)
+        assert report.margin.dtype == np.int16
+        assert emit_dot(report) == _oracles.dot(report)
         assert "".join(graph_json_pieces(report)) == json.dumps(
             _oracles.graph_json_dict(report)
         )
@@ -338,7 +337,7 @@ class TestGraphExports:
         def refuse(graph):
             raise AssertionError("graph JSON built the counter table")
 
-        monkeypatch.setattr(report_module, "best_counters", refuse)
+        monkeypatch.setattr(dominance_module, "best_counters", refuse)
         payload = json.loads("".join(graph_json_pieces(analyze(6, 3))))
         assert payload["undominated"] == [[4, 2, 0]]
 
@@ -357,7 +356,7 @@ class TestGraphExports:
         # node indices pass 100 and margins reach two digits at (20, 5).
         report = analyze(budget, k)
         if (budget, k) == (5, 4):
-            assert report.graph.edges and not len(report.three_cycles)
+            assert report.edges and not len(report.three_cycles)
         assert_text_matches_oracle(report)
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -369,10 +368,10 @@ class TestGraphExports:
         # with the record buffer its writer reuses would show.
         report = analyze(10, 3)
         json_pieces = list(analysis_json_pieces(report))
-        dot = list(dot_pieces(report.graph))
-        assert len(json_pieces) > len(dot) > len(report.graph.edges) // rows
+        dot = list(dot_pieces(report))
+        assert len(json_pieces) > len(dot) > len(report.edges) // rows
         assert "".join(json_pieces) == json.dumps(_oracles.analysis_json_dict(report))
-        assert "".join(dot) == _oracles.dot(report.graph)
+        assert "".join(dot) == _oracles.dot(report)
         assert_text_matches_oracle(report)
 
     def test_listing_pieces_hold_at_most_record_rows(self, monkeypatch):
@@ -380,7 +379,7 @@ class TestGraphExports:
         # write small. (10, 3) has 66 compositions, 66 edges and 25 draws.
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 5)
         report = analyze(10, 3)
-        line_pieces = list(dot_pieces(report.graph))[1:]
+        line_pieces = list(dot_pieces(report))[1:]
         assert len(line_pieces) > 66 // 5
         assert max(len(piece.lstrip("\n").split("\n")) for piece in line_pieces) == 5
         json_pieces = list(analysis_json_pieces(report))
@@ -392,8 +391,7 @@ class TestGraphExports:
         # edges or draws is one pair block, of at most ``rows`` records.
         # (10, 3) has 14 nodes, so one matrix row holds up to 13 pairs.
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", rows)
-        report = analyze(10, 3)
-        graph = report.graph
+        graph = analyze(10, 3)
         edges, draws = (
             [len(first) for first, _ in graph.pair_blocks(strict)] for strict in (True, False)
         )
@@ -401,7 +399,7 @@ class TestGraphExports:
         assert max(edges + draws) <= rows
         dot = list(dot_pieces(graph))[1:-1]
         assert [piece.count(" -> ") for piece in dot] == edges + draws
-        json_pieces = list(graph_json_pieces(report))
+        json_pieces = list(graph_json_pieces(graph))
         edges_at = json_pieces.index('], "edges": [')
         draws_at = json_pieces.index('], "draws": [')
         cycles_at = json_pieces.index('], "three_cycles": [')
@@ -535,9 +533,3 @@ class TestSimulationJson:
             }
         }
         json.dumps(payload)
-
-    def test_undefined_probability_serializes_as_null(self):
-        config = SimConfig(seed=0, n_games=3, tie_policy=TiePolicy.NOGAME)
-        stats = simulate_games(Allocation((1, 1)), Allocation((1, 1)), config)
-        payload = simulation_json_dict(config, stats, None)
-        assert payload["simulation"]["exact_p"] is None
