@@ -23,7 +23,7 @@ def main() -> None:
     for k in range(2, args.max_k + 1):
         for budget in range(0, args.max_budget + 1):
             r = analyze(budget, k)
-            if r.claim.holds:
+            if not r.undominated:
                 verdict = "holds"
             else:
                 free = "; ".join(format_allocation(p) for p in r.undominated)

@@ -19,7 +19,6 @@ from .allocations import (
     parse_allocation,
 )
 from .dominance import (
-    ClaimVerdict,
     CounterEntry,
     DominanceGraph,
     ThreeCycles,
@@ -74,7 +73,6 @@ __all__ = [
     "AllTiesError",
     "CapcycleError",
     "Cell",
-    "ClaimVerdict",
     "CounterEntry",
     "DEFAULT_SPACE_LIMIT",
     "DimensionMismatchError",

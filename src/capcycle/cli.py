@@ -30,12 +30,7 @@ from .allocations import (
     partition_tuples,
 )
 from .dominance import build_graph, counter_strategy
-from .errors import (
-    AllocationError,
-    AllTiesError,
-    DimensionMismatchError,
-    SpaceTooLargeError,
-)
+from .errors import AllocationError, SpaceTooLargeError
 from .matchups import TiePolicy, matchup_table, win_probability
 from .report import (
     _allocation_lines,
@@ -273,7 +268,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except SpaceTooLargeError as exc:
         print(f"capcycle: {exc}", file=sys.stderr)
         return 3
-    except (DimensionMismatchError, AllTiesError, ValueError) as exc:
+    except ValueError as exc:  # DimensionMismatchError and AllTiesError among them
         print(f"capcycle: {exc}", file=sys.stderr)
         return 1
 

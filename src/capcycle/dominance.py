@@ -4,8 +4,9 @@ Nodes are canonical partitions of the budget; a directed edge means the
 winner takes strictly more matchup cells than the loser. The interesting
 structure is the intransitive part: directed 3-cycles and nontrivial
 strongly connected components, plus the set of strategies nothing beats.
-The graph is the analysis: those, the claim verdict and the counter table
-are its properties, each computed by this module's functions on first read.
+The graph is the analysis: those and the counter table are its properties,
+each computed by this module's functions on first read. The universal-counter
+claim holds exactly when the undominated set is empty.
 """
 
 from __future__ import annotations
@@ -72,21 +73,6 @@ class CounterEntry:
     node: Partition
     counter: Partition | None
     margin: int | None
-
-
-@dataclass(frozen=True)
-class ClaimVerdict:
-    """Whether every capped strategy has a strictly better same-cap answer.
-
-    ``counterexamples`` lists the strategies with no strict dominator;
-    the claim holds exactly when that list is empty.
-    """
-
-    counterexamples: tuple[Partition, ...]
-
-    @property
-    def holds(self) -> bool:
-        return not self.counterexamples
 
 
 @dataclass(frozen=True)
@@ -191,17 +177,10 @@ class DominanceGraph:
     def undominated(self) -> tuple[Partition, ...]:
         return tuple(undominated(self))
 
-    @property
-    def claim(self) -> ClaimVerdict:
-        return ClaimVerdict(self.undominated)
-
     @cached_property
     def counters(self) -> tuple[CounterEntry, ...]:
         """One entry per node, in node order: its best counter, or none."""
-        return tuple(
-            CounterEntry(node, *(pair or (None, None)))
-            for node, pair in zip(self.nodes, best_counters(self))
-        )
+        return tuple(best_counters(self))
 
 
 def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -> np.ndarray:
@@ -290,7 +269,6 @@ class ThreeCycles:
         # The graph caches this object, so it keeps what it reads rather than
         # the graph: a reference cycle would keep a dropped graph's margin
         # alive until a garbage collector pass.
-        self.budget, self.k = graph.budget, graph.k
         self.margin, self.nodes = graph.margin, graph.nodes
 
     @cached_property
@@ -365,9 +343,6 @@ class ThreeCycles:
             for start in range(0, len(block), 256):
                 for x, y, z in block[start : start + 256].tolist():
                     yield nodes[x], nodes[y], nodes[z]
-
-    def __repr__(self) -> str:
-        return f"ThreeCycles(budget={self.budget}, k={self.k}, count={len(self)})"
 
 
 def _adjacency(block: np.ndarray) -> np.ndarray:
@@ -474,8 +449,9 @@ def counter_strategy(
     return None if best is None else (Partition(best[0]), best[1])
 
 
-def best_counters(graph: DominanceGraph) -> list[tuple[Partition, int] | None]:
-    """Per node, the maximum-margin strict dominator (same tie-break), or None.
+def best_counters(graph: DominanceGraph) -> list[CounterEntry]:
+    """Per node, in node order, its maximum-margin strict dominator (same
+    tie-break) and margin, or None for both.
 
     Same answer as running counter_strategy on every node, read off the
     rows of the margin matrix: the nodes that beat node j are the negative
@@ -490,6 +466,6 @@ def best_counters(graph: DominanceGraph) -> list[tuple[Partition, int] | None]:
         columns[part], values[part] = _strongest_beaters(margin[part])
     nodes = graph.nodes
     return [
-        (nodes[column], value) if value > 0 else None
-        for column, value in zip(columns.tolist(), values.tolist())
+        CounterEntry(node, nodes[column], value) if value > 0 else CounterEntry(node, None, None)
+        for node, column, value in zip(nodes, columns.tolist(), values.tolist())
     ]

@@ -59,7 +59,6 @@ class MatchupTable(NamedTuple):
     wins_a: int
     wins_b: int
     ties: int
-    k: int
 
     @property
     def cells(self) -> tuple[tuple[Cell, ...], ...]:
@@ -91,7 +90,7 @@ def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     faces = sorted(ys)
     wins_a = sum(map(bisect_left, repeat(faces, k), xs))
     at_most = sum(map(bisect_right, repeat(faces, k), xs))
-    return MatchupTable(xs, ys, wins_a, k * k - at_most, at_most - wins_a, k)
+    return MatchupTable(xs, ys, wins_a, k * k - at_most, at_most - wins_a)
 
 
 def series_outcome(table: MatchupTable) -> SeriesOutcome:
@@ -107,11 +106,12 @@ def win_probability(table: MatchupTable, policy: TiePolicy) -> Fraction:
     """Exact per-game win probability for side A under a tie policy.
 
     REROLL conditions on decisive cells: wins_a / (wins_a + wins_b).
-    NOGAME divides by all cells: wins_a / k**2. Always an exact rational.
+    NOGAME divides by all k**2 cells: wins_a / (wins_a + wins_b + ties).
+    Always an exact rational.
     """
     if policy is TiePolicy.REROLL:
         decisive = table.wins_a + table.wins_b
         if decisive == 0:
             raise AllTiesError("every cell ties; reroll probability is undefined")
         return Fraction(table.wins_a, decisive)
-    return Fraction(table.wins_a, table.k * table.k)
+    return Fraction(table.wins_a, table.wins_a + table.wins_b + table.ties)

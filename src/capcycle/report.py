@@ -74,7 +74,7 @@ def emit_matchup_grid(table: MatchupTable, label_a: str = "A", label_b: str = "B
         row[0].rjust(head_w) + " |" + "".join(f" {t.rjust(col_w)}" for t in row[1:])
         for row in rows
     ]
-    lines.insert(1, "-" * head_w + "-+" + "-" * (table.k * (col_w + 1)))
+    lines.insert(1, "-" * head_w + "-+" + "-" * (len(table.b_values) * (col_w + 1)))
     return "\n".join(lines)
 
 
@@ -109,7 +109,7 @@ def matchup_json_dict(table: MatchupTable) -> dict[str, Any]:
     return {
         "a": list(table.a_values),
         "b": list(table.b_values),
-        "k": table.k,
+        "k": len(table.a_values),
         "a_budget": sum(table.a_values),
         "b_budget": sum(table.b_values),
         "wins_a": table.wins_a,
@@ -253,14 +253,12 @@ def _graph_tail(graph: DominanceGraph) -> str:
             f"{n_cycles} 3-cycles exceed the JSON listing limit {MAX_LISTED_CYCLES}; "
             "the text format reports the count"
         )
+    undominated = [list(p.values) for p in graph.undominated]
     return _json_members(
         {
             "scc": [list(group) for group in graph.scc],
-            "undominated": [list(p.values) for p in graph.undominated],
-            "claim": {
-                "holds": graph.claim.holds,
-                "counterexamples": [list(p.values) for p in graph.claim.counterexamples],
-            },
+            "undominated": undominated,
+            "claim": {"holds": not undominated, "counterexamples": undominated},
         }
     )
 
@@ -437,26 +435,21 @@ def render_analysis_text(graph: DominanceGraph) -> str:
         "strongly connected component sizes: "
         + ",".join(str(s) for s in graph.scc_sizes)
     )
-    if graph.undominated:
+    # The universal-counter claim holds exactly when no strategy is undominated.
+    free = graph.undominated
+    if free:
+        listed = "; ".join(format_allocation(p) for p in free)
+        lines.append(f"undominated strategies: {listed}")
         lines.append(
-            "undominated strategies: "
-            + "; ".join(format_allocation(p) for p in graph.undominated)
+            "universal counter claim: FAILS "
+            f"({len(free)} undominated strateg{'y' if len(free) == 1 else 'ies'}: {listed})"
         )
     else:
         lines.append("undominated strategies: none")
-    counterexamples = graph.claim.counterexamples
-    if not counterexamples:
         lines.append(
             "universal counter claim: HOLDS "
             f"(every allocation of {graph.budget} across {graph.k} categories "
             "has a strictly better same-cap answer)"
-        )
-    else:
-        ce = "; ".join(format_allocation(p) for p in counterexamples)
-        lines.append(
-            "universal counter claim: FAILS "
-            f"({len(counterexamples)} undominated strateg"
-            f"{'y' if len(counterexamples) == 1 else 'ies'}: {ce})"
         )
     if graph.budget == SHOWCASE_BUDGET and graph.k == SHOWCASE_K:
         lines.extend(_showcase_lines(graph))

@@ -65,7 +65,7 @@ def _play(
     A block plays the whole rolls that all of up to _BLOCK // width rows hold
     in ``width`` outputs each, so no tally depends on the width or grouping.
     """
-    k = table.k
+    k = len(table.a_values)
     # threshold - 1, because the threshold at k = 1 is 2^64, which uint64 cannot hold
     last_kept = np.uint64(_rejection_threshold(k) - 1)
     grid = np.array([[_COUNT[c] for c in row] for row in table.cells], dtype=np.int64).ravel()

@@ -351,9 +351,12 @@ def series_win_probability(wins_a: int, wins_b: int, best_of: int) -> Fraction:
 def graph_json_dict(g) -> dict:
     """The dominance-graph export schema, built as nested lists and dicts.
 
-    Cycles come from bitmask_three_cycles over the graph's strict edges.
+    Cycles come from bitmask_three_cycles over the graph's strict edges, and
+    the undominated nodes, the claim's counterexamples, are those no edge
+    has as its loser.
     """
     nodes = [list(p.values) for p in g.nodes]
+    free = [list(p) for p in undominated([p.values for p in g.nodes], g.edges)]
     return {
         "budget": g.budget,
         "k": g.k,
@@ -365,11 +368,8 @@ def graph_json_dict(g) -> dict:
             for x, y, z in bitmask_three_cycles(len(nodes), g.edges)
         ],
         "scc": [list(group) for group in g.scc],
-        "undominated": [list(p.values) for p in g.undominated],
-        "claim": {
-            "holds": g.claim.holds,
-            "counterexamples": [list(p.values) for p in g.claim.counterexamples],
-        },
+        "undominated": free,
+        "claim": {"holds": not free, "counterexamples": free},
     }
 
 

@@ -586,15 +586,16 @@ def assert_counters_match_oracle(graph, rows):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dominance_module, "_block_rows", lambda n: rows)
         fast = best_counters(graph)
-    for node, entry in zip(graph.nodes, fast):
-        slow = counter_strategy(node)
-        expected = _oracles.counter(node.values, candidates)
+    assert [entry.node for entry in fast] == list(graph.nodes)
+    for entry in fast:
+        slow = counter_strategy(entry.node)
+        expected = _oracles.counter(entry.node.values, candidates)
         if expected is None:
-            assert entry is None and slow is None
+            assert entry.counter is None and entry.margin is None and slow is None
         else:
-            assert (entry[0].values, entry[1]) == expected
-            assert entry == slow
-            assert type(entry[1]) is int and type(slow[1]) is int
+            assert (entry.counter.values, entry.margin) == expected
+            assert (entry.counter, entry.margin) == slow
+            assert type(entry.margin) is int and type(slow[1]) is int
 
 
 class TestBestCounters:
@@ -624,37 +625,33 @@ class TestBestCounters:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert sum(entry is None for entry in best) == len(undominated(graph))
+            assert sum(entry.counter is None for entry in best) == len(undominated(graph))
             assert peak < 2 * dominance_module._block_rows(n) * n < graph.margin.nbytes
 
 
 class TestClaim:
+    # The claim holds exactly when no strategy is undominated; those that
+    # are undominated are its counterexamples.
     def test_showcase_fails_on_420(self):
-        verdict = analyze(6, 3).claim
-        assert verdict.holds is False
-        assert [p.values for p in verdict.counterexamples] == [(4, 2, 0)]
+        assert [p.values for p in analyze(6, 3).undominated] == [(4, 2, 0)]
 
     def test_single_strategy_space(self):
-        verdict = analyze(0, 1).claim
-        assert verdict.holds is False
-        assert [p.values for p in verdict.counterexamples] == [(0,)]
+        assert [p.values for p in analyze(0, 1).undominated] == [(0,)]
 
     def test_holds_at_budget_7(self):
-        verdict = analyze(7, 3).claim
-        assert verdict.holds is True
-        assert verdict.counterexamples == ()
+        assert analyze(7, 3).undominated == ()
 
     def test_showcase_teams_are_all_dominated(self):
         for values in [(1, 1, 4), (2, 2, 2), (3, 3, 0)]:
             assert counter_strategy(Allocation(values)) is not None
 
     @given(small_spaces)
-    def test_holds_iff_no_counterexamples(self, space):
+    def test_undominated_have_no_counter(self, space):
         budget, k = space
-        verdict = analyze(budget, k).claim
-        assert verdict.holds == (len(verdict.counterexamples) == 0)
-        for p in verdict.counterexamples:
+        graph = analyze(budget, k)
+        for p in graph.undominated:
             assert counter_strategy(p) is None
+        assert graph.undominated == tuple(e.node for e in graph.counters if e.counter is None)
 
 
 class TestAnalysisSummary:

@@ -221,7 +221,6 @@ class TestAnalyze:
         assert len(r.draw_pairs) == 7
         assert r.scc_sizes == (4, 1, 1, 1)
         assert [p.values for p in r.undominated] == [(4, 2, 0)]
-        assert r.claim.holds is False
 
     def test_counter_table_covers_every_node(self, report_6_3):
         assert [e.node for e in report_6_3.counters] == list(report_6_3.nodes)
@@ -315,7 +314,7 @@ class TestGraphExports:
         rebuilt = analysis_from_json_dict(json.loads(text))
         assert rebuilt == report_6_3
         assert rebuilt.counters == report_6_3.counters
-        assert rebuilt.claim == report_6_3.claim
+        assert rebuilt.undominated == report_6_3.undominated
 
     @pytest.mark.parametrize(
         "edit",
