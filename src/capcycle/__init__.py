@@ -35,7 +35,6 @@ from .errors import (
     SpaceTooLargeError,
 )
 from .matchups import (
-    Cell,
     MatchupTable,
     TiePolicy,
     matchup_table,
@@ -72,7 +71,6 @@ __all__ = [
     "AllocationError",
     "AllTiesError",
     "CapcycleError",
-    "Cell",
     "CounterEntry",
     "DEFAULT_SPACE_LIMIT",
     "DimensionMismatchError",

@@ -17,14 +17,6 @@ from .allocations import Allocation
 from .errors import AllTiesError, DimensionMismatchError
 
 
-class Cell(Enum):
-    """Outcome of a single category-vs-category comparison."""
-
-    A_WIN = "A"
-    B_WIN = "B"
-    TIE = "tie"
-
-
 class SeriesOutcome(Enum):
     """Majority verdict over all k*k cells."""
 
@@ -47,8 +39,8 @@ class TiePolicy(Enum):
 
 
 class MatchupTable(NamedTuple):
-    """The matchup between two allocations: aggregate cell counts, computed
-    when the table is made, and the k x k cell grid, built when it is read.
+    """The matchup between two allocations: both sides' values and the
+    aggregate cell counts, computed when the table is made.
 
     Tables compare and hash by both sides' values and the counts, so two
     matchups with the same grid but different salaries are not equal.
@@ -60,17 +52,6 @@ class MatchupTable(NamedTuple):
     wins_b: int
     ties: int
 
-    @property
-    def cells(self) -> tuple[tuple[Cell, ...], ...]:
-        """Row i, column j: the outcome of a's i-th value against b's j-th."""
-        return tuple(
-            tuple(
-                Cell.A_WIN if x > y else Cell.B_WIN if x < y else Cell.TIE
-                for y in self.b_values
-            )
-            for x in self.a_values
-        )
-
 
 def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     """Compare every category of ``a`` against every category of ``b``.
@@ -78,8 +59,8 @@ def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     The counts are computed now, by bisecting b's sorted values: a face x
     beats the faces below it and ties those equal to it. Every comparison
     is between Python ints, so the counts stay exact past 2^63. The
-    ``cells`` grid is built each time it is read. The budgets need not
-    match; the cap constraint lives at enumeration time, not here.
+    budgets need not match; the cap constraint lives at enumeration time,
+    not here.
     """
     xs, ys = a.values, b.values
     k = len(xs)

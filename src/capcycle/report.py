@@ -20,7 +20,7 @@ from .allocations import DEFAULT_SPACE_LIMIT, Allocation, format_allocation
 from . import dominance
 from .dominance import _slices, Cycle, DominanceGraph, build_graph
 from .errors import SpaceTooLargeError
-from .matchups import Cell, MatchupTable, SeriesOutcome, matchup_table, series_outcome
+from .matchups import MatchupTable, SeriesOutcome, matchup_table, series_outcome
 from .simulate import SeriesStats, SimConfig
 
 # The three showcase teams at the classic 6-across-3 cap.
@@ -55,12 +55,12 @@ def _matchup_rows(
     table: MatchupTable, label_a: str, label_b: str, corner: str
 ) -> list[list[str]]:
     """The matchup grid as text rows: ``corner`` and b's values head the
-    columns, then one row per a value, the value and each cell's winner, a
-    label or "tie"."""
-    cell_texts = {Cell.A_WIN: label_a, Cell.B_WIN: label_b, Cell.TIE: "tie"}
-    return [[corner, *map(str, table.b_values)]] + [
-        [str(value), *(cell_texts[c] for c in row)]
-        for value, row in zip(table.a_values, table.cells)
+    columns, then one row per a value x: x, then per b value y the winner,
+    ``label_a`` if x > y, ``label_b`` if x < y, else "tie"."""
+    ys = table.b_values
+    return [[corner, *map(str, ys)]] + [
+        [str(x), *(label_a if x > y else label_b if x < y else "tie" for y in ys)]
+        for x in table.a_values
     ]
 
 
@@ -116,7 +116,7 @@ def matchup_json_dict(table: MatchupTable) -> dict[str, Any]:
         "wins_b": table.wins_b,
         "ties": table.ties,
         "outcome": series_outcome(table).value,
-        "cells": [[c.value for c in row] for row in table.cells],
+        "cells": [row[1:] for row in _matchup_rows(table, "A", "B", "")[1:]],
     }
 
 

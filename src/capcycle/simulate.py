@@ -21,7 +21,7 @@ import numpy as np
 
 from .allocations import Allocation
 from .errors import AllTiesError
-from .matchups import Cell, MatchupTable, TiePolicy, matchup_table
+from .matchups import MatchupTable, TiePolicy, matchup_table
 
 _MASK64 = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -31,9 +31,6 @@ _SERIES_BLOCK = 32_768  # series played at a time, about 48 bytes of state each
 MAX_BEST_OF = 10**6
 MAX_SERIES = 10**6
 MAX_GAMES = 10**8
-
-# a's wins add 1 and b's 2^32, so one cumsum counts both; a block holds far fewer than 2^32 rolls
-_COUNT = {Cell.A_WIN: 1, Cell.B_WIN: 1 << 32, Cell.TIE: 0}
 
 
 def _outputs(state: int | np.ndarray, n: int) -> np.ndarray:
@@ -68,7 +65,15 @@ def _play(
     k = len(table.a_values)
     # threshold - 1, because the threshold at k = 1 is 2^64, which uint64 cannot hold
     last_kept = np.uint64(_rejection_threshold(k) - 1)
-    grid = np.array([[_COUNT[c] for c in row] for row in table.cells], dtype=np.int64).ravel()
+    # Ranks in the union of both sides' faces, ranked as Python ints so faces
+    # of 2^63 and up stay exact; a's are offset by d - 1, so ra[i] - rb[j] is
+    # d - 1 at a tie, below it where b's face is larger and above where a's is.
+    rank = {face: r for r, face in enumerate(sorted({*table.a_values, *table.b_values}))}
+    d = len(rank)
+    ra = np.array([rank[x] + d - 1 for x in table.a_values], dtype=np.intp)
+    rb = np.array([rank[y] for y in table.b_values], dtype=np.intp)
+    # a's wins add 1 and b's 2^32, so one cumsum counts both; a block holds far fewer than 2^32 rolls
+    count = np.repeat(np.array([1 << 32, 0, 1], dtype=np.int64), [d - 1, 1, d - 1])
     # Fewer than k outputs of a period are rejected (the mix is a bijection of
     # the counter), so k + 1 outputs always hold a whole roll.
     width = max(width, k + 1)
@@ -86,7 +91,7 @@ def _play(
         cols = np.argsort(rejected, axis=1, kind="stable")[:, : 2 * rolls]
         x = out.ravel()[cols + width * row[:, None]]
         faces = (x - x // np.uint64(k) * np.uint64(k)).astype(np.intp)  # x % k, but faster
-        run = np.cumsum(grid[faces[:, ::2] * k + faces[:, 1::2]], axis=1)
+        run = np.cumsum(count[ra[faces[:, ::2]] - rb[faces[:, 1::2]]], axis=1)
         a0, b0, t0 = tallies[:, rows, None]
         ta, tb = a0 + (run & 0xFFFFFFFF), b0 + (run >> 32)
         tt = a0 + b0 + t0 + np.arange(1, rolls + 1) - ta - tb

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from capcycle import (
     Allocation,
     AllTiesError,
-    Cell,
     DimensionMismatchError,
     TiePolicy,
+    matchup_json_dict,
     matchup_table,
     win_probability,
 )
@@ -71,12 +71,11 @@ class TestShowcaseGrids:
 
     def test_mtl_ny_cell_layout(self):
         t = matchup_table(MTL, NY)
-        A, B = Cell.A_WIN, Cell.B_WIN
-        assert t.cells == (
-            (B, B, A),
-            (B, B, A),
-            (A, A, A),
-        )
+        assert matchup_json_dict(t)["cells"] == [
+            ["B", "B", "A"],
+            ["B", "B", "A"],
+            ["A", "A", "A"],
+        ]
 
     def test_cycle_closes(self):
         for x, y in [(BOS, MTL), (NY, BOS), (MTL, NY)]:
@@ -116,10 +115,11 @@ class TestMatchupTable:
         fwd = matchup_table(Allocation(tuple(a)), Allocation(tuple(b)))
         rev = matchup_table(Allocation(tuple(b)), Allocation(tuple(a)))
         assert (fwd.wins_a, fwd.wins_b, fwd.ties) == (rev.wins_b, rev.wins_a, rev.ties)
-        swap = {Cell.A_WIN: Cell.B_WIN, Cell.B_WIN: Cell.A_WIN, Cell.TIE: Cell.TIE}
+        swap = {"A": "B", "B": "A", "tie": "tie"}
+        fwd_cells, rev_cells = matchup_json_dict(fwd)["cells"], matchup_json_dict(rev)["cells"]
         for i in range(len(a)):
             for j in range(len(b)):
-                assert rev.cells[j][i] == swap[fwd.cells[i][j]]
+                assert rev_cells[j][i] == swap[fwd_cells[i][j]]
 
     @given(values_k)
     def test_dominance_antisymmetric(self, pair):
@@ -132,7 +132,7 @@ class TestMatchupTable:
     def test_cells_match_oracle_grid(self, pair):
         a, b = pair
         t = matchup_table(Allocation(tuple(a)), Allocation(tuple(b)))
-        assert [[c.value for c in row] for row in t.cells] == _oracles.cell_grid(a, b)
+        assert matchup_json_dict(t)["cells"] == _oracles.cell_grid(a, b)
         assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(a, b)
 
     @given(wide_values_k)
@@ -143,7 +143,7 @@ class TestMatchupTable:
         assert made == built and built == made
         assert hash(made) == hash(built)
         assert repr(made) == repr(built)
-        assert made.cells == built.cells
+        assert matchup_json_dict(made)["cells"] == matchup_json_dict(built)["cells"]
         with pytest.raises(AttributeError):
             made.wins_a = 0
 
@@ -153,7 +153,7 @@ class TestMatchupTable:
         assert hash(t) == hash(again)
         # Same grid and counts, other salaries: a different matchup.
         scaled = matchup_table(Allocation((2, 2, 8)), Allocation((6, 6, 0)))
-        assert scaled.cells == t.cells
+        assert matchup_json_dict(scaled)["cells"] == matchup_json_dict(t)["cells"]
         assert scaled != t
 
 

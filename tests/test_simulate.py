@@ -1,4 +1,5 @@
 from dataclasses import astuple
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -282,6 +283,27 @@ class TestSimulateBestOf:
         assert abs(stats.a_series_wins / n_series - 0.5) < bound
 
 
+class TestMemory:
+    @pytest.mark.parametrize(
+        "run, config",
+        [
+            (simulate_games, SimConfig(seed=3, n_games=1000)),
+            (simulate_best_of, SimConfig(seed=3, n_games=1, best_of=3, n_series=100)),
+        ],
+    )
+    def test_peak_does_not_grow_as_k_squared(self, run, config):
+        # at k = 2,000 a k x k grid of int64 counts alone would take 32 MB
+        k = 2000
+        a, b = Allocation(tuple(range(k))), Allocation(tuple(range(k, 0, -1)))
+        tracemalloc.start()
+        try:
+            run(a, b, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 class TestIndexSampling:
     def test_face_frequencies_unbiased(self):
         # against a constant side, a roll's outcome names the other side's
@@ -346,7 +368,9 @@ class TestIndexSampling:
 
 
 def _allocation_pairs(k):
-    side = st.tuples(*[st.integers(min_value=0, max_value=4)] * k)
+    # faces at and past 2^63 do not fit int64, so the simulator must rank them as Python ints
+    wide = st.sampled_from((2**63 - 1, 2**63, 2**64 + 7))
+    side = st.tuples(*[st.one_of(st.integers(min_value=0, max_value=4), wide)] * k)
     return st.tuples(side, side)
 
 

@@ -13,6 +13,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -127,6 +128,15 @@ def test_traced_analysis_sizes_match_its_report():
         "n_draws": len(report["draws"]),
         "n_cycles": len(report["three_cycles"]),
     }
+
+
+def test_all_lists_every_public_name():
+    names = [
+        name
+        for name, value in vars(capcycle).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    ]
+    assert sorted(names) == sorted(capcycle.__all__)
 
 
 def test_public_names_are_used():
