@@ -65,47 +65,10 @@ from .simulate import (
 __version__ = "0.1.0"
 
 # What the CLI, the scripts and the README use, plus the types those
-# names return or raise. Tests import other helpers from their submodules.
-__all__ = [
-    "Allocation",
-    "AllocationError",
-    "AllTiesError",
-    "CapcycleError",
-    "CounterEntry",
-    "DEFAULT_SPACE_LIMIT",
-    "DimensionMismatchError",
-    "DominanceGraph",
-    "EmptyAllocationError",
-    "MatchupTable",
-    "NegativeEntryError",
-    "Partition",
-    "SeriesStats",
-    "SimConfig",
-    "SpaceTooLargeError",
-    "ThreeCycles",
-    "TiePolicy",
-    "analysis_from_json_dict",
-    "analysis_json_pieces",
-    "analyze",
-    "build_graph",
-    "canonicalize",
-    "counter_strategy",
-    "dot_pieces",
-    "emit_dot",
-    "emit_matchup_csv",
-    "emit_matchup_grid",
-    "enumerate_compositions",
-    "enumerate_partitions",
-    "format_allocation",
-    "graph_json_pieces",
-    "matchup_json_dict",
-    "matchup_summary_line",
-    "matchup_table",
-    "parse_allocation",
-    "render_analysis_text",
-    "simulate_best_of",
-    "simulate_games",
-    "simulation_json_dict",
-    "to_json_text",
-    "win_probability",
-]
+# names return or raise: every name imported above, so no submodule.
+# Tests import other helpers from their submodules.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(errors))
+)

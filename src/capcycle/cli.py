@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
+from numbers import Rational
 from typing import TextIO
 
 from .allocations import (
@@ -52,7 +53,12 @@ ENV_MAX_SPACE = "CAPCYCLE_MAX_SPACE"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1, and "-1,2" or
+    "-.5" read as a value, so it reaches the allocation check."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -125,7 +131,7 @@ def _space_limit() -> int:
     return limit
 
 
-def _fraction_text(p: Fraction) -> str:
+def _fraction_text(p: Rational) -> str:
     return f"{p.numerator}/{p.denominator} ({float(p):.4f})"
 
 

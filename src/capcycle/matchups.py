@@ -1,4 +1,4 @@
-"""Exact head-to-head matchup tables and the majority series rule.
+"""Exact head-to-head matchup tables.
 
 Two allocations with k categories meet in k x k independent cells, one per
 ordered pair of category values; the strictly larger value wins a cell.
@@ -9,20 +9,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from enum import Enum
-from fractions import Fraction
 from itertools import repeat
+from numbers import Rational
 from typing import NamedTuple
 
 from .allocations import Allocation
 from .errors import AllTiesError, DimensionMismatchError
-
-
-class SeriesOutcome(Enum):
-    """Majority verdict over all k*k cells."""
-
-    A_WINS = "A"
-    B_WINS = "B"
-    DRAW = "draw"
 
 
 class TiePolicy(Enum):
@@ -74,22 +66,15 @@ def matchup_table(a: Allocation, b: Allocation) -> MatchupTable:
     return MatchupTable(xs, ys, wins_a, k * k - at_most, at_most - wins_a)
 
 
-def series_outcome(table: MatchupTable) -> SeriesOutcome:
-    """Majority rule: more cell wins takes the series; equal counts draw."""
-    if table.wins_a > table.wins_b:
-        return SeriesOutcome.A_WINS
-    if table.wins_b > table.wins_a:
-        return SeriesOutcome.B_WINS
-    return SeriesOutcome.DRAW
-
-
-def win_probability(table: MatchupTable, policy: TiePolicy) -> Fraction:
+def win_probability(table: MatchupTable, policy: TiePolicy) -> Rational:
     """Exact per-game win probability for side A under a tie policy.
 
     REROLL conditions on decisive cells: wins_a / (wins_a + wins_b).
     NOGAME divides by all k**2 cells: wins_a / (wins_a + wins_b + ties).
-    Always an exact rational.
+    Always an exact rational, a Fraction.
     """
+    from fractions import Fraction  # only simulate needs exact p
+
     if policy is TiePolicy.REROLL:
         decisive = table.wins_a + table.wins_b
         if decisive == 0:

@@ -9,8 +9,8 @@ edge order, fixed serialization, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import islice
+from numbers import Rational
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
@@ -20,12 +20,10 @@ from .allocations import DEFAULT_SPACE_LIMIT, Allocation, format_allocation
 from . import dominance
 from .dominance import _slices, Cycle, DominanceGraph, build_graph
 from .errors import SpaceTooLargeError
-from .matchups import MatchupTable, SeriesOutcome, matchup_table, series_outcome
+from .matchups import MatchupTable, matchup_table
 from .simulate import SeriesStats, SimConfig
 
 # The three showcase teams at the classic 6-across-3 cap.
-SHOWCASE_BUDGET = 6
-SHOWCASE_K = 3
 SHOWCASE_TEAMS = (
     ("MTL", (1, 1, 4)),
     ("BOS", (2, 2, 2)),
@@ -78,19 +76,19 @@ def emit_matchup_grid(table: MatchupTable, label_a: str = "A", label_b: str = "B
     return "\n".join(lines)
 
 
+def _verdict(table: MatchupTable, label_a: str, label_b: str) -> str:
+    """The long-series verdict: the side that wins more cells, or "draw"."""
+    margin = table.wins_a - table.wins_b
+    return label_a if margin > 0 else label_b if margin < 0 else "draw"
+
+
 def matchup_summary_line(
     table: MatchupTable, label_a: str = "A", label_b: str = "B"
 ) -> str:
     """One-line tally plus the majority verdict."""
-    outcome = series_outcome(table)
-    verdict = {
-        SeriesOutcome.A_WINS: label_a,
-        SeriesOutcome.B_WINS: label_b,
-        SeriesOutcome.DRAW: "draw",
-    }[outcome]
     return (
         f"{label_a} wins {table.wins_a}, {label_b} wins {table.wins_b}, "
-        f"ties {table.ties}; outcome: {verdict}"
+        f"ties {table.ties}; outcome: {_verdict(table, label_a, label_b)}"
     )
 
 
@@ -115,7 +113,7 @@ def matchup_json_dict(table: MatchupTable) -> dict[str, Any]:
         "wins_a": table.wins_a,
         "wins_b": table.wins_b,
         "ties": table.ties,
-        "outcome": series_outcome(table).value,
+        "outcome": _verdict(table, "A", "B"),
         "cells": [row[1:] for row in _matchup_rows(table, "A", "B", "")[1:]],
     }
 
@@ -451,7 +449,8 @@ def render_analysis_text(graph: DominanceGraph) -> str:
             f"(every allocation of {graph.budget} across {graph.k} categories "
             "has a strictly better same-cap answer)"
         )
-    if graph.budget == SHOWCASE_BUDGET and graph.k == SHOWCASE_K:
+    showcase = SHOWCASE_TEAMS[0][1]
+    if graph.budget == sum(showcase) and graph.k == len(showcase):
         lines.extend(_showcase_lines(graph))
     lines.append("counter-strategy table:")
     for entry in graph.counters:
@@ -470,7 +469,7 @@ def render_analysis_text(graph: DominanceGraph) -> str:
 
 
 def simulation_json_dict(
-    config: SimConfig, stats: SeriesStats, exact_p: Fraction
+    config: SimConfig, stats: SeriesStats, exact_p: Rational
 ) -> dict[str, Any]:
     """The "simulation" report block, with the exact per-game p(a)."""
     return {

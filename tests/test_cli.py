@@ -110,6 +110,23 @@ class TestMatchupCommand:
         assert out == ""
         assert "invalid allocation" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["matchup", "--a", "-1,2", "--b", "1,2"],
+            ["matchup", "--a", "-1", "--b", "1"],
+            ["matchup", "--a=-1,2", "--b", "1,2"],
+            ["simulate", "--a", "3,1", "--b", "-3,1", "--games", "10", "--seed", "1"],
+        ],
+        ids=["matchup-csv", "matchup-one", "matchup-equals", "simulate"],
+    )
+    def test_negative_salary_exits_2_however_spelled(self, capsys, argv):
+        # Left to argparse, "-1,2" reads as an option: a usage error, exit 1.
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("capcycle: invalid allocation:")
+        assert err.count("\n") == 1
+
     def test_dimension_mismatch_exits_1(self, capsys):
         code, _, err = run(capsys, "matchup", "--a", "1,2", "--b", "3,3,0")
         assert code == 1
@@ -722,3 +739,31 @@ class TestUsageAndOutput:
             text=True,
         )
         assert proc.stderr == "0 False\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze"],
+            ["graph"],
+            ["enumerate"],
+            ["counter", "--a", "3,2,1"],
+            ["matchup", "--a", "1,1,4", "--b", "3,3,0"],
+        ],
+        ids=lambda a: a[0],
+    )
+    def test_runs_leave_out_fractions(self, argv):
+        # Only simulate computes an exact p; importing fractions loads decimal
+        # too, about 0.3 MB, in every other command.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from capcycle.cli import run_cli; code = run_cli(sys.argv[1:]); "
+                'print(code, "fractions" in sys.modules, "decimal" in sys.modules, '
+                "file=sys.stderr)",
+                *argv,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stderr == "0 False False\n"

@@ -40,6 +40,7 @@ from . import _oracles
 from .test_dominance import small_spaces
 
 MTL = Allocation((1, 1, 4))
+BOS = Allocation((2, 2, 2))
 NY = Allocation((3, 3, 0))
 
 EXPECTED_GRID = """\
@@ -137,13 +138,25 @@ class TestMatchupRendering:
         grid = emit_matchup_grid(matchup_table(MTL, NY), "MTL", "NY")
         assert grid == EXPECTED_GRID
 
-    def test_summary_line(self):
-        line = matchup_summary_line(matchup_table(MTL, NY), "MTL", "NY")
-        assert line == "MTL wins 5, NY wins 4, ties 0; outcome: MTL"
-
-    def test_summary_line_draw(self):
-        t = matchup_table(Allocation((5, 1, 0)), Allocation((4, 2, 0)))
-        assert matchup_summary_line(t) == "A wins 4, B wins 4, ties 1; outcome: draw"
+    @pytest.mark.parametrize(
+        "a, b, labels, line, outcome",
+        [
+            (MTL, NY, ("MTL", "NY"), "MTL wins 5, NY wins 4, ties 0; outcome: MTL", "A"),
+            (BOS, NY, ("BOS", "NY"), "BOS wins 3, NY wins 6, ties 0; outcome: NY", "B"),
+            (
+                Allocation((5, 1, 0)),
+                Allocation((4, 2, 0)),
+                (),
+                "A wins 4, B wins 4, ties 1; outcome: draw",
+                "draw",
+            ),
+        ],
+        ids=["a-wins", "b-wins", "draw"],
+    )
+    def test_summary_line(self, a, b, labels, line, outcome):
+        t = matchup_table(a, b)
+        assert matchup_summary_line(t, *labels) == line
+        assert matchup_json_dict(t)["outcome"] == outcome
 
     def test_csv_frozen(self):
         out = emit_matchup_csv(matchup_table(MTL, NY), "MTL", "NY")
