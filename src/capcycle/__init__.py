@@ -13,7 +13,6 @@ from .allocations import (
     Allocation,
     Partition,
     canonicalize,
-    enumerate_compositions,
     enumerate_partitions,
     format_allocation,
     parse_allocation,
@@ -30,8 +29,6 @@ from .errors import (
     AllTiesError,
     CapcycleError,
     DimensionMismatchError,
-    EmptyAllocationError,
-    NegativeEntryError,
     SpaceTooLargeError,
 )
 from .matchups import (
@@ -41,7 +38,6 @@ from .matchups import (
     win_probability,
 )
 from .report import (
-    analysis_from_json_dict,
     analysis_json_pieces,
     analyze,
     dot_pieces,

@@ -15,12 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    AllocationError,
-    EmptyAllocationError,
-    NegativeEntryError,
-    SpaceTooLargeError,
-)
+from .errors import AllocationError, SpaceTooLargeError
 
 # Enumeration guard: refuse to materialize strategy spaces bigger than this.
 DEFAULT_SPACE_LIMIT = 100_000_000
@@ -35,7 +30,7 @@ class Allocation:
     def __post_init__(self) -> None:
         vals = tuple(self.values)
         if len(vals) == 0:
-            raise EmptyAllocationError("allocation needs at least one category")
+            raise AllocationError("allocation needs at least one category")
         checked = []
         for v in vals:
             try:
@@ -43,7 +38,7 @@ class Allocation:
             except TypeError:
                 raise AllocationError(f"salaries must be whole numbers, got {v!r}") from None
             if v < 0:
-                raise NegativeEntryError(f"salaries must be nonnegative, got {v}")
+                raise AllocationError(f"salaries must be nonnegative, got {v}")
             checked.append(v)
         object.__setattr__(self, "values", tuple(checked))
 
@@ -77,11 +72,11 @@ def canonicalize(a: Allocation) -> Partition:
 def parse_allocation(text: str) -> Allocation:
     """Parse the comma-separated text form, e.g. ``"1,1,4"``.
 
-    Raises :class:`AllocationError` (or a subclass) on malformed input.
+    Raises :class:`AllocationError` on malformed input.
     """
     tokens = [t.strip() for t in text.split(",")]
     if tokens == [""]:
-        raise EmptyAllocationError("empty allocation text")
+        raise AllocationError("empty allocation text")
     values = []
     for tok in tokens:
         try:
@@ -187,7 +182,9 @@ def _descending_tuples(budget: int, k: int, capped: bool) -> Iterator[tuple[int,
 def composition_tuples(
     budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
 ) -> Iterator[tuple[int, ...]]:
-    """The value tuples of enumerate_compositions, made as they are read.
+    """All ordered k-tuples of nonnegative ints summing to the budget, in
+    lexicographically descending order, made as they are read: the lines
+    that ``enumerate`` prints.
 
     Raises SpaceTooLargeError when called, before any tuple is made, if
     there are more than ``limit`` of them.
@@ -213,19 +210,14 @@ def partition_tuples(
     return _descending_tuples(budget, k, capped=True)
 
 
-def enumerate_compositions(
-    budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
-) -> list[Allocation]:
-    """All ordered k-tuples summing to the budget, lexicographically descending."""
-    return [Allocation(values) for values in composition_tuples(budget, k, limit)]
-
-
 def enumerate_partitions(
     budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
 ) -> list[Partition]:
-    """All non-increasing k-tuples summing to the budget, lexicographically descending.
+    """All non-increasing k-tuples summing to the budget, lexicographically
+    descending: the lines that ``enumerate --partitions`` prints, and the
+    nodes of the dominance graph.
 
-    This is the deduplicated image of :func:`enumerate_compositions` under
+    These are the deduplicated images of :func:`composition_tuples` under
     :func:`canonicalize`.
     """
     return [Partition(values) for values in partition_tuples(budget, k, limit)]

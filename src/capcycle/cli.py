@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 usage error or output that cannot be written,
 2 invalid allocation input, 3 strategy space over the enumeration limit,
 or a JSON export with more 3-cycles to list than report.MAX_LISTED_CYCLES.
 The CAPCYCLE_MAX_SPACE environment variable, a nonnegative integer,
-overrides the enumeration limit.
+overrides the enumeration limit; only the commands that enumerate read it.
 
 Output is written as it is produced, one write call a piece: the JSON and
 DOT listings come in pieces of at most dominance._RECORD_ROWS records, and
@@ -30,7 +30,7 @@ from .allocations import (
     parse_allocation,
     partition_tuples,
 )
-from .dominance import build_graph, counter_strategy
+from .dominance import counter_strategy
 from .errors import AllocationError, SpaceTooLargeError
 from .matchups import TiePolicy, matchup_table, win_probability
 from .report import (
@@ -135,7 +135,7 @@ def _fraction_text(p: Rational) -> str:
     return f"{p.numerator}/{p.denominator} ({float(p):.4f})"
 
 
-def _cmd_matchup(args, limit: int) -> str:
+def _cmd_matchup(args) -> str:
     a = parse_allocation(args.a)
     b = parse_allocation(args.b)
     table = matchup_table(a, b)
@@ -154,18 +154,18 @@ def _cmd_matchup(args, limit: int) -> str:
     return "\n".join(lines)
 
 
-def _cmd_enumerate(args, limit: int) -> Iterator[str]:
+def _cmd_enumerate(args) -> Iterator[str]:
     tuples = partition_tuples if args.partitions else composition_tuples
-    return _allocation_lines(tuples(args.budget, args.k, limit), args.k)
+    return _allocation_lines(tuples(args.budget, args.k, _space_limit()), args.k)
 
 
-def _cmd_graph(args, limit: int) -> Iterator[str]:
-    if args.format == "json":
-        return graph_json_pieces(analyze(args.budget, args.k, limit))
-    return dot_pieces(build_graph(args.budget, args.k, limit))
+def _cmd_graph(args) -> Iterator[str]:
+    graph = analyze(args.budget, args.k, _space_limit())
+    return graph_json_pieces(graph) if args.format == "json" else dot_pieces(graph)
 
 
-def _cmd_counter(args, limit: int) -> str:
+def _cmd_counter(args) -> str:
+    limit = _space_limit()
     a = parse_allocation(args.a)
     if args.budget is not None and args.budget != a.budget:
         raise ValueError(
@@ -178,14 +178,14 @@ def _cmd_counter(args, limit: int) -> str:
     return f"counter: {format_allocation(counter)} (margin {margin})"
 
 
-def _cmd_analyze(args, limit: int) -> str | Iterator[str]:
-    graph = analyze(args.budget, args.k, limit)
+def _cmd_analyze(args) -> str | Iterator[str]:
+    graph = analyze(args.budget, args.k, _space_limit())
     if args.format == "json":
         return analysis_json_pieces(graph)
     return render_analysis_text(graph)
 
 
-def _cmd_simulate(args, limit: int) -> str:
+def _cmd_simulate(args) -> str:
     if args.series is not None and args.best_of is None:
         raise ValueError("--series requires --best-of")
     a = parse_allocation(args.a)
@@ -267,7 +267,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
 
     try:
-        output = args.run(args, _space_limit())
+        output = args.run(args)
     except AllocationError as exc:
         print(f"capcycle: invalid allocation: {exc}", file=sys.stderr)
         return 2

@@ -101,8 +101,7 @@ class DominanceGraph:
     @cached_property
     def margin(self) -> np.ndarray:
         """margin[i, j] = cells node i takes from node j minus cells j takes from i."""
-        values = [p.values for p in self.nodes]
-        return _margins(values, values)
+        return _margins([p.values for p in self.nodes])
 
     @property
     def n_edges(self) -> int:
@@ -183,18 +182,17 @@ class DominanceGraph:
         return tuple(best_counters(self))
 
 
-def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """margin[i, j] = cells rows[i] takes from cols[j] minus cells cols[j] takes back,
-    where rows and cols hold allocations' value tuples.
+def _margins(values: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """margin[i, j] = cells values[i] takes from values[j] minus cells values[j]
+    takes back, where values holds allocations' value tuples.
 
     Score table: a face of rank v (among the distinct face values) nets
-    score[v, j] against cols[j], the number of its faces below v minus
+    score[v, j] against values[j], the number of its faces below v minus
     the number above v. The table is as long as the number of distinct
-    faces, whatever the budget, and is made for _block_rows(len(cols))
-    columns at a time. Those columns of the margin sum the scores of rows'
-    faces, one face position at a time.
+    faces, whatever the budget, and is made for _block_rows(len(values))
+    columns at a time. Those columns of the margin sum the scores of the
+    rows' faces, one face position at a time.
     """
-    values = rows if rows is cols else [*rows, *cols]  # the graph's faces, ranked once
     # Faces of 2^63 and up are ranked as Python ints: a mix of those and
     # small values would otherwise be inferred as float64 and lose bits.
     exact = np.int64 if max(map(max, values)) < 2**63 else object
@@ -205,15 +203,14 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
     # stay exact. numpy 1.x returns the inverse flat.
     distinct, ranks = np.unique(faces, return_inverse=True)
     ranks = ranks.reshape(faces.shape)
-    row_faces, col_ranks = ranks[: len(rows)].T, ranks[len(ranks) - len(cols) :]
-    k = ranks.shape[1]
+    n, k = ranks.shape
     # Every score is in [-k, k], and every partial sum of k of them in
     # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
     # int8 for k <= 11, int16 for k <= 181.
     dtype = np.min_scalar_type(-k * k)
-    margin = np.empty((len(rows), len(cols)), dtype=dtype)
-    for part in _slices(len(cols), _block_rows(len(cols))):
-        block = col_ranks[part]
+    margin = np.empty((n, n), dtype=dtype)
+    for part in _slices(n, _block_rows(n)):
+        block = ranks[part]
         # counts[j, v + 1] is how many faces of column j have rank v, so
         # below[j, v] counts its faces under rank v and score = below - (k -
         # faces up to v). Each of these lies in [-k, 2k]: inside +-k^2 for
@@ -226,8 +223,8 @@ def _margins(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -
             counts[np.arange(len(block)), face + 1] += 1  # one face per column: no pair repeats
         below = np.cumsum(counts, axis=1, dtype=dtype)
         score = np.ascontiguousarray((below[:, :-1] + below[:, 1:] - k).T)
-        total = score[row_faces[0]]
-        for face in row_faces[1:]:
+        total = score[ranks[:, 0]]
+        for face in ranks.T[1:]:
             total += score[face]
         margin[:, part] = total
     return margin
@@ -437,13 +434,20 @@ def counter_strategy(
     Returns None when nothing beats ``a``, which is a legitimate finding,
     not an error.
     """
-    # Ranked as value tuples, _RECORD_ROWS at a time: only the winner becomes
-    # a Partition. a's row against a batch is minus the batch's column against
-    # a. A later batch wins a tie, as the higher column does within one.
+    # Scored as value tuples, _RECORD_ROWS at a time: only the winner becomes
+    # a Partition. A candidate's face v takes #{a's faces < v} - #{a's faces
+    # > v} cells net: the sum of v's two searchsorted positions in a's sorted
+    # faces, minus k. So a's row against the batch is k^2 minus the row sums
+    # of those positions. Faces of 2^63 and up stay Python ints, as in
+    # _margins. A later batch wins a tie, as the higher column does within one.
+    exact = np.int64 if a.budget < 2**63 else object
+    faces = np.array(sorted(a.values), dtype=exact)
     candidates = partition_tuples(a.budget, a.k, limit)
     best = None
     while batch := list(islice(candidates, _RECORD_ROWS)):
-        (column,), (value,) = _strongest_beaters(-_margins(batch, [a.values]).T)
+        values = np.array(batch, dtype=exact)
+        taken = np.searchsorted(faces, values, "left") + np.searchsorted(faces, values, "right")
+        (column,), (value,) = _strongest_beaters(a.k * a.k - taken.sum(axis=1)[None])
         if value > 0 and (best is None or value >= best[1]):
             best = batch[column], int(value)
     return None if best is None else (Partition(best[0]), best[1])

@@ -9,14 +9,6 @@ class AllocationError(CapcycleError, ValueError):
     """Invalid allocation values or unparseable allocation text."""
 
 
-class EmptyAllocationError(AllocationError):
-    """An allocation must have at least one category."""
-
-
-class NegativeEntryError(AllocationError):
-    """Allocations are nonnegative; a negative salary was supplied."""
-
-
 class DimensionMismatchError(CapcycleError, ValueError):
     """Two allocations with different category counts were compared."""
 

@@ -1,5 +1,4 @@
-"""Rendering: matchup grids, DOT, JSON and the text analysis, and the JSON
-reader.
+"""Rendering: matchup grids, DOT, JSON and the text analysis.
 
 The analysis itself is the DominanceGraph (see dominance); this module only
 writes it out. Everything here is deterministic: fixed node order, fixed
@@ -345,20 +344,6 @@ def analysis_json_pieces(graph: DominanceGraph) -> Iterator[str]:
 def analysis_json_dict(graph: DominanceGraph) -> dict[str, Any]:
     """analysis_json_pieces parsed: the same schema as a dict."""
     return json.loads("".join(analysis_json_pieces(graph)))
-
-
-def analysis_from_json_dict(payload: dict[str, Any]) -> DominanceGraph:
-    """Rebuild an analysis from its JSON form.
-
-    The analysis is ``analyze(payload["budget"], payload["k"])``, which
-    determines every other field, so it equals the one that was written.
-    Raises ValueError when the payload's "nodes" are not that analysis's
-    nodes: only what the JSON export writes is read back.
-    """
-    graph = analyze(payload["budget"], payload["k"])
-    if payload["nodes"] != [list(p.values) for p in graph.nodes]:
-        raise ValueError("the payload's nodes are not the partitions of its budget and k")
-    return graph
 
 
 def to_json_text(payload: dict[str, Any]) -> str:

@@ -12,12 +12,12 @@ from capcycle import (
     analyze,
     build_graph,
     emit_dot,
-    enumerate_compositions,
     enumerate_partitions,
     format_allocation,
     graph_json_pieces,
     render_analysis_text,
 )
+from capcycle.allocations import composition_tuples
 from capcycle.report import analysis_json_dict
 from capcycle.cli import run_cli
 
@@ -194,6 +194,26 @@ class TestEnumerateCommand:
         assert code == 1
         assert "CAPCYCLE_MAX_SPACE" in err
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["matchup", "--a", "1,1,4", "--b", "3,3,0"], 0),
+            (["simulate", "--a", "1,1,4", "--b", "3,3,0", "--games", "100", "--seed", "1"], 0),
+            (["graph"], 1),
+            (["counter", "--a", "1,1,4"], 1),
+        ],
+    )
+    def test_only_enumerating_commands_read_env_limit(self, capsys, monkeypatch, argv, code):
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "junk")
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        if code == 0:
+            assert out == expected
+        else:
+            assert out == ""
+            assert "CAPCYCLE_MAX_SPACE must be a nonnegative integer, got 'junk'" in err
+
 
 class TestGraphCommand:
     def test_dot_default(self, capsys):
@@ -351,6 +371,7 @@ class TestEveryInputEnds:
             (["analyze", "--budget", "3", "--k", "2000"], 0, "  1,1,1" + ",0" * 1997 + ": none"),
             (["enumerate", "--budget", "1", "--k", "1500"], 0, "0," * 1499 + "1"),
             (["graph", "--budget", "2", "--k", "1200", "--format", "json"], 0, None),
+            (["counter", "--a", str(10**20)], 0, "counter: none"),
         ],
     )
     def test_answer_or_exit_3(self, capsys, argv, code, last_line):
@@ -512,7 +533,7 @@ class TestStreamedOutput:
     def test_enumerate_equals_library_lists(self, capsys, budget, k):
         space = ["--budget", str(budget), "--k", str(k)]
         for flags, items in (
-            ([], enumerate_compositions(budget, k)),
+            ([], composition_tuples(budget, k)),
             (["--partitions"], enumerate_partitions(budget, k)),
         ):
             code, out, _ = run(capsys, "enumerate", *space, *flags)

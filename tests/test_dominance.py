@@ -230,9 +230,9 @@ class TestMarginKernel:
     def test_widest_margin_fits_its_dtype(self, k, dtype):
         # Every cell won: the largest margin k^2 and its negation.
         ones, zeros = (1,) * k, (0,) * k
-        margin = _margins([ones, zeros], [zeros, ones])
+        margin = _margins([ones, zeros])
         assert margin.dtype == dtype
-        assert margin.tolist() == [[k * k, 0], [0, -k * k]]
+        assert margin.tolist() == [[0, k * k], [-k * k, 0]]
 
     def test_one_byte_per_node_pair(self):
         # Every stage of the report reads margin blocks: the graph keeps no
@@ -250,7 +250,7 @@ class TestMarginKernel:
         values = [p.values for p in build_graph(6000, 2).nodes]
         tracemalloc.start()
         try:
-            margin = _margins(values, values)
+            margin = _margins(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -266,7 +266,7 @@ class TestMarginKernel:
         values = [p.values for p in nodes]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dominance_module, "_block_rows", lambda n: rows)
-            margin = _margins(values, values)
+            margin = _margins(values)
         assert margin.dtype == np.min_scalar_type(-k * k)
         for i, a in enumerate(nodes):
             for j, b in enumerate(nodes):
@@ -279,11 +279,11 @@ class TestMarginKernel:
         # float64, where top + 1 and top are the same number.
         rows = [Allocation((top + 1, 0)), Allocation((top, 1))]
         values = [a.values for a in rows]
-        margin = _margins(values, values)
+        margin = _margins(values)
         assert margin.tolist() == [[0, 0], [0, 0]]
         t = matchup_table(*rows)
         assert (t.wins_a, t.wins_b) == (2, 2)
-        assert _margins([(top + 1, top)], [(top, top)]).tolist() == [[2]]
+        assert _margins([(top + 1, top), (top, top)]).tolist() == [[0, 2], [-2, 0]]
 
 
 class TestThreeCycles:

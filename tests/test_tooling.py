@@ -1,5 +1,6 @@
 """The README library example, its CLI transcript and the scripts run as
-users run them, the public names are the ones they use, the benchmark's
+users run them, the public names are the ones they use, the README's error
+sentence names the error types there are, the benchmark's
 reference commands print their recorded stdout, and the benchmark trace finds
 its layers, counts one matchup per DOT edge and sizes an analysis as its
 report does."""
@@ -145,3 +146,15 @@ def test_public_names_are_used():
     text = "\n".join(path.read_text(encoding="utf-8") for path in sources)
     unused = [name for name in capcycle.__all__ if not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def test_readme_names_every_error_type():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"Every error is a `CapcycleError`.*?\n\n", readme, re.S).group(0)
+    named = set(re.findall(r"`(\w+Error)`", paragraph))
+    defined = {
+        name
+        for name, value in vars(capcycle.errors).items()
+        if isinstance(value, type) and value.__module__ == capcycle.errors.__name__
+    }
+    assert named == defined
