@@ -12,7 +12,6 @@ from .allocations import (
     DEFAULT_SPACE_LIMIT,
     Allocation,
     Partition,
-    canonicalize,
     enumerate_partitions,
     format_allocation,
     parse_allocation,

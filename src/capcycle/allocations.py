@@ -64,11 +64,6 @@ class Partition(Allocation):
             raise AllocationError(f"partition values must be non-increasing, got {vals}")
 
 
-def canonicalize(a: Allocation) -> Partition:
-    """Sort an allocation's values into non-increasing canonical order."""
-    return Partition(tuple(sorted(a.values, reverse=True)))
-
-
 def parse_allocation(text: str) -> Allocation:
     """Parse the comma-separated text form, e.g. ``"1,1,4"``.
 
@@ -216,8 +211,5 @@ def enumerate_partitions(
     """All non-increasing k-tuples summing to the budget, lexicographically
     descending: the lines that ``enumerate --partitions`` prints, and the
     nodes of the dominance graph.
-
-    These are the deduplicated images of :func:`composition_tuples` under
-    :func:`canonicalize`.
     """
     return [Partition(values) for values in partition_tuples(budget, k, limit)]

@@ -25,7 +25,7 @@ from .matchups import MatchupTable, TiePolicy, matchup_table
 
 _MASK64 = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_BLOCK = 8192  # outputs per block; bounds the simulator's working memory
+_BLOCK = 4096  # outputs per block; bounds the simulator's working memory
 _SERIES_BLOCK = 32_768  # series played at a time, about 48 bytes of state each
 
 MAX_BEST_OF = 10**6
@@ -50,17 +50,18 @@ def _rejection_threshold(k: int) -> int:
     return (2**64 // k) * k
 
 
-def _play(
-    table: MatchupTable, states: np.ndarray | list[int], done: Callable, width: int
-) -> np.ndarray:
+def _play(table: MatchupTable, states: np.ndarray | list[int], done: Callable) -> np.ndarray:
     """Roll one row per state until ``done``; returns the tallies: a wins,
     b wins and ties, one column per row.
 
     Outputs at or above floor(2^64 / k) * k are rejected; a row's kept
     outputs pair up in stream order as (a's index, b's index) mod k. A row
     stops at the first roll where ``done`` holds for its running tallies.
-    A block plays the whole rolls that all of up to _BLOCK // width rows hold
-    in ``width`` outputs each, so no tally depends on the width or grouping.
+    A block draws ``width`` outputs for each of its rows, about _BLOCK in
+    all: the rows still playing share _BLOCK evenly, but a row never gets
+    fewer outputs than ``floor``. It plays the whole rolls that every one of
+    its rows holds, so no tally depends on the width or on which rows share
+    a block.
     """
     k = len(table.a_values)
     # threshold - 1, because the threshold at k = 1 is 2^64, which uint64 cannot hold
@@ -74,18 +75,22 @@ def _play(
     rb = np.array([rank[y] for y in table.b_values], dtype=np.intp)
     # a's wins add 1 and b's 2^32, so one cumsum counts both; a block holds far fewer than 2^32 rolls
     count = np.repeat(np.array([1 << 32, 0, 1], dtype=np.int64), [d - 1, 1, d - 1])
-    # Fewer than k outputs of a period are rejected (the mix is a bijection of
-    # the counter), so k + 1 outputs always hold a whole roll.
-    width = max(width, k + 1)
     states = np.array(states, dtype=np.uint64)
     tallies = np.zeros((3, states.size), dtype=np.int64)
-    live, pending = np.empty(0, dtype=np.intp), np.arange(states.size)
-    while live.size or pending.size:
-        room = max(1, _BLOCK // width) - live.size
-        rows, pending = np.concatenate([live, pending[:room]]), pending[room:]
+    # unfinished rows of the last block first, then the rows not yet started
+    live, floor = np.arange(states.size), 2
+    while live.size:
+        width = max(floor, _BLOCK // live.size)
+        rows = live[: max(1, _BLOCK // width)]
         out = _outputs(states[rows], width)
         rejected = out > last_kept
         rolls = (width - rejected.sum(axis=1).max()) // 2
+        if rolls == 0:
+            # Nothing was consumed, so the block is replayed twice as wide.
+            # Fewer than k outputs of a period are rejected (the mix is a
+            # bijection of the counter), so the doubling ends by width k + 1.
+            floor = 2 * width
+            continue
         row = np.arange(rows.size)
         # each row's first 2 * rolls kept columns, in stream order
         cols = np.argsort(rejected, axis=1, kind="stable")[:, : 2 * rolls]
@@ -100,7 +105,12 @@ def _play(
         last = np.where(over, stop.argmax(axis=1), rolls - 1)
         tallies[:, rows] = ta[row, last], tb[row, last], tt[row, last]
         states[rows] += (cols[row, 2 * last + 1] + 1).astype(np.uint64) * np.uint64(_GAMMA)
-        live = rows[~over]
+        unfinished = rows[~over]
+        live = live[rows.size - unfinished.size :]
+        live[: unfinished.size] = unfinished
+        if rows.size > 1 and not over.any():
+            # the rows outlast their width: fewer, longer rows cost less per roll
+            floor = 2 * width
     return tallies
 
 
@@ -172,7 +182,7 @@ def simulate_games(a: Allocation, b: Allocation, config: SimConfig) -> SeriesSta
 
     n = config.n_games
     tallies = _play(
-        table, [config.seed], lambda wa, wb, ties: wa + wb + (0 if reroll else ties) >= n, _BLOCK
+        table, [config.seed], lambda wa, wb, ties: wa + wb + (0 if reroll else ties) >= n
     )
     return SeriesStats(n, *tallies[:, 0].tolist())
 
@@ -191,8 +201,6 @@ def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesS
         raise AllTiesError("every cell ties; a best-of series can never be decided")
 
     need = (config.best_of + 1) // 2
-    # A series lasts at most best_of decisive rolls of two outputs; twice that leaves room for ties.
-    width = min(_BLOCK, 4 * config.best_of)
     # Only the sums of a block of series are kept. Series s (from 0) starts
     # from master output s + 1, the mix of seed + (s + 1) * gamma, so the
     # block from series ``start`` draws its seeds from seed + start * gamma.
@@ -202,7 +210,7 @@ def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesS
             (config.seed + start * _GAMMA) & _MASK64,
             min(_SERIES_BLOCK, config.n_series - start),
         )
-        tallies = _play(table, seeds, lambda wa, wb, _: np.maximum(wa, wb) >= need, width)
+        tallies = _play(table, seeds, lambda wa, wb, _: np.maximum(wa, wb) >= need)
         totals += tallies.sum(axis=1)
         a_series += int(np.count_nonzero(tallies[0] == need))
     a_wins, b_wins, ties = totals.tolist()

@@ -16,7 +16,6 @@ from capcycle import (
     analysis_json_pieces,
     analyze,
     build_graph,
-    canonicalize,
     counter_strategy,
     matchup_json_dict,
     matchup_table,
@@ -258,10 +257,6 @@ def test_acceptance_8_invariant_suite():
         ok = ok and not (fwd and bwd)
         ok = ok and fwd == _oracles.beats(a, b)
         ok = ok and (t.wins_a - t.wins_b) == -(rev.wins_a - rev.wins_b)
-
-        canon = canonicalize(alloc_a)  # canonicalization idempotence
-        ok = ok and canonicalize(canon) == canon
-        ok = ok and canonicalize(Allocation(tuple(perm))) == canon
 
         if not ok:
             fail_count += 1

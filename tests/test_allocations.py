@@ -11,7 +11,6 @@ from capcycle import (
     AllocationError,
     Partition,
     SpaceTooLargeError,
-    canonicalize,
     enumerate_partitions,
     format_allocation,
     parse_allocation,
@@ -92,17 +91,6 @@ class TestPartition:
 
     def test_is_an_allocation(self):
         assert isinstance(Partition((3, 3, 0)), Allocation)
-
-    @given(small_values)
-    def test_canonicalize_sorts_descending(self, values):
-        p = canonicalize(Allocation(tuple(values)))
-        assert p.values == tuple(sorted(values, reverse=True))
-        assert p.budget == sum(values)
-
-    @given(small_values)
-    def test_canonicalize_idempotent(self, values):
-        once = canonicalize(Allocation(tuple(values)))
-        assert canonicalize(once) == once
 
 
 class TestParsing:

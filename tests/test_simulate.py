@@ -1,6 +1,7 @@
 from dataclasses import astuple
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -271,6 +272,38 @@ class TestSimulateBestOf:
         monkeypatch.setattr(simulate_module, "_SERIES_BLOCK", block)
         assert simulate_best_of(MTL, NY, config) == whole
 
+    @pytest.mark.parametrize("block", [2, 3, 64])
+    @pytest.mark.parametrize("policy", TiePolicy)
+    def test_tallies_do_not_depend_on_the_block_budget(self, block, policy, monkeypatch):
+        # A block's shape follows its budget of outputs, and at a budget of 2
+        # a row plays one roll a block; the tallies stay those of the default.
+        drawish = Allocation((3, 2, 1))  # 1/3 of rolls tie against BOS
+
+        def run():
+            games = simulate_games(BOS, drawish, SimConfig(11, 700, policy))
+            series = SimConfig(11, 1, policy, best_of=5, n_series=300)
+            return games, simulate_best_of(BOS, drawish, series)
+
+        default = run()
+        monkeypatch.setattr(simulate_module, "_BLOCK", block)
+        assert run() == default
+
+    def test_large_k_draws_few_outputs_per_series(self, monkeypatch):
+        # 2,000 best-of-1 series need about 4,000 outputs; a block need not
+        # give each series k + 1 of them (40 million at k = 20,000)
+        drawn = []
+
+        def counted(state, n):
+            drawn.append(np.size(state) * n)
+            return _outputs(state, n)
+
+        monkeypatch.setattr(simulate_module, "_outputs", counted)
+        k = 20_000
+        a, b = Allocation(tuple(range(k))), Allocation(tuple(range(k, 0, -1)))
+        stats = simulate_best_of(a, b, SimConfig(5, 1, best_of=1, n_series=2000))
+        assert stats.a_series_wins + stats.b_series_wins == 2000
+        assert sum(drawn) < 10 * 4000
+
     def test_even_pair_splits_series_evenly(self):
         # (4,2,0) vs (5,1,0) is a 4-4 draw pair, so p = 1/2 under reroll
         n_series = 400
@@ -303,6 +336,19 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_series_peak_at_large_k(self):
+        # 2,000 series at k = 20,000 share blocks of _BLOCK outputs
+        k = 20_000
+        a, b = Allocation(tuple(range(k))), Allocation(tuple(range(k, 0, -1)))
+        config = SimConfig(seed=3, n_games=1, best_of=3, n_series=2000)
+        tracemalloc.start()
+        try:
+            simulate_best_of(a, b, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestIndexSampling:
     def test_face_frequencies_unbiased(self):
@@ -316,9 +362,12 @@ class TestIndexSampling:
             for c in (stats.a_game_wins, stats.b_game_wins, stats.tie_games):
                 assert abs(c / n - 1 / k) < 4 * sigma
 
-    @pytest.mark.parametrize("m", [0, 1, 3, 4, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+    @pytest.mark.parametrize(
+        "m", [0, 1, 3, 4, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 1, 2 * _BLOCK, 2 * _BLOCK + 1]
+    )
     def test_forced_rejection_replays_oracle(self, m):
-        # 2^64 - 1 is the one output k = 3 rejects; put it at stream position m
+        # 2^64 - 1 is the one output k = 3 rejects; put it at stream position m,
+        # next to the first and second block boundaries of a run of games
         seed = _oracles.splitmix64_seed_for(2**64 - 1, m)
         assert _oracles.splitmix64_outputs(seed, m + 1)[m] == 2**64 - 1
         assert _first_roll(MTL, NY, seed) == _oracles.roll(MTL.values, NY.values, seed)[1]
@@ -341,12 +390,24 @@ class TestIndexSampling:
 
     @pytest.mark.parametrize(
         "best_of, n_series, row, m",
-        [(1, 2100, 2050, 0), (1, 2100, 2050, 1), (3, 2100, 700, 3), (301, 20, 13, 301)],
+        [
+            (1, 2100, 2050, 0),
+            (1, 2100, 2050, 1),
+            (3, 2100, 700, 3),
+            (301, 20, 13, 301),
+            (1, 5000, 4500, 0),
+            (1, 5000, 2000, 1),
+        ],
     )
     def test_forced_rejection_in_a_later_row_replays_oracle(self, best_of, n_series, row, m):
         # series `row` starts from a seed whose output m is the one k = 3
-        # rejects, and the series fill more than one block of rows
-        assert n_series > _BLOCK // (4 * best_of) and row > 0
+        # rejects. The first block gives each of its first `rows` series
+        # `width` outputs, and the crafted row plays beside earlier rows. At
+        # width 2, a rejection at m < 2 leaves its row no roll, so the block
+        # is replayed wider; past `rows`, the row waits for a later block.
+        width = max(2, _BLOCK // n_series)
+        rows = _BLOCK // width
+        assert 0 < row < n_series and rows > 1
         crafted = _oracles.splitmix64_seed_for(2**64 - 1, m)
         master = _oracles.splitmix64_seed_for(crafted, row)
         assert _outputs(master, row + 1).tolist()[row] == crafted
@@ -379,7 +440,7 @@ class TestOracleCrossCheck:
     @given(
         pair=st.integers(min_value=1, max_value=6).flatmap(_allocation_pairs),
         seed=st.integers(min_value=0, max_value=2**64 - 1),
-        # the long runs cross the first 8192-output block
+        # the long runs fill more than one block of outputs
         n_games=st.one_of(st.integers(1, 50), st.integers(4100, 6000)),
         best_of=st.integers(0, 15).map(lambda i: 2 * i + 1),
         n_series=st.integers(1, 4),
