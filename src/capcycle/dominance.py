@@ -46,15 +46,16 @@ def _block_rows(n: int) -> int:
 
     Each stage's transients are a few arrays of B x n values for B rows, at
     most c * B * n bytes, where the margin kernel's n counts the distinct
-    faces too. The count tile's c is about 9: two float32 operands of at
-    most B * n values and a B x n boolean compare. The walk's c is 3 + 48 * d,
-    where d < 1 is the share of a block's B x n cells that are cycles: a
-    B x n int8 gather, the columns it keeps and their compare, then 36 bytes
-    a cycle while its block is made (two intp indices, one gathered column
-    and the int32 row) and 12 while its reader holds it. The densest block
-    has d = 0.21 at (30, 6) and 0.16 at (60, 4), so c < 13 there. B <= n / 8
-    from n = 1,024 up, so 9 * B * n is at most 9/8 of the int8 margin's n^2
-    bytes; below, it is at most 1,152 * n bytes.
+    faces too. The walk's c is 3 + 48 * d, where d < 1 is the share of a
+    block's B x n cells that are cycles: a B x n int8 gather, the columns
+    it keeps and their compare, then 36 bytes a cycle while its block is
+    made (two intp indices, one gathered column and the int32 row) and 12
+    while its reader holds it. The densest block has d = 0.21 at (30, 6)
+    and 0.16 at (60, 4), so c < 13 there. B <= n / 8 from n = 1,024 up, so
+    c * B * n is at most c/8 of the int8 margin's n^2 bytes; below, it is
+    at most 128 * c * n bytes. The 3-cycle count holds c * B^2 bytes
+    whatever n is, with c = 16: four float32 B x B tiles, beside einsum's
+    fixed 130 KB of cast buffers.
     Larger blocks make fewer, faster BLAS calls, so B grows with n: on a
     2-vCPU host, (100, 4) took 4.9 s with 128-row tiles and 3.6 s with 512.
     """
@@ -200,9 +201,8 @@ def _margins(values: Sequence[tuple[int, ...]]) -> np.ndarray:
     # With return_inverse, np.unique sorts: numpy >= 2.3's hash path for the
     # bare call imports numpy.ma for a masked-array check, about 15 ms and
     # 1 MB of every process. Object faces compare as Python ints, so they
-    # stay exact. numpy 1.x returns the inverse flat.
+    # stay exact.
     distinct, ranks = np.unique(faces, return_inverse=True)
-    ranks = ranks.reshape(faces.shape)
     n, k = ranks.shape
     # Every score is in [-k, k], and every partial sum of k of them in
     # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
@@ -272,34 +272,46 @@ class ThreeCycles:
     def _count(self) -> int:
         """Cycles whose highest index lies in the row tile M = [b0, b1), summed
         over the tiles of the strict-edge adjacency A = (margin > 0), whose
-        rows come from _block_rows(n).
+        B rows come from _block_rows(n).
 
         Those wholly inside M number trace(A_MM^3) / 3. Every other one has
         exactly one rotation x -> y -> z with x in M, y < b0 and z < b1, so the
         rest of the tile's count is the sum, over column tiles C of [0, b1),
-        of (A[M, :b0] @ A[:b0, C]) under the mask A[C, M]^T. Each operand is
-        compared and cast to float32 one tile at a time, so no n x n square is
-        made, and the work is about n^3 / 3 multiply-adds. Every entry of a
-        product counts two-step paths, at most n < 2^24, so the float32
-        products are exact; the masked sums are float64 and the traces at
+        of paths = A[M, :b0] @ A[:b0, C] under the mask A[C, M]^T. paths is
+        summed over the y-slices Y of B rows below b0, A[M, Y] @ A[Y, C], as
+        blocked matrix products split their inner index, so every operand is
+        B x B and the work is still about n^3 / 3 multiply-adds. Four float32
+        B x B tiles (left, right, product, paths) are made once and refilled
+        in place: each compare writes its 0/1 result straight into a tile and
+        each product into the product tile, so nothing grows with n. Every
+        entry of paths counts two-step paths, at most n < 2^24, so the
+        float32 sums are exact; the masked sums are float64 and the traces at
         most 1024^3, all far below 2^53, so exact.
         """
         margin = self.margin
         n = len(margin)
         rows = _block_rows(n)
+        side = min(rows, n)
+        left, right, product, paths = np.empty((4, side, side), dtype=np.float32)
         count = 0
         for b0 in range(0, n, rows):
             b1 = min(b0 + rows, n)
-            inside = _adjacency(margin[b0:b1, b0:b1])
-            trace = np.einsum("ij,ji->", inside @ inside, inside, dtype=np.float64)
-            count += int(trace) // 3
-            if b0:
-                out = _adjacency(margin[b0:b1, :b0])  # x in M beats y < b0
-                for c0 in range(0, b1, rows):
-                    c1 = min(c0 + rows, b1)
-                    paths = out @ _adjacency(margin[:b0, c0:c1])  # y beats z
-                    closing = margin[c0:c1, b0:b1] > 0  # z beats x
-                    count += int(np.einsum("ij,ji->", paths, closing, dtype=np.float64))
+            m = b1 - b0
+            inside = np.greater(margin[b0:b1, b0:b1], 0, out=left[:m, :m])
+            squared = np.matmul(inside, inside, out=product[:m, :m])
+            count += int(np.einsum("ij,ji->", squared, inside, dtype=np.float64)) // 3
+            for c0 in range(0, b1, rows):
+                c1 = min(c0 + rows, b1)
+                c = c1 - c0
+                summed = paths[:m, :c]
+                summed.fill(0)
+                for y0 in range(0, b0, rows):  # b0 is a multiple of rows
+                    y1 = y0 + rows
+                    out = np.greater(margin[b0:b1, y0:y1], 0, out=left[:m])  # x beats y
+                    on = np.greater(margin[y0:y1, c0:c1], 0, out=right[:, :c])  # y beats z
+                    summed += np.matmul(out, on, out=product[:m, :c])
+                closing = np.greater(margin[c0:c1, b0:b1], 0, out=right[:c, :m])  # z beats x
+                count += int(np.einsum("ij,ji->", summed, closing, dtype=np.float64))
         return count
 
     def __len__(self) -> int:
@@ -340,11 +352,6 @@ class ThreeCycles:
             for start in range(0, len(block), 256):
                 for x, y, z in block[start : start + 256].tolist():
                     yield nodes[x], nodes[y], nodes[z]
-
-
-def _adjacency(block: np.ndarray) -> np.ndarray:
-    """The strict edges of a block of ``margin`` as a float32 0/1 matrix."""
-    return (block > 0).astype(np.float32)
 
 
 def find_three_cycles(graph: DominanceGraph) -> ThreeCycles:

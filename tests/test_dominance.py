@@ -344,16 +344,19 @@ class TestThreeCycles:
         assert len(find_three_cycles(graph)) == _oracles.three_cycle_count(adjacency) == count
 
     def test_count_memory_stays_in_tiles(self):
-        # tracemalloc sees numpy's arrays, not BLAS's own buffers.
-        graph = build_graph(30, 6)
-        n = len(graph.margin)
-        tracemalloc.start()
-        try:
-            assert len(find_three_cycles(graph)) == 7_728_511
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 128 * n * 4  # 9 bytes per tile cell, at 128 rows
+        # 1,206 and 1,906 nodes, both in 128-row tiles: the bound is a few
+        # 128 x 128 float32 tiles whatever n is. tracemalloc sees numpy's
+        # arrays, not BLAS's own buffers.
+        for budget, k, count in [(30, 6, 7_728_511), (60, 4, 32_143_068)]:
+            graph = build_graph(budget, k)
+            assert dominance_module._block_rows(len(graph.nodes)) == 128
+            tracemalloc.start()
+            try:
+                assert len(find_three_cycles(graph)) == count
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 128 * 128 * 4, (budget, k, peak)
 
     @pytest.mark.parametrize(
         "n, rows", [(1, 128), (632, 128), (1206, 128), (2048, 256), (8037, 512), (10**5, 1024)]
