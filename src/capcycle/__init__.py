@@ -9,7 +9,6 @@ and runs seeded Monte Carlo checks against the exact probabilities.
 """
 
 from .allocations import (
-    DEFAULT_SPACE_LIMIT,
     Allocation,
     Partition,
     enumerate_partitions,
@@ -48,7 +47,6 @@ from .report import (
     matchup_summary_line,
     render_analysis_text,
     simulation_json_dict,
-    to_json_text,
 )
 from .simulate import (
     SeriesStats,

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import AllocationError, SpaceTooLargeError
 
-# Enumeration guard: refuse to materialize strategy spaces bigger than this.
+# Enumeration guard: refuse to materialize strategy spaces bigger than this,
+# unless the CAPCYCLE_MAX_SPACE environment variable sets another limit.
 DEFAULT_SPACE_LIMIT = 100_000_000
 
 
@@ -87,6 +89,22 @@ def format_allocation(a: Allocation | Sequence[int]) -> str:
     """Render values in the comma-separated text form used everywhere."""
     values = a.values if isinstance(a, Allocation) else tuple(a)
     return ",".join(str(v) for v in values)
+
+
+def _space_limit() -> int:
+    """The enumeration limit: CAPCYCLE_MAX_SPACE, a nonnegative integer, or
+    DEFAULT_SPACE_LIMIT when it is unset. Read by each guard as it runs, so
+    library calls and the CLI honour the same setting."""
+    raw = os.environ.get("CAPCYCLE_MAX_SPACE")
+    if raw is None:
+        return DEFAULT_SPACE_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise ValueError(f"CAPCYCLE_MAX_SPACE must be a nonnegative integer, got {raw!r}")
+    return limit
 
 
 def _check_budget_k(budget: int, k: int) -> None:
@@ -174,16 +192,15 @@ def _descending_tuples(budget: int, k: int, capped: bool) -> Iterator[tuple[int,
         rest = tail
 
 
-def composition_tuples(
-    budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
-) -> Iterator[tuple[int, ...]]:
+def composition_tuples(budget: int, k: int) -> Iterator[tuple[int, ...]]:
     """All ordered k-tuples of nonnegative ints summing to the budget, in
     lexicographically descending order, made as they are read: the lines
     that ``enumerate`` prints.
 
     Raises SpaceTooLargeError when called, before any tuple is made, if
-    there are more than ``limit`` of them.
+    there are more of them than the enumeration limit (see _space_limit).
     """
+    limit = _space_limit()
     count = composition_count(budget, k)
     if count > limit:
         raise SpaceTooLargeError(
@@ -192,11 +209,10 @@ def composition_tuples(
     return _descending_tuples(budget, k, capped=False)
 
 
-def partition_tuples(
-    budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
-) -> Iterator[tuple[int, ...]]:
+def partition_tuples(budget: int, k: int) -> Iterator[tuple[int, ...]]:
     """The value tuples of enumerate_partitions, made as they are read;
-    refuses above ``limit`` as composition_tuples does."""
+    refuses above the enumeration limit as composition_tuples does."""
+    limit = _space_limit()
     count = partition_count(budget, k, limit)
     if count > limit:
         raise SpaceTooLargeError(
@@ -205,11 +221,9 @@ def partition_tuples(
     return _descending_tuples(budget, k, capped=True)
 
 
-def enumerate_partitions(
-    budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT
-) -> list[Partition]:
+def enumerate_partitions(budget: int, k: int) -> list[Partition]:
     """All non-increasing k-tuples summing to the budget, lexicographically
     descending: the lines that ``enumerate --partitions`` prints, and the
     nodes of the dominance graph.
     """
-    return [Partition(values) for values in partition_tuples(budget, k, limit)]
+    return [Partition(values) for values in partition_tuples(budget, k)]

@@ -4,8 +4,9 @@ Subcommands: matchup, enumerate, graph, counter, analyze, simulate.
 Exit codes: 0 success, 1 usage error or output that cannot be written,
 2 invalid allocation input, 3 strategy space over the enumeration limit,
 or a JSON export with more 3-cycles to list than report.MAX_LISTED_CYCLES.
-The CAPCYCLE_MAX_SPACE environment variable, a nonnegative integer,
-overrides the enumeration limit; only the commands that enumerate read it.
+The enumeration limit is read by the library's guard in allocations, from
+the CAPCYCLE_MAX_SPACE environment variable when it is set, so only the
+commands that enumerate read it, and a bad value exits 1 as a ValueError.
 
 Output is written as it is produced, one write call a piece: the JSON and
 DOT listings come in pieces of at most dominance._RECORD_ROWS records, and
@@ -16,6 +17,7 @@ held whole. Every refusal happens before the first byte is written.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
@@ -24,7 +26,6 @@ from numbers import Rational
 from typing import TextIO
 
 from .allocations import (
-    DEFAULT_SPACE_LIMIT,
     composition_tuples,
     format_allocation,
     parse_allocation,
@@ -45,11 +46,8 @@ from .report import (
     matchup_summary_line,
     render_analysis_text,
     simulation_json_dict,
-    to_json_text,
 )
 from .simulate import SimConfig, simulate_best_of, simulate_games
-
-ENV_MAX_SPACE = "CAPCYCLE_MAX_SPACE"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,19 +116,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _space_limit() -> int:
-    raw = os.environ.get(ENV_MAX_SPACE)
-    if raw is None:
-        return DEFAULT_SPACE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = -1
-    if limit < 0:
-        raise ValueError(f"{ENV_MAX_SPACE} must be a nonnegative integer, got {raw!r}")
-    return limit
-
-
 def _fraction_text(p: Rational) -> str:
     return f"{p.numerator}/{p.denominator} ({float(p):.4f})"
 
@@ -140,7 +125,7 @@ def _cmd_matchup(args) -> str:
     b = parse_allocation(args.b)
     table = matchup_table(a, b)
     if args.format == "json":
-        return to_json_text(matchup_json_dict(table))
+        return json.dumps(matchup_json_dict(table))
     if args.format == "csv":
         return emit_matchup_csv(table, args.label_a, args.label_b)
     lines = [
@@ -156,22 +141,21 @@ def _cmd_matchup(args) -> str:
 
 def _cmd_enumerate(args) -> Iterator[str]:
     tuples = partition_tuples if args.partitions else composition_tuples
-    return _allocation_lines(tuples(args.budget, args.k, _space_limit()), args.k)
+    return _allocation_lines(tuples(args.budget, args.k), args.k)
 
 
 def _cmd_graph(args) -> Iterator[str]:
-    graph = analyze(args.budget, args.k, _space_limit())
+    graph = analyze(args.budget, args.k)
     return graph_json_pieces(graph) if args.format == "json" else dot_pieces(graph)
 
 
 def _cmd_counter(args) -> str:
-    limit = _space_limit()
     a = parse_allocation(args.a)
     if args.budget is not None and args.budget != a.budget:
         raise ValueError(
             f"counter search budget {args.budget} must equal the allocation's budget {a.budget}"
         )
-    found = counter_strategy(a, limit)
+    found = counter_strategy(a)
     if found is None:
         return "counter: none"
     counter, margin = found
@@ -179,7 +163,7 @@ def _cmd_counter(args) -> str:
 
 
 def _cmd_analyze(args) -> str | Iterator[str]:
-    graph = analyze(args.budget, args.k, _space_limit())
+    graph = analyze(args.budget, args.k)
     if args.format == "json":
         return analysis_json_pieces(graph)
     return render_analysis_text(graph)
@@ -205,7 +189,7 @@ def _cmd_simulate(args) -> str:
 
     exact_p = win_probability(matchup_table(a, b), policy)
     if args.format == "json":
-        return to_json_text(simulation_json_dict(config, stats, exact_p))
+        return json.dumps(simulation_json_dict(config, stats, exact_p))
 
     tie_word = "ties rerolled" if policy is TiePolicy.REROLL else "ties"
     lines = [

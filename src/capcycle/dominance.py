@@ -19,7 +19,6 @@ from itertools import islice
 import numpy as np
 
 from .allocations import (
-    DEFAULT_SPACE_LIMIT,
     Allocation,
     Partition,
     composition_count,
@@ -244,9 +243,9 @@ def _strongest_beaters(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return columns, -rows[np.arange(len(rows)), columns]
 
 
-def build_graph(budget: int, k: int, limit: int = DEFAULT_SPACE_LIMIT) -> DominanceGraph:
+def build_graph(budget: int, k: int) -> DominanceGraph:
     """Classify every pair of capped partitions into strict edges and draws."""
-    graph = DominanceGraph(budget, k, tuple(enumerate_partitions(budget, k, limit)))
+    graph = DominanceGraph(budget, k, tuple(enumerate_partitions(budget, k)))
     graph.margin  # computed eagerly: building the graph includes the matrix
     return graph
 
@@ -432,9 +431,7 @@ def undominated(graph: DominanceGraph) -> list[Partition]:
     return [graph.nodes[i] for i in np.flatnonzero(~beaten).tolist()]
 
 
-def counter_strategy(
-    a: Allocation, limit: int = DEFAULT_SPACE_LIMIT
-) -> tuple[Partition, int] | None:
+def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:
     """Best same-cap answer to ``a``: a strict dominator of maximum margin.
 
     Ties on margin break to the lexicographically smallest partition.
@@ -449,7 +446,7 @@ def counter_strategy(
     # _margins. A later batch wins a tie, as the higher column does within one.
     exact = np.int64 if a.budget < 2**63 else object
     faces = np.array(sorted(a.values), dtype=exact)
-    candidates = partition_tuples(a.budget, a.k, limit)
+    candidates = partition_tuples(a.budget, a.k)
     best = None
     while batch := list(islice(candidates, _RECORD_ROWS)):
         values = np.array(batch, dtype=exact)

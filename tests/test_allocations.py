@@ -220,22 +220,27 @@ class TestEnumeration:
         assert list(composition_tuples(9, 1)) == [(9,)]
         assert [p.values for p in enumerate_partitions(9, 1)] == [(9,)]
 
-    def test_space_guard_compositions(self):
+    def test_space_guard_compositions(self, monkeypatch):
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "27")
         with pytest.raises(SpaceTooLargeError):
-            composition_tuples(6, 3, limit=27)
-        assert len(list(composition_tuples(6, 3, limit=28))) == 28
+            composition_tuples(6, 3)
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "28")
+        assert len(list(composition_tuples(6, 3))) == 28
 
-    def test_space_guard_partitions(self):
+    def test_space_guard_partitions(self, monkeypatch):
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "6")
         with pytest.raises(SpaceTooLargeError):
-            enumerate_partitions(6, 3, limit=6)
-        assert len(enumerate_partitions(6, 3, limit=7)) == 7
+            enumerate_partitions(6, 3)
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "7")
+        assert len(enumerate_partitions(6, 3)) == 7
 
     @pytest.mark.parametrize(
         "budget, k, limit", [(10**12, 3, 10**8), (1000, 10, 10**8), (6, 3, 6)]
     )
-    def test_partition_refusal_says_at_least(self, budget, k, limit):
+    def test_partition_refusal_says_at_least(self, budget, k, limit, monkeypatch):
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", str(limit))
         with pytest.raises(SpaceTooLargeError, match=r"^at least \d+ partitions"):
-            enumerate_partitions(budget, k, limit)
+            enumerate_partitions(budget, k)
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=7))
     def test_orders_match_oracle_past_four_parts(self, budget, k):
@@ -254,6 +259,7 @@ class TestEnumeration:
         compositions = list(composition_tuples(1, 1500))
         assert compositions == [tuple(int(i == j) for j in range(1500)) for i in range(1500)]
 
-    def test_guard_message_names_the_space(self):
+    def test_guard_message_names_the_space(self, monkeypatch):
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "5")
         with pytest.raises(SpaceTooLargeError, match="28 compositions"):
-            composition_tuples(6, 3, limit=5)
+            composition_tuples(6, 3)

@@ -8,14 +8,20 @@ import pytest
 import capcycle.dominance as dominance_module
 import capcycle.report as report_module
 from capcycle import (
+    Allocation,
+    SimConfig,
+    SpaceTooLargeError,
     analysis_json_pieces,
     analyze,
     build_graph,
+    counter_strategy,
     emit_dot,
     enumerate_partitions,
     format_allocation,
     graph_json_pieces,
+    matchup_table,
     render_analysis_text,
+    simulate_games,
 )
 from capcycle.allocations import composition_tuples
 from capcycle.report import analysis_json_dict
@@ -213,6 +219,28 @@ class TestEnumerateCommand:
         else:
             assert out == ""
             assert "CAPCYCLE_MAX_SPACE must be a nonnegative integer, got 'junk'" in err
+
+    def test_library_reads_env_limit(self, monkeypatch):
+        # The guard reads the variable itself, so library calls that
+        # enumerate honour it as the CLI does, and the others never read it.
+        mtl, ny = Allocation((1, 1, 4)), Allocation((3, 3, 0))
+        enumerating = [
+            lambda: analyze(6, 3),
+            lambda: enumerate_partitions(6, 3),
+            lambda: composition_tuples(6, 3),
+            lambda: counter_strategy(ny),
+        ]
+        config = SimConfig(seed=1, n_games=100)
+        expected = matchup_table(mtl, ny), simulate_games(mtl, ny, config)
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "3")
+        for call in enumerating:
+            with pytest.raises(SpaceTooLargeError):
+                call()
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "junk")
+        for call in enumerating:
+            with pytest.raises(ValueError, match="^CAPCYCLE_MAX_SPACE must be a nonnegative"):
+                call()
+        assert (matchup_table(mtl, ny), simulate_games(mtl, ny, config)) == expected
 
 
 class TestGraphCommand:

@@ -134,9 +134,10 @@ class TestBuildGraph:
             t = matchup_table(graph.nodes[w], graph.nodes[l])
             assert m == t.wins_a - t.wins_b > 0
 
-    def test_space_guard(self):
+    def test_space_guard(self, monkeypatch):
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "3")
         with pytest.raises(SpaceTooLargeError):
-            build_graph(6, 3, limit=3)
+            build_graph(6, 3)
 
     def test_determinism(self, graph_6_3):
         again = build_graph(6, 3)
@@ -563,9 +564,10 @@ class TestCounterStrategy:
                 assert (got[0].values, got[1]) == expected
         assert tied_across_batches >= 7
 
-    def test_space_guard(self):
+    def test_space_guard(self, monkeypatch):
+        monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "3")
         with pytest.raises(SpaceTooLargeError):
-            counter_strategy(Allocation((3, 3, 0)), limit=3)
+            counter_strategy(Allocation((3, 3, 0)))
 
     def test_makes_one_partition(self, monkeypatch):
         # The candidates are ranked as value tuples; only the winner is

@@ -30,10 +30,9 @@ from capcycle import (
     render_analysis_text,
     simulate_games,
     simulation_json_dict,
-    to_json_text,
 )
 from capcycle.allocations import composition_tuples
-from capcycle.report import _allocation_lines, analysis_json_dict
+from capcycle.report import _allocation_lines, analysis_json_dict, to_json_text
 
 from . import _oracles
 from .test_dominance import small_spaces
