@@ -6,62 +6,68 @@ the cap forces trade-offs, so dominance between allocations is cyclic
 rather than linear. This package enumerates capped strategy spaces,
 builds the exact dominance digraph, finds cycles and counter-strategies,
 and runs seeded Monte Carlo checks against the exact probabilities.
-"""
 
-from .allocations import (
-    Allocation,
-    Partition,
-    enumerate_partitions,
-    format_allocation,
-    parse_allocation,
-)
-from .dominance import (
-    CounterEntry,
-    DominanceGraph,
-    ThreeCycles,
-    build_graph,
-    counter_strategy,
-)
-from .errors import (
-    AllocationError,
-    AllTiesError,
-    CapcycleError,
-    DimensionMismatchError,
-    SpaceTooLargeError,
-)
-from .matchups import (
-    MatchupTable,
-    TiePolicy,
-    matchup_table,
-    win_probability,
-)
-from .report import (
-    analysis_json_pieces,
-    analyze,
-    dot_pieces,
-    emit_dot,
-    emit_matchup_csv,
-    emit_matchup_grid,
-    graph_json_pieces,
-    matchup_json_dict,
-    matchup_summary_line,
-    render_analysis_text,
-    simulation_json_dict,
-)
-from .simulate import (
-    SeriesStats,
-    SimConfig,
-    simulate_best_of,
-    simulate_games,
-)
+The public names are imported on first use (PEP 562), each from its
+submodule in _SUBMODULE, so ``import capcycle`` loads no numpy until a name
+from dominance, report or simulate is read.
+"""
 
 __version__ = "0.1.0"
 
 # What the CLI, the scripts and the README use, plus the types those
-# names return or raise: every name imported above, so no submodule.
-# Tests import other helpers from their submodules.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, type(errors))
-)
+# names return or raise, each with the submodule that defines it. Tests
+# import other helpers from their submodules.
+_SUBMODULE = {
+    "Allocation": "allocations",
+    "Partition": "allocations",
+    "enumerate_partitions": "allocations",
+    "format_allocation": "allocations",
+    "parse_allocation": "allocations",
+    "CounterEntry": "dominance",
+    "DominanceGraph": "dominance",
+    "ThreeCycles": "dominance",
+    "build_graph": "dominance",
+    "counter_strategy": "dominance",
+    "AllocationError": "errors",
+    "AllTiesError": "errors",
+    "CapcycleError": "errors",
+    "DimensionMismatchError": "errors",
+    "SpaceTooLargeError": "errors",
+    "MatchupTable": "matchups",
+    "TiePolicy": "matchups",
+    "emit_matchup_csv": "matchups",
+    "emit_matchup_grid": "matchups",
+    "matchup_json_dict": "matchups",
+    "matchup_summary_line": "matchups",
+    "matchup_table": "matchups",
+    "win_probability": "matchups",
+    "analysis_json_pieces": "report",
+    "analyze": "report",
+    "dot_pieces": "report",
+    "emit_dot": "report",
+    "graph_json_pieces": "report",
+    "render_analysis_text": "report",
+    "SeriesStats": "simulate",
+    "SimConfig": "simulate",
+    "simulate_best_of": "simulate",
+    "simulate_games": "simulate",
+    "simulation_json_dict": "simulate",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    """Import a public name's submodule on first access and keep the name."""
+    from importlib import import_module
+
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -88,7 +88,7 @@ def parse_allocation(text: str) -> Allocation:
 def format_allocation(a: Allocation | Sequence[int]) -> str:
     """Render values in the comma-separated text form used everywhere."""
     values = a.values if isinstance(a, Allocation) else tuple(a)
-    return ",".join(str(v) for v in values)
+    return ",".join(map(str, values))
 
 
 def _space_limit() -> int:

@@ -8,6 +8,11 @@ The enumeration limit is read by the library's guard in allocations, from
 the CAPCYCLE_MAX_SPACE environment variable when it is set, so only the
 commands that enumerate read it, and a bad value exits 1 as a ValueError.
 
+Each command imports the modules it runs only when it is run. matchup,
+--help and a usage error load allocations, errors and matchups, and no
+numpy; simulate adds simulate; counter adds dominance; enumerate, analyze
+and graph add report and dominance, and none of them loads simulate.
+
 Output is written as it is produced, one write call a piece: the JSON and
 DOT listings come in pieces of at most dominance._RECORD_ROWS records, and
 the enumerate listing in pieces of about that many values, so no output is
@@ -31,23 +36,16 @@ from .allocations import (
     parse_allocation,
     partition_tuples,
 )
-from .dominance import counter_strategy
 from .errors import AllocationError, SpaceTooLargeError
-from .matchups import TiePolicy, matchup_table, win_probability
-from .report import (
-    _allocation_lines,
-    analysis_json_pieces,
-    analyze,
-    dot_pieces,
+from .matchups import (
+    TiePolicy,
     emit_matchup_csv,
     emit_matchup_grid,
-    graph_json_pieces,
     matchup_json_dict,
     matchup_summary_line,
-    render_analysis_text,
-    simulation_json_dict,
+    matchup_table,
+    win_probability,
 )
-from .simulate import SimConfig, simulate_best_of, simulate_games
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,16 +138,22 @@ def _cmd_matchup(args) -> str:
 
 
 def _cmd_enumerate(args) -> Iterator[str]:
+    from .report import _allocation_lines
+
     tuples = partition_tuples if args.partitions else composition_tuples
     return _allocation_lines(tuples(args.budget, args.k), args.k)
 
 
 def _cmd_graph(args) -> Iterator[str]:
+    from .report import analyze, dot_pieces, graph_json_pieces
+
     graph = analyze(args.budget, args.k)
     return graph_json_pieces(graph) if args.format == "json" else dot_pieces(graph)
 
 
 def _cmd_counter(args) -> str:
+    from .dominance import counter_strategy
+
     a = parse_allocation(args.a)
     if args.budget is not None and args.budget != a.budget:
         raise ValueError(
@@ -163,6 +167,8 @@ def _cmd_counter(args) -> str:
 
 
 def _cmd_analyze(args) -> str | Iterator[str]:
+    from .report import analysis_json_pieces, analyze, render_analysis_text
+
     graph = analyze(args.budget, args.k)
     if args.format == "json":
         return analysis_json_pieces(graph)
@@ -170,6 +176,8 @@ def _cmd_analyze(args) -> str | Iterator[str]:
 
 
 def _cmd_simulate(args) -> str:
+    from .simulate import SimConfig, simulate_best_of, simulate_games, simulation_json_dict
+
     if args.series is not None and args.best_of is None:
         raise ValueError("--series requires --best-of")
     a = parse_allocation(args.a)

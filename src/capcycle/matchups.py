@@ -1,8 +1,10 @@
-"""Exact head-to-head matchup tables.
+"""Exact head-to-head matchup tables and their renderings.
 
 Two allocations with k categories meet in k x k independent cells, one per
 ordered pair of category values; the strictly larger value wins a cell.
 A series goes to whichever side wins more cells, ties being neutral.
+The grid, CSV and JSON that ``matchup`` prints are made here from the
+table alone. This module imports no numpy, so neither does ``matchup``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from bisect import bisect_left, bisect_right
 from enum import Enum
 from itertools import repeat
 from numbers import Rational
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .allocations import Allocation
 from .errors import AllTiesError, DimensionMismatchError
@@ -81,3 +83,76 @@ def win_probability(table: MatchupTable, policy: TiePolicy) -> Rational:
             raise AllTiesError("every cell ties; reroll probability is undefined")
         return Fraction(table.wins_a, decisive)
     return Fraction(table.wins_a, table.wins_a + table.wins_b + table.ties)
+
+
+# ---------------------------------------------------------------------------
+# matchup grid rendering
+
+
+def _matchup_rows(
+    table: MatchupTable, label_a: str, label_b: str, corner: str
+) -> list[list[str]]:
+    """The matchup grid as text rows: ``corner`` and b's values head the
+    columns, then one row per a value x: x, then per b value y the winner,
+    ``label_a`` if x > y, ``label_b`` if x < y, else "tie"."""
+    ys = table.b_values
+    return [[corner, *map(str, ys)]] + [
+        [str(x), *(label_a if x > y else label_b if x < y else "tie" for y in ys)]
+        for x in table.a_values
+    ]
+
+
+def emit_matchup_grid(table: MatchupTable, label_a: str = "A", label_b: str = "B") -> str:
+    """Text grid of the table: b's values head the columns, a's the rows,
+    each interior cell names the winning side or "tie"."""
+    rows = _matchup_rows(table, label_a, label_b, f"{label_a}\\{label_b}")
+    col_w = max(len(label_a), len(label_b), 3, *map(len, rows[0][1:]))
+    head_w = max(len(row[0]) for row in rows)
+    lines = [
+        row[0].rjust(head_w) + " |" + "".join(f" {t.rjust(col_w)}" for t in row[1:])
+        for row in rows
+    ]
+    lines.insert(1, "-" * head_w + "-+" + "-" * (len(table.b_values) * (col_w + 1)))
+    return "\n".join(lines)
+
+
+def _verdict(table: MatchupTable, label_a: str, label_b: str) -> str:
+    """The long-series verdict: the side that wins more cells, or "draw"."""
+    margin = table.wins_a - table.wins_b
+    return label_a if margin > 0 else label_b if margin < 0 else "draw"
+
+
+def matchup_summary_line(
+    table: MatchupTable, label_a: str = "A", label_b: str = "B"
+) -> str:
+    """One-line tally plus the majority verdict."""
+    return (
+        f"{label_a} wins {table.wins_a}, {label_b} wins {table.wins_b}, "
+        f"ties {table.ties}; outcome: {_verdict(table, label_a, label_b)}"
+    )
+
+
+def emit_matchup_csv(table: MatchupTable, label_a: str = "A", label_b: str = "B") -> str:
+    """CSV grid of the table: header row/column carry its values, cells the winner."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(_matchup_rows(table, label_a, label_b, ""))
+    return buf.getvalue().rstrip("\n")
+
+
+def matchup_json_dict(table: MatchupTable) -> dict[str, Any]:
+    """The matchup as a dict for json.dumps; each budget is its side's sum."""
+    return {
+        "a": list(table.a_values),
+        "b": list(table.b_values),
+        "k": len(table.a_values),
+        "a_budget": sum(table.a_values),
+        "b_budget": sum(table.b_values),
+        "wins_a": table.wins_a,
+        "wins_b": table.wins_b,
+        "ties": table.ties,
+        "outcome": _verdict(table, "A", "B"),
+        "cells": [row[1:] for row in _matchup_rows(table, "A", "B", "")[1:]],
+    }

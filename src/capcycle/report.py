@@ -1,4 +1,4 @@
-"""Rendering: matchup grids, DOT, JSON and the text analysis.
+"""Rendering of the analysis: DOT, JSON, the text report and allocation lines.
 
 The analysis itself is the DominanceGraph (see dominance); this module only
 writes it out. Everything here is deterministic: fixed node order, fixed
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from itertools import islice
-from numbers import Rational
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
@@ -19,8 +18,7 @@ from .allocations import Allocation, format_allocation
 from . import dominance
 from .dominance import _slices, Cycle, DominanceGraph, build_graph
 from .errors import SpaceTooLargeError
-from .matchups import MatchupTable, matchup_table
-from .simulate import SeriesStats, SimConfig
+from .matchups import matchup_table
 
 # The three showcase teams at the classic 6-across-3 cap.
 SHOWCASE_TEAMS = (
@@ -42,79 +40,6 @@ def analyze(budget: int, k: int) -> DominanceGraph:
     # A function of its own, not an alias: perfbench/traced.py times
     # analyze and build_graph as separate layers.
     return build_graph(budget, k)
-
-
-# ---------------------------------------------------------------------------
-# matchup grid rendering
-
-
-def _matchup_rows(
-    table: MatchupTable, label_a: str, label_b: str, corner: str
-) -> list[list[str]]:
-    """The matchup grid as text rows: ``corner`` and b's values head the
-    columns, then one row per a value x: x, then per b value y the winner,
-    ``label_a`` if x > y, ``label_b`` if x < y, else "tie"."""
-    ys = table.b_values
-    return [[corner, *map(str, ys)]] + [
-        [str(x), *(label_a if x > y else label_b if x < y else "tie" for y in ys)]
-        for x in table.a_values
-    ]
-
-
-def emit_matchup_grid(table: MatchupTable, label_a: str = "A", label_b: str = "B") -> str:
-    """Text grid of the table: b's values head the columns, a's the rows,
-    each interior cell names the winning side or "tie"."""
-    rows = _matchup_rows(table, label_a, label_b, f"{label_a}\\{label_b}")
-    col_w = max(len(label_a), len(label_b), 3, *map(len, rows[0][1:]))
-    head_w = max(len(row[0]) for row in rows)
-    lines = [
-        row[0].rjust(head_w) + " |" + "".join(f" {t.rjust(col_w)}" for t in row[1:])
-        for row in rows
-    ]
-    lines.insert(1, "-" * head_w + "-+" + "-" * (len(table.b_values) * (col_w + 1)))
-    return "\n".join(lines)
-
-
-def _verdict(table: MatchupTable, label_a: str, label_b: str) -> str:
-    """The long-series verdict: the side that wins more cells, or "draw"."""
-    margin = table.wins_a - table.wins_b
-    return label_a if margin > 0 else label_b if margin < 0 else "draw"
-
-
-def matchup_summary_line(
-    table: MatchupTable, label_a: str = "A", label_b: str = "B"
-) -> str:
-    """One-line tally plus the majority verdict."""
-    return (
-        f"{label_a} wins {table.wins_a}, {label_b} wins {table.wins_b}, "
-        f"ties {table.ties}; outcome: {_verdict(table, label_a, label_b)}"
-    )
-
-
-def emit_matchup_csv(table: MatchupTable, label_a: str = "A", label_b: str = "B") -> str:
-    """CSV grid of the table: header row/column carry its values, cells the winner."""
-    import csv
-    import io
-
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(_matchup_rows(table, label_a, label_b, ""))
-    return buf.getvalue().rstrip("\n")
-
-
-def matchup_json_dict(table: MatchupTable) -> dict[str, Any]:
-    """The matchup as a dict for json.dumps; each budget is its side's sum."""
-    return {
-        "a": list(table.a_values),
-        "b": list(table.b_values),
-        "k": len(table.a_values),
-        "a_budget": sum(table.a_values),
-        "b_budget": sum(table.b_values),
-        "wins_a": table.wins_a,
-        "wins_b": table.wins_b,
-        "ties": table.ties,
-        "outcome": _verdict(table, "A", "B"),
-        "cells": [row[1:] for row in _matchup_rows(table, "A", "B", "")[1:]],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -449,27 +374,3 @@ def render_analysis_text(graph: DominanceGraph) -> str:
             )
     return "\n".join(lines)
 
-
-# ---------------------------------------------------------------------------
-# simulation serialization
-
-
-def simulation_json_dict(
-    config: SimConfig, stats: SeriesStats, exact_p: Rational
-) -> dict[str, Any]:
-    """The "simulation" report block, with the exact per-game p(a)."""
-    return {
-        "simulation": {
-            "seed": config.seed,
-            "n_games": config.n_games,
-            "tie_policy": config.tie_policy.value,
-            "best_of": config.best_of,
-            "n_series": config.n_series,
-            "a_game_wins": stats.a_game_wins,
-            "b_game_wins": stats.b_game_wins,
-            "tie_games": stats.tie_games,
-            "a_series_wins": stats.a_series_wins,
-            "b_series_wins": stats.b_series_wins,
-            "exact_p": {"num": exact_p.numerator, "den": exact_p.denominator},
-        }
-    }

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from numbers import Rational
+from typing import Any
 
 import numpy as np
 
@@ -216,3 +218,24 @@ def simulate_best_of(a: Allocation, b: Allocation, config: SimConfig) -> SeriesS
     a_wins, b_wins, ties = totals.tolist()
     games = a_wins + b_wins + (ties if config.tie_policy is TiePolicy.NOGAME else 0)
     return SeriesStats(games, a_wins, b_wins, ties, a_series, config.n_series - a_series)
+
+
+def simulation_json_dict(
+    config: SimConfig, stats: SeriesStats, exact_p: Rational
+) -> dict[str, Any]:
+    """The "simulation" report block, with the exact per-game p(a)."""
+    return {
+        "simulation": {
+            "seed": config.seed,
+            "n_games": config.n_games,
+            "tie_policy": config.tie_policy.value,
+            "best_of": config.best_of,
+            "n_series": config.n_series,
+            "a_game_wins": stats.a_game_wins,
+            "b_game_wins": stats.b_game_wins,
+            "tie_games": stats.tie_games,
+            "a_series_wins": stats.a_series_wins,
+            "b_series_wins": stats.b_series_wins,
+            "exact_p": {"num": exact_p.numerator, "den": exact_p.denominator},
+        }
+    }

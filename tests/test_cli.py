@@ -341,7 +341,10 @@ class TestAnalyzeCommand:
         )
         assert code == 0
         assert "intransitive 3-cycles: 7728511" in (tmp_path / "report.txt").read_text()
-        code, import_mb = python_peak_rss(tmp_path / "import.txt", "-c", "import capcycle.cli")
+        # The command imports report (and numpy with it) only when it runs.
+        code, import_mb = python_peak_rss(
+            tmp_path / "import.txt", "-c", "import capcycle.cli, capcycle.report"
+        )
         assert code == 0
         assert peak_mb - import_mb < 8
 
@@ -788,6 +791,40 @@ class TestUsageAndOutput:
             text=True,
         )
         assert proc.stderr == "0 False\n"
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["matchup", "--a", "1,1,4", "--b", "3,3,0"], []),
+            (["matchup", "--a", "1,1,4", "--b", "3,3,0", "--format", "json"], []),
+            (["matchup", "--a", "1,1,4", "--b", "3,3,0", "--format", "csv"], []),
+            (["--help"], []),
+            (["matchup", "--a", "1,1,4"], []),
+            (["simulate", "--a", "1,1,4", "--b", "3,3,0", "--games", "9", "--seed", "1"],
+             ["capcycle.simulate", "numpy"]),
+            (["counter", "--a", "3,2,1"], ["capcycle.dominance", "numpy"]),
+            (["analyze"], ["capcycle.dominance", "capcycle.report", "numpy"]),
+            (["graph", "--format", "json"], ["capcycle.dominance", "capcycle.report", "numpy"]),
+        ],
+        ids=["grid", "json", "csv", "help", "parse-error", "simulate", "counter", "analyze",
+             "graph"],
+    )
+    def test_runs_import_only_what_they_run(self, argv, loaded):
+        # matchup, --help and a usage error start without numpy; simulate
+        # without the analysis modules, and the analysis without simulate.
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from capcycle.cli import run_cli; run_cli(sys.argv[1:]); "
+                "heavy = ['capcycle.dominance', 'capcycle.report', 'capcycle.simulate', 'numpy']; "
+                "print([m for m in heavy if m in sys.modules], file=sys.stderr)",
+                *argv,
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stderr.splitlines()[-1] == str(loaded)
 
     @pytest.mark.parametrize(
         "argv",

@@ -8,6 +8,7 @@ from capcycle import (
     Allocation,
     AllTiesError,
     DimensionMismatchError,
+    Partition,
     TiePolicy,
     matchup_json_dict,
     matchup_table,
@@ -47,6 +48,16 @@ wide_values_k = st.builds(
         ]
     ),
 ).flatmap(lambda sides: sides)
+
+
+def _operands(a, b):
+    """Each side as an Allocation and as a Partition of the same values, in
+    all four pairings."""
+    sides = [
+        [Allocation(tuple(values)), Partition(tuple(sorted(values, reverse=True)))]
+        for values in (a, b)
+    ]
+    return [(x, y) for x in sides[0] for y in sides[1]]
 
 
 def wins_series(x, y):
@@ -100,8 +111,10 @@ class TestMatchupTable:
     @given(values_k)
     def test_counts_match_oracle(self, pair):
         a, b = pair
-        t = matchup_table(Allocation(tuple(a)), Allocation(tuple(b)))
-        assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(tuple(a), tuple(b))
+        for x, y in _operands(a, b):
+            t = matchup_table(x, y)
+            assert (t.a_values, t.b_values) == (x.values, y.values)
+            assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(tuple(a), tuple(b))
 
     @given(values_k)
     def test_conservation(self, pair):
@@ -134,6 +147,12 @@ class TestMatchupTable:
         t = matchup_table(Allocation(tuple(a)), Allocation(tuple(b)))
         assert matchup_json_dict(t)["cells"] == _oracles.cell_grid(a, b)
         assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(a, b)
+        # Partition operands, faces of 2^63 and up among them: the counts
+        # stay those of the unsorted sides.
+        for x, y in _operands(a, b):
+            t = matchup_table(x, y)
+            assert matchup_json_dict(t)["cells"] == _oracles.cell_grid(x.values, y.values)
+            assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(a, b)
 
     @given(wide_values_k)
     def test_same_table_as_the_dataclass_builds(self, pair):

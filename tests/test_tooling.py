@@ -132,12 +132,23 @@ def test_traced_analysis_sizes_match_its_report():
 
 
 def test_all_lists_every_public_name():
-    names = [
+    # The package imports each public name from its submodule on first access.
+    submodule = capcycle._SUBMODULE
+    assert capcycle.__all__ == sorted(submodule)
+    for name in capcycle.__all__:
+        module = importlib.import_module(f"capcycle.{submodule[name]}")
+        assert getattr(capcycle, name) is getattr(module, name)
+    # dir() lists every public name, and no other name but the submodules.
+    listed = [
         name
-        for name, value in vars(capcycle).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(capcycle)
+        if not name.startswith("_") and not isinstance(getattr(capcycle, name), types.ModuleType)
     ]
-    assert sorted(names) == sorted(capcycle.__all__)
+    assert listed == capcycle.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        capcycle.no_such_name
+    with pytest.raises(ImportError):
+        from capcycle import no_such_name  # noqa: F401
 
 
 def test_public_names_are_used():
@@ -150,11 +161,35 @@ def test_public_names_are_used():
 
 def test_readme_names_every_error_type():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    paragraph = re.search(r"Every error is a `CapcycleError`.*?\n\n", readme, re.S).group(0)
+    paragraph = re.search(r"The errors of the game itself .*?\n\n", readme, re.S).group(0)
     named = set(re.findall(r"`(\w+Error)`", paragraph))
+    errors = importlib.import_module("capcycle.errors")
     defined = {
         name
-        for name, value in vars(capcycle.errors).items()
-        if isinstance(value, type) and value.__module__ == capcycle.errors.__name__
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and value.__module__ == errors.__name__
     }
     assert named == defined
+
+
+def test_readme_names_the_plain_value_errors(monkeypatch):
+    # Arguments out of range raise a plain ValueError, not a CapcycleError,
+    # and the README names them.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    paragraph = re.search(r"An argument out of range .*?\n\n", readme, re.S).group(0)
+    for name in ["analyze(-1, 3)", "CAPCYCLE_MAX_SPACE", "SimConfig", "simulate_best_of"]:
+        assert name in paragraph
+    mtl, ny = capcycle.Allocation((1, 1, 4)), capcycle.Allocation((3, 3, 0))
+    calls = [
+        lambda: capcycle.analyze(-1, 3),
+        lambda: capcycle.enumerate_partitions(6, 0),
+        lambda: capcycle.SimConfig(seed=0, n_games=0),
+        lambda: capcycle.SimConfig(seed=0, n_games=1, best_of=2),
+        lambda: capcycle.simulate_best_of(mtl, ny, capcycle.SimConfig(seed=0, n_games=1)),
+    ]
+    monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "many")
+    calls.append(lambda: capcycle.analyze(6, 3))
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert not isinstance(caught.value, capcycle.CapcycleError)
