@@ -50,6 +50,20 @@ wide_values_k = st.builds(
 ).flatmap(lambda sides: sides)
 
 
+# Sides up to k = 40, where a call bisects more than a handful of faces:
+# heavy ties, and faces around 2^64 that float64 cannot tell apart.
+long_values_k = st.builds(
+    _two_sides,
+    st.integers(min_value=1, max_value=40),
+    st.sampled_from(
+        [
+            st.integers(min_value=0, max_value=3),
+            st.integers(min_value=2**64 - 4, max_value=2**64 + 4),
+        ]
+    ),
+).flatmap(lambda sides: sides)
+
+
 def _operands(a, b):
     """Each side as an Allocation and as a Partition of the same values, in
     all four pairings."""
@@ -153,6 +167,15 @@ class TestMatchupTable:
             t = matchup_table(x, y)
             assert matchup_json_dict(t)["cells"] == _oracles.cell_grid(x.values, y.values)
             assert (t.wins_a, t.wins_b, t.ties) == _oracles.cell_counts(a, b)
+
+    @given(long_values_k)
+    def test_long_sides_count_as_the_oracle(self, pair):
+        a, b = pair
+        counts = _oracles.cell_counts(tuple(a), tuple(b))
+        for x, y in _operands(a, b):
+            t = matchup_table(x, y)
+            assert (t.a_values, t.b_values) == (x.values, y.values)
+            assert (t.wins_a, t.wins_b, t.ties) == counts
 
     @given(wide_values_k)
     def test_same_table_as_the_dataclass_builds(self, pair):

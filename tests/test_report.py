@@ -278,6 +278,8 @@ class TestGraphExports:
         assert "draw_pairs" not in vars(graph)
 
     def test_dot_makes_one_matchup_per_strict_edge(self, monkeypatch):
+        # dot_pieces looks matchup_table up in the report module on each use,
+        # as a wrapper swapped in there by a tracer must see every edge.
         calls = []
 
         def counted(a, b):
@@ -285,9 +287,12 @@ class TestGraphExports:
             return matchup_table(a, b)
 
         monkeypatch.setattr(report_module, "matchup_table", counted)
-        graph = build_graph(12, 4)
-        emit_dot(graph)
-        assert len(calls) == np.count_nonzero(graph.margin > 0)
+        for budget, k in [(12, 4), (20, 5)]:
+            calls.clear()
+            graph = build_graph(budget, k)
+            text = "".join(dot_pieces(graph))
+            assert len(calls) == graph.n_edges
+            assert text == _oracles.dot(graph)
 
     def test_graph_json_schema(self, report_6_3):
         payload = json.loads("".join(graph_json_pieces(report_6_3)))
