@@ -25,6 +25,7 @@ from .allocations import (
     enumerate_partitions,
     partition_tuples,
 )
+from .errors import SpaceTooLargeError
 
 Edge = tuple[int, int, int]  # (winner index, loser index, margin > 0)
 Cycle = tuple[Partition, Partition, Partition]
@@ -37,24 +38,25 @@ _RECORD_ROWS = 8_192
 
 def _block_rows(n: int) -> int:
     """Rows or columns of a matrix over n nodes that a stage reads or fills
-    at once: the margin kernel's column blocks, the 3-cycle count tiles,
-    the 3-cycle walk's candidate rows, SCC's degree sums, trim and frontier
-    gathers, and the counter table's reduction. The largest power of two at
-    most n / 8, clamped to [128, 1024], so 128 at the 1,206 nodes of
-    (30, 6) and 512 at the 8,037 of (100, 4).
+    at once: the margin kernel's column blocks and the score-table rows it
+    gathers, the 3-cycle count tiles, the 3-cycle walk's candidate rows,
+    SCC's degree sums, trim and frontier gathers, and the counter table's
+    candidate rows. The largest power of two at most n / 8, clamped to
+    [128, 1024], so 128 at the 1,206 nodes of (30, 6) and 512 at the 8,037
+    of (100, 4).
 
     Each stage's transients are a few arrays of B x n values for B rows, at
     most c * B * n bytes, where the margin kernel's n counts the distinct
     faces too. The walk's c is 3 + 48 * d, where d < 1 is the share of a
-    block's B x n cells that are cycles: a B x n int8 gather, the columns
-    it keeps and their compare, then 36 bytes a cycle while its block is
-    made (two intp indices, one gathered column and the int32 row) and 12
-    while its reader holds it. The densest block has d = 0.21 at (30, 6)
-    and 0.16 at (60, 4), so c < 13 there. B <= n / 8 from n = 1,024 up, so
-    c * B * n is at most c/8 of the int8 margin's n^2 bytes; below, it is
-    at most 128 * c * n bytes. The 3-cycle count holds c * B^2 bytes
-    whatever n is, with c = 16: four float32 B x B tiles, beside einsum's
-    fixed 130 KB of cast buffers.
+    block's B x n cells that are cycles: a gather of B packed rows, their
+    unpacked bits and the columns it keeps, then 36 bytes a cycle while its
+    block is made (two intp indices, one gathered column and the int32 row)
+    and 12 while its reader holds it. The densest block has d = 0.21 at
+    (30, 6) and 0.16 at (60, 4), so c < 13 there. B <= n / 8 from n = 1,024
+    up, so c * B * n is at most c times the n^2 / 8 bytes of the sign plane;
+    below, it is at most 128 * c * n bytes. The 3-cycle count holds c * B^2
+    bytes whatever n is, with c = 16: four float32 B x B tiles, beside
+    einsum's fixed 130 KB of cast buffers.
     Larger blocks make fewer, faster BLAS calls, so B grows with n: on a
     2-vCPU host, (100, 4) took 4.9 s with 128-row tiles and 3.6 s with 512.
     """
@@ -80,12 +82,14 @@ class DominanceGraph:
     """Exhaustive pairwise classification of the capped strategy space, and
     the analysis read from it.
 
-    The relation is held once, as the n x n ``margin`` matrix, computed
-    from the nodes at the narrowest exact integer dtype: one byte per node
-    pair up to k = 11. Node i beats node j when margin[i, j] > 0, and the
-    matrix is antisymmetric. Edges, draws, cycles, components, counters and
-    the undominated set are read from it a block of rows at a time, or by a
-    reduction that copies nothing.
+    The relation is held once, as the packed sign plane ``beats``: one bit
+    per ordered node pair, n^2 / 8 bytes whatever k is. The margin is
+    antisymmetric, so bit (i, j) set means node i beats node j, bit (j, i)
+    set means j beats i, and neither means a draw. The count, the walk,
+    components, draws and the undominated set read those bits a block of
+    rows or columns at a time. The win margins themselves are not held:
+    the counter table and the edge listings with margins (edge_blocks,
+    edges) run the margin kernel again, one column block at a time.
     Every unordered node pair appears exactly once, either as a strict
     edge (with its positive win margin) or as a draw pair. Nodes are in
     lexicographically descending order, matching enumerate_partitions.
@@ -99,47 +103,85 @@ class DominanceGraph:
     nodes: tuple[Partition, ...]
 
     @cached_property
-    def margin(self) -> np.ndarray:
-        """margin[i, j] = cells node i takes from node j minus cells j takes from i."""
-        return _margins([p.values for p in self.nodes])
+    def beats(self) -> np.ndarray:
+        """Row i is np.packbits(margin[i] > 0): bit j, in packbits' order, is
+        set when node i beats node j. An (n, ceil(n / 8)) uint8 array, filled
+        from the margin kernel's column blocks, so no n x n array is made."""
+        n = len(self.nodes)
+        plane = np.zeros((n, -(-n // 8)), dtype=np.uint8)
+        blocks = _margins([p.values for p in self.nodes])
+        for part, block in zip(_slices(n, _block_rows(n)), blocks):
+            # The block's columns fill the bytes from part.start >> 3 on; one
+            # that starts inside a byte shares it with the block before, so
+            # its bits are shifted by the columns before it and ORed in.
+            lead = part.start & 7
+            bits = np.zeros((n, lead + block.shape[1]), dtype=bool)
+            np.greater(block, 0, out=bits[:, lead:])
+            plane[:, part.start >> 3 : (part.stop + 7) >> 3] |= np.packbits(bits, axis=1)
+        return plane
 
     @property
     def n_edges(self) -> int:
-        """The number of strict edges: each is a pair of nonzero margins."""
-        return np.count_nonzero(self.margin) // 2
+        """The number of strict edges: the set bits of the plane."""
+        return int(np.bitwise_count(self.beats).sum())
 
     def pair_blocks(self, strict: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Index arrays (first, second) of the strict edges (winner, loser),
         or of the drawn pairs (first < second) when not ``strict``, in blocks
         of at most _RECORD_ROWS pairs: each written listing piece is a block.
 
-        The pairs of max(1, _RECORD_ROWS // n) matrix rows are found at a
+        The pairs of max(1, _RECORD_ROWS // n) plane rows are found at a
         time and cut into blocks of _RECORD_ROWS, the last one shorter; rows
         with no pair make no block. Concatenated, the blocks list every pair
         once, sorted by first and then second, and no index array of the
-        whole listing is ever held.
+        whole listing is ever held. A drawn pair is one whose two bits are
+        both clear, so the draws read the plane's columns of the rows too.
         """
-        n = len(self.nodes)
+        plane = self.beats
+        n = len(plane)
         pairs = _RECORD_ROWS
         for rows in _slices(n, max(1, pairs // max(n, 1))):
-            if strict:
-                block = self.margin[rows] > 0
-            else:  # row start + i draws column j > start + i
-                block = np.triu(self.margin[rows] == 0, rows.start + 1)
+            block = _row_bits(plane[rows], 0, n)
+            if not strict:  # row start + i draws column j > start + i
+                beaten = _column_bits(plane, np.arange(n)[rows]).T
+                block = np.triu(~(block | beaten), rows.start + 1)
             first, second = np.nonzero(block)
             first += rows.start
             for part in _slices(len(first), pairs):
                 yield first[part], second[part]
+
+    def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """pair_blocks(True) with each edge's margin: (winners, losers,
+        margins) arrays.
+
+        The plane holds no margins, so the margin kernel runs again. Its
+        column blocks are read in step with the pairs, which are sorted by
+        winner: margin[w, l] is minus entry (l, w) of the column block that
+        holds column w. One column block is held at a time.
+        """
+        blocks = _margins([p.values for p in self.nodes])
+        block = next(blocks)
+        stop = block.shape[1]  # block holds the margin's columns [stop - its width, stop)
+        for winners, losers in self.pair_blocks(True):
+            margins = np.empty(len(winners), dtype=block.dtype)
+            done = 0
+            while done < len(winners):
+                while winners[done] >= stop:
+                    block = next(blocks)
+                    stop += block.shape[1]
+                end = np.searchsorted(winners, stop)
+                columns = winners[done:end] - (stop - block.shape[1])
+                margins[done:end] = -block[losers[done:end], columns]
+                done = end
+            yield winners, losers, margins
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         """Strict edges (winner, loser, margin), sorted by winner then loser."""
         return tuple(
             edge
-            for winners, losers in self.pair_blocks(True)
-            for edge in zip(
-                winners.tolist(), losers.tolist(), self.margin[winners, losers].tolist()
-            )
+            for winners, losers, margins in self.edge_blocks()
+            for edge in zip(winners.tolist(), losers.tolist(), margins.tolist())
         )
 
     @cached_property
@@ -182,34 +224,46 @@ class DominanceGraph:
         return tuple(best_counters(self))
 
 
-def _margins(values: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """margin[i, j] = cells values[i] takes from values[j] minus cells values[j]
-    takes back, where values holds allocations' value tuples.
+def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
+    """The margin matrix as column blocks: margin[:, part] for each slice
+    part of _slices(n, _block_rows(n)), an (n, len(part)) array, where
+    margin[i, j] = cells values[i] takes from values[j] minus cells values[j]
+    takes back and values holds allocations' value tuples. The matrix is
+    antisymmetric, so a row block is minus a column block transposed. The
+    blocks are views of one (n, B) buffer, refilled for each: a block is
+    valid until the next one is made.
 
     Score table: a face of rank v (among the distinct face values) nets
     score[v, j] against values[j], the number of its faces below v minus
     the number above v. The table is as long as the number of distinct
-    faces, whatever the budget, and is made for _block_rows(len(values))
-    columns at a time. Those columns of the margin sum the scores of the
-    rows' faces, one face position at a time.
+    faces, whatever the budget, and is made for one block's columns. A row
+    of the block sums the scores of that node's faces, and the block is
+    accumulated in place from _block_rows(n) rows at a time, so besides it
+    the kernel holds only B x B gathers of the table.
     """
     # Faces of 2^63 and up are ranked as Python ints: a mix of those and
     # small values would otherwise be inferred as float64 and lose bits.
     exact = np.int64 if max(map(max, values)) < 2**63 else object
     faces = np.array(values, dtype=exact)
-    # With return_inverse, np.unique sorts: numpy >= 2.3's hash path for the
-    # bare call imports numpy.ma for a masked-array check, about 15 ms and
-    # 1 MB of every process. Object faces compare as Python ints, so they
-    # stay exact.
-    distinct, ranks = np.unique(faces, return_inverse=True)
+    # The distinct faces come from one sort, not np.unique: its inverse
+    # takes four n x k intp arrays, and numpy >= 2.3's hash path for the bare
+    # call imports numpy.ma for a masked-array check, about 15 ms and 1 MB of
+    # every process. Object faces compare as Python ints, so they stay exact.
+    distinct = np.sort(faces, axis=None)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    # Ranks at the narrowest dtype that holds len(distinct), which face + 1
+    # below reaches: each pass holds them whole.
+    ranks = np.searchsorted(distinct, faces).astype(np.min_scalar_type(len(distinct)))
+    del faces
     n, k = ranks.shape
     # Every score is in [-k, k], and every partial sum of k of them in
     # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
     # int8 for k <= 11, int16 for k <= 181.
     dtype = np.min_scalar_type(-k * k)
-    margin = np.empty((n, n), dtype=dtype)
-    for part in _slices(n, _block_rows(n)):
-        block = ranks[part]
+    size = _block_rows(n)
+    margin = np.empty((n, min(size, n)), dtype=dtype)  # refilled for every block
+    for part in _slices(n, size):
+        columns = ranks[part]
         # counts[j, v + 1] is how many faces of column j have rank v, so
         # below[j, v] counts its faces under rank v and score = below - (k -
         # faces up to v). Each of these lies in [-k, 2k]: inside +-k^2 for
@@ -217,61 +271,82 @@ def _margins(values: Sequence[tuple[int, ...]]) -> np.ndarray:
         # The sums run along contiguous rows, then the table is transposed
         # once: down the columns of a (faces x columns) table they took twice
         # as long at (6000, 2) once 256 columns outgrew the cache.
-        counts = np.zeros((len(block), len(distinct) + 1), dtype=dtype)
-        for face in block.T:
-            counts[np.arange(len(block)), face + 1] += 1  # one face per column: no pair repeats
+        counts = np.zeros((len(columns), len(distinct) + 1), dtype=dtype)
+        for face in columns.T:
+            counts[np.arange(len(columns)), face + 1] += 1  # one face per column: no pair repeats
         below = np.cumsum(counts, axis=1, dtype=dtype)
         score = np.ascontiguousarray((below[:, :-1] + below[:, 1:] - k).T)
-        total = score[ranks[:, 0]]
-        for face in ranks.T[1:]:
-            total += score[face]
-        margin[:, part] = total
-    return margin
+        block = margin[:, : len(columns)]
+        block.fill(0)
+        for rows in _slices(n, size):
+            total = block[rows]
+            for face in ranks[rows].T:
+                total += score[face]
+        yield block
 
 
-def _strongest_beaters(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of margins, one node against the candidate columns: the
-    highest column that holds the row's smallest entry, and minus that
-    entry, in the margin's dtype.
+def _strongest_beaters(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of a margin block, one node's column against the
+    candidate rows: the highest row that holds the column's largest entry,
+    and that entry, in the block's dtype.
 
-    That column is the candidate that beats the node by the most, and the
+    That row is the candidate that beats the node by the most, and the
     value is its margin over the node, positive only if it beats the node at
-    all. Ties go to the highest column: with candidates in descending node
-    order, that is the lexicographically smallest partition.
+    all. Ties go to the highest row: with candidates in descending node
+    order, that is the lexicographically smallest partition. argmax copies
+    the block to make each column contiguous, so callers pass a few rows.
     """
-    columns = rows.shape[1] - 1 - np.argmin(rows[:, ::-1], axis=1)
-    return columns, -rows[np.arange(len(rows)), columns]
+    rows = len(block) - 1 - np.argmax(block[::-1], axis=0)
+    return rows, block[rows, np.arange(block.shape[1])]
 
 
 def build_graph(budget: int, k: int) -> DominanceGraph:
     """Classify every pair of capped partitions into strict edges and draws."""
     graph = DominanceGraph(budget, k, tuple(enumerate_partitions(budget, k)))
-    graph.margin  # computed eagerly: building the graph includes the matrix
+    graph.beats  # computed eagerly: building the graph includes the relation
     return graph
+
+
+def _row_bits(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns [start, stop) of packed plane rows, unpacked: a bool
+    (len(rows), stop - start) array."""
+    lead = start & 7
+    bits = np.unpackbits(rows[:, start >> 3 : (stop + 7) >> 3], axis=1, count=lead + stop - start)
+    return bits[:, lead:].view(bool)
+
+
+def _column_bits(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The given columns of packed plane rows: a bool (len(rows),
+    len(columns)) array. Column c is byte c >> 3 shifted right by
+    7 - (c & 7)."""
+    bits = rows[:, columns >> 3]
+    bits >>= (7 - (columns & 7)).astype(np.uint8)
+    bits &= 1
+    return bits.view(bool)
 
 
 class ThreeCycles:
     """The directed 3-cycles of a graph: counted exactly, listed on iteration.
 
     ``len()`` counts them exactly on first use, without listing any: each
-    cycle once, in the tile of ``margin`` rows that holds its highest node
-    index (see ``_count``). ``index_blocks`` walks the margin one node x at
-    a time, a block of candidate rows at a time, and yields the cycles as
+    cycle once, in the tile of plane rows that holds its highest node index
+    (see ``_count``). ``index_blocks`` walks the plane one node x at a time,
+    a block of candidate rows at a time, and yields the cycles as
     node-index arrays; iterating maps those to partitions. Each cycle comes
     once, smallest node (by value) first, sorted by ascending node values.
     """
 
     def __init__(self, graph: DominanceGraph) -> None:
         # The graph caches this object, so it keeps what it reads rather than
-        # the graph: a reference cycle would keep a dropped graph's margin
+        # the graph: a reference cycle would keep a dropped graph's plane
         # alive until a garbage collector pass.
-        self.margin, self.nodes = graph.margin, graph.nodes
+        self.beats, self.nodes = graph.beats, graph.nodes
 
     @cached_property
     def _count(self) -> int:
         """Cycles whose highest index lies in the row tile M = [b0, b1), summed
-        over the tiles of the strict-edge adjacency A = (margin > 0), whose
-        B rows come from _block_rows(n).
+        over the tiles of the strict-edge adjacency A (the plane's bits),
+        whose B rows come from _block_rows(n).
 
         Those wholly inside M number trace(A_MM^3) / 3. Every other one has
         exactly one rotation x -> y -> z with x in M, y < b0 and z < b1, so the
@@ -281,14 +356,28 @@ class ThreeCycles:
         blocked matrix products split their inner index, so every operand is
         B x B and the work is still about n^3 / 3 multiply-adds. Four float32
         B x B tiles (left, right, product, paths) are made once and refilled
-        in place: each compare writes its 0/1 result straight into a tile and
-        each product into the product tile, so nothing grows with n. Every
-        entry of paths counts two-step paths, at most n < 2^24, so the
-        float32 sums are exact; the masked sums are float64 and the traces at
-        most 1024^3, all far below 2^53, so exact.
+        in place: each tile of bits is unpacked and copied into one as 0/1,
+        and each product goes into the product tile, so nothing grows with n.
+        Every entry of paths counts two-step paths, at most n, so the float32
+        sums are exact while n < 2^24; a larger graph is refused before the
+        first tile. The masked sums are float64 and the traces at most
+        1024^3, all far below 2^53, so exact.
         """
-        margin = self.margin
-        n = len(margin)
+        plane = self.beats
+        n = len(plane)
+        if n >= 2**24:
+            raise SpaceTooLargeError(
+                f"{n} nodes: the 3-cycle count sums paths in float32, "
+                f"which is exact only below 2^24 = {2**24} nodes"
+            )
+
+        def bits(tile: np.ndarray, r0: int, c0: int) -> np.ndarray:
+            """``tile`` refilled with the bits of the plane's rows and columns
+            from (r0, c0) on, as 0/1."""
+            m, c = tile.shape
+            np.copyto(tile, _row_bits(plane[r0 : r0 + m], c0, c0 + c))
+            return tile
+
         rows = _block_rows(n)
         side = min(rows, n)
         left, right, product, paths = np.empty((4, side, side), dtype=np.float32)
@@ -296,20 +385,18 @@ class ThreeCycles:
         for b0 in range(0, n, rows):
             b1 = min(b0 + rows, n)
             m = b1 - b0
-            inside = np.greater(margin[b0:b1, b0:b1], 0, out=left[:m, :m])
+            inside = bits(left[:m, :m], b0, b0)
             squared = np.matmul(inside, inside, out=product[:m, :m])
             count += int(np.einsum("ij,ji->", squared, inside, dtype=np.float64)) // 3
             for c0 in range(0, b1, rows):
-                c1 = min(c0 + rows, b1)
-                c = c1 - c0
+                c = min(c0 + rows, b1) - c0
                 summed = paths[:m, :c]
                 summed.fill(0)
                 for y0 in range(0, b0, rows):  # b0 is a multiple of rows
-                    y1 = y0 + rows
-                    out = np.greater(margin[b0:b1, y0:y1], 0, out=left[:m])  # x beats y
-                    on = np.greater(margin[y0:y1, c0:c1], 0, out=right[:, :c])  # y beats z
+                    out = bits(left[:m], b0, y0)  # x beats y
+                    on = bits(right[:, :c], y0, c0)  # y beats z
                     summed += np.matmul(out, on, out=product[:m, :c])
-                closing = np.greater(margin[c0:c1, b0:b1], 0, out=right[:c, :m])  # z beats x
+                closing = bits(right[:c, :m], c0, b0)  # z beats x
                 count += int(np.einsum("ij,ji->", summed, closing, dtype=np.float64))
         return count
 
@@ -319,7 +406,7 @@ class ThreeCycles:
     def index_blocks(self) -> Iterator[np.ndarray]:
         """The cycles (x, y, z) as (m, 3) int32 node-index arrays: one per x
         and per slice of _block_rows(n) of the nodes y that x beats, whose
-        margin rows are read one slice at a time.
+        plane rows are read one slice at a time.
 
         With nodes in descending value order, the lexicographically
         smallest node of a cycle is its highest index x, so x runs from
@@ -327,14 +414,13 @@ class ThreeCycles:
         z descend: the canonical order. Lazy: taking the first few cycles
         computes only the first blocks. Slices with no cycle yield no block.
         """
-        margin = self.margin
-        size = _block_rows(len(margin))
-        for x in range(len(margin) - 1, -1, -1):
-            row = margin[x, :x]
-            ys = np.flatnonzero(row > 0)[::-1]  # x beats y
-            zs = np.flatnonzero(row < 0)[::-1]  # z beats x
+        plane = self.beats
+        size = _block_rows(len(plane))
+        for x in range(len(plane) - 1, -1, -1):
+            ys = np.flatnonzero(_row_bits(plane[x : x + 1], 0, x))[::-1]  # x beats y
+            zs = np.flatnonzero(_column_bits(plane[:x], np.array([x])))[::-1]  # z beats x
             for part in _slices(len(ys), size):
-                rows, cols = np.nonzero(margin[ys[part]][:, zs] > 0)  # y beats z
+                rows, cols = np.nonzero(_row_bits(plane[ys[part]], 0, x)[:, zs])  # y beats z
                 if rows.size:
                     block = np.empty((rows.size, 3), dtype=np.int32)
                     block[:, 0] = x
@@ -386,24 +472,25 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
     and assigning it can leave more such nodes. Then forward-backward search
     (Fleischer, Hendrickson & Pinar, 2000) over boolean node masks: the
     component of the lowest unassigned node is what it reaches forward along
-    rows of ``margin > 0``, searched backward from it within that set. Both
-    read matrix rows only: the nodes that beat i are row i of ``margin < 0``.
+    the rows of the plane, searched backward from it within that set along
+    the plane's columns: the nodes that beat i are the set bits of column i.
     """
-    margin = graph.margin
+    plane = graph.beats
+    n = len(plane)
 
     def successors(block: np.ndarray | slice) -> np.ndarray:
-        return margin[block] > 0
+        return _row_bits(plane[block], 0, n)
 
-    def predecessors(block: np.ndarray | slice) -> np.ndarray:
-        return margin[block] < 0
+    def predecessors(block: np.ndarray) -> np.ndarray:
+        return _column_bits(plane, block).T
 
-    n = len(margin)
     rows = _block_rows(n)
-    in_degree = np.empty(n, dtype=np.intp)
+    in_degree = np.zeros(n, dtype=np.intp)
     out_degree = np.empty(n, dtype=np.intp)
-    for block in _slices(n, rows):  # views of the margin, not copies
-        out_degree[block] = successors(block).sum(axis=1)
-        in_degree[block] = predecessors(block).sum(axis=1)
+    for block in _slices(n, rows):
+        beaten = successors(block)
+        out_degree[block] = beaten.sum(axis=1)
+        in_degree += beaten.sum(axis=0)
     unassigned = np.ones(n, dtype=bool)
     components = []
     while True:
@@ -426,9 +513,11 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
 
 
 def undominated(graph: DominanceGraph) -> list[Partition]:
-    """Nodes with no incoming strict edge, in node order."""
-    beaten = graph.margin.max(axis=0) > 0
-    return [graph.nodes[i] for i in np.flatnonzero(~beaten).tolist()]
+    """Nodes with no incoming strict edge, in node order: the clear bits of
+    the OR of every plane row."""
+    plane = graph.beats
+    beaten = _row_bits(np.bitwise_or.reduce(plane, axis=0, keepdims=True), 0, len(plane))
+    return [graph.nodes[i] for i in np.flatnonzero(~beaten[0]).tolist()]
 
 
 def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:
@@ -441,9 +530,9 @@ def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:
     # Scored as value tuples, _RECORD_ROWS at a time: only the winner becomes
     # a Partition. A candidate's face v takes #{a's faces < v} - #{a's faces
     # > v} cells net: the sum of v's two searchsorted positions in a's sorted
-    # faces, minus k. So a's row against the batch is k^2 minus the row sums
-    # of those positions. Faces of 2^63 and up stay Python ints, as in
-    # _margins. A later batch wins a tie, as the higher column does within one.
+    # faces, minus k. So the batch's margins over a are the row sums of
+    # those positions minus k^2. Faces of 2^63 and up stay Python ints, as
+    # in _margins. A later batch wins a tie, as the higher row does within one.
     exact = np.int64 if a.budget < 2**63 else object
     faces = np.array(sorted(a.values), dtype=exact)
     candidates = partition_tuples(a.budget, a.k)
@@ -451,9 +540,9 @@ def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:
     while batch := list(islice(candidates, _RECORD_ROWS)):
         values = np.array(batch, dtype=exact)
         taken = np.searchsorted(faces, values, "left") + np.searchsorted(faces, values, "right")
-        (column,), (value,) = _strongest_beaters(a.k * a.k - taken.sum(axis=1)[None])
+        (row,), (value,) = _strongest_beaters(taken.sum(axis=1)[:, None] - a.k * a.k)
         if value > 0 and (best is None or value >= best[1]):
-            best = batch[column], int(value)
+            best = batch[row], int(value)
     return None if best is None else (Partition(best[0]), best[1])
 
 
@@ -462,18 +551,25 @@ def best_counters(graph: DominanceGraph) -> list[CounterEntry]:
     tie-break) and margin, or None for both.
 
     Same answer as running counter_strategy on every node, read off the
-    rows of the margin matrix: the nodes that beat node j are the negative
-    entries of row j. Each block of _block_rows(n) rows is answered in full,
-    so nothing is merged across blocks.
+    margin kernel's column blocks: the nodes that beat node j are the
+    positive entries of column j. A block's candidates are answered
+    _block_rows(n) rows at a time, and a later slice of rows wins a tie, as
+    in counter_strategy, so argmax copies only B x B values at a time.
     """
-    margin = graph.margin
-    n = len(margin)
-    columns = np.empty(n, dtype=np.intp)
-    values = np.empty(n, dtype=margin.dtype)
-    for part in _slices(n, _block_rows(n)):
-        columns[part], values[part] = _strongest_beaters(margin[part])
     nodes = graph.nodes
+    n = len(nodes)
+    size = _block_rows(n)
+    rows = np.zeros(n, dtype=np.intp)
+    values = np.full(n, -1, dtype=np.intp)  # a column's largest entry is >= 0, its node's own
+    for part, block in zip(_slices(n, size), _margins([p.values for p in nodes])):
+        best_rows, best = rows[part], values[part]
+        for candidates in _slices(n, size):
+            found, value = _strongest_beaters(block[candidates])
+            later = value >= best
+            best_rows[later] = candidates.start + found[later]
+            best[later] = value[later]
+    del block  # a view of the kernel's buffer: free it before the entries are made
     return [
-        CounterEntry(node, nodes[column], value) if value > 0 else CounterEntry(node, None, None)
-        for node, column, value in zip(nodes, columns.tolist(), values.tolist())
+        CounterEntry(node, nodes[row], value) if value > 0 else CounterEntry(node, None, None)
+        for node, row, value in zip(nodes, rows.tolist(), values.tolist())
     ]

@@ -8,7 +8,7 @@ edge order, fixed serialization, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Any, Iterable, Iterator
 
@@ -118,8 +118,9 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
     node = np.array(nodes, dtype=object)
     for w, l in graph.pair_blocks(True):
         tables = map(matchup_table, node[w], node[l])
-        # margin = wins_w - wins_l, so the loser's count is exact from the margin.
-        wins = np.fromiter(map(attrgetter("wins_a"), tables), dtype=np.intp, count=len(w))
+        # Flat, then reshaped: fromiter with an (intp, 2) dtype took 20% longer.
+        counts = chain.from_iterable(map(attrgetter("wins_a", "wins_b"), tables))
+        wins = np.fromiter(counts, dtype=np.intp, count=2 * len(w)).reshape(-1, 2)
         yield _records(
             [
                 b"\n  n",
@@ -127,9 +128,9 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
                 b" -> n",
                 numbers[l],
                 b' [label="',
-                numbers[wins],
+                numbers[wins[:, 0]],
                 b"-",
-                numbers[wins - graph.margin[w, l]],
+                numbers[wins[:, 1]],
                 b'"];',
             ]
         )
@@ -201,11 +202,11 @@ def _json_pieces(graph: DominanceGraph, tail: str) -> Iterator[str]:
                 b', "loser": ',
                 numbers[l],
                 b', "margin": ',
-                numbers[graph.margin[w, l]],
+                numbers[m],
                 b"}",
             ]
         )
-        for w, l in graph.pair_blocks(True)
+        for w, l, m in graph.edge_blocks()
     )
     yield '], "draws": ['
     yield from _list_body(
@@ -237,7 +238,7 @@ def graph_json_pieces(graph: DominanceGraph) -> Iterator[str]:
     pieces, made as they are read.
 
     Byte for byte what json.dumps gives for the schema, written straight
-    from the margin matrix and the 3-cycle index blocks. Raises
+    from the graph's pair blocks and the 3-cycle index blocks. Raises
     SpaceTooLargeError when called, before any piece is made, if the
     graph has more than MAX_LISTED_CYCLES 3-cycles to list.
     """

@@ -46,6 +46,19 @@ def beats(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return wa > wb
 
 
+def margins(nodes: list[tuple[int, ...]]) -> list[list[int]]:
+    """Row i, column j: the cells nodes[i] takes from nodes[j] minus the
+    cells it gives back, for every ordered pair."""
+    rows = []
+    for a in nodes:
+        row = []
+        for b in nodes:
+            wa, wb, _ = cell_counts(a, b)
+            row.append(wa - wb)
+        rows.append(row)
+    return rows
+
+
 def compositions(budget: int, k: int) -> list[tuple[int, ...]]:
     """Stars and bars: decode every bar placement into part sizes."""
     out = []

@@ -2,6 +2,7 @@ import gc
 import tracemalloc
 import weakref
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from capcycle import (
 )
 import capcycle.dominance as dominance_module
 from capcycle.dominance import (
+    ThreeCycles,
     _margins,
     best_counters,
     find_three_cycles,
@@ -63,6 +65,22 @@ small_spaces = st.tuples(
 # and the counter table. Sizes that split small spaces, and the smallest real
 # size, which no small space exceeds.
 TILE_ROWS = [1, 2, 7, 128]
+
+
+def margin_matrix(values):
+    """The margin kernel's column blocks joined into the whole matrix. Each
+    block is copied: the next one refills its buffer."""
+    return np.concatenate([block.copy() for block in _margins(values)], axis=1)
+
+
+def oracle_margins(graph):
+    """The oracle's margin matrix over the nodes of ``graph``, as int64."""
+    return np.array(_oracles.margins([p.values for p in graph.nodes]), dtype=np.int64)
+
+
+def adjacency(graph):
+    """The plane unpacked: entry (i, j) is True when node i beats node j."""
+    return np.unpackbits(graph.beats, axis=1, count=len(graph.nodes)).view(bool)
 
 
 def bitmask_oracle(graph):
@@ -152,7 +170,8 @@ def assert_blocks_concatenate(graph, rows):
     then draw."""
     n = len(graph.nodes)
     step = max(1, rows // n)
-    wholes = (np.nonzero(graph.margin > 0), np.nonzero(np.triu(graph.margin == 0, 1)))
+    margin = oracle_margins(graph)
+    wholes = (np.nonzero(margin > 0), np.nonzero(np.triu(margin == 0, 1)))
     sizes = []
     for strict, whole in zip((True, False), wholes):
         with pytest.MonkeyPatch.context() as patch:
@@ -208,21 +227,34 @@ class TestMarginKernel:
     def test_margin_is_the_cell_difference(self, space):
         graph = build_graph(*space)
         nodes = graph.nodes
+        margin = margin_matrix([p.values for p in nodes])
         for i, a in enumerate(nodes):
             for j, b in enumerate(nodes):
                 t = matchup_table(a, b)
-                assert graph.margin[i, j] == t.wins_a - t.wins_b
-        assert (graph.margin == -graph.margin.T).all()
-        assert graph.n_edges == np.count_nonzero(graph.margin > 0)
+                assert margin[i, j] == t.wins_a - t.wins_b
+        assert (margin == -margin.T).all()
+        assert graph.n_edges == np.count_nonzero(margin > 0)
+
+    @given(small_spaces, st.sampled_from(TILE_ROWS))
+    def test_plane_bits_are_the_oracle_relation(self, space, rows):
+        # Column blocks of 1, 2 and 7 start inside a byte of the plane.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dominance_module, "_block_rows", lambda n: rows)
+            graph = build_graph(*space)
+        nodes = [p.values for p in graph.nodes]
+        n = len(nodes)
+        assert graph.beats.dtype == np.uint8 and graph.beats.shape == (n, -(-n // 8))
+        for i, a in enumerate(nodes):
+            for j, b in enumerate(nodes):
+                bit = graph.beats[i, j >> 3] >> (7 - (j & 7)) & 1
+                assert bit == _oracles.beats(a, b)
 
     @pytest.mark.parametrize("k, dtype", [(11, np.int8), (12, np.int16)])
     def test_narrow_dtype_equals_int64_oracle(self, k, dtype):
         graph = build_graph(10, k)
-        nodes = [p.values for p in graph.nodes]
-        counts = [[_oracles.cell_counts(a, b) for b in nodes] for a in nodes]
-        oracle = np.array([[wa - wb for wa, wb, _ in row] for row in counts], dtype=np.int64)
-        assert graph.margin.dtype == dtype
-        assert (graph.margin.astype(np.int64) == oracle).all()
+        margin = margin_matrix([p.values for p in graph.nodes])
+        assert margin.dtype == dtype
+        assert (margin.astype(np.int64) == oracle_margins(graph)).all()
 
     @pytest.mark.parametrize(
         "k, dtype",
@@ -231,32 +263,33 @@ class TestMarginKernel:
     def test_widest_margin_fits_its_dtype(self, k, dtype):
         # Every cell won: the largest margin k^2 and its negation.
         ones, zeros = (1,) * k, (0,) * k
-        margin = _margins([ones, zeros])
+        margin = margin_matrix([ones, zeros])
         assert margin.dtype == dtype
         assert margin.tolist() == [[0, k * k], [-k * k, 0]]
 
-    def test_one_byte_per_node_pair(self):
-        # Every stage of the report reads margin blocks: the graph keeps no
-        # other array.
+    def test_one_bit_per_node_pair(self):
+        # Every stage of the report reads plane blocks or margin blocks made
+        # again: the graph keeps no other array.
         graph = analyze(30, 6)
         graph.scc, graph.undominated, graph.counters, len(graph.three_cycles)
         next(graph.three_cycles.index_blocks())
-        assert graph.margin.nbytes == len(graph.nodes) ** 2
+        n = len(graph.nodes)
+        assert graph.beats.nbytes == n * -(-n // 8)
         arrays = [name for name, value in vars(graph).items() if isinstance(value, np.ndarray)]
-        assert arrays == ["margin"]
+        assert arrays == ["beats"]
 
     def test_dense_faces_score_in_column_blocks(self):
         # 3,001 nodes over 6,001 distinct faces: a score table of every column
-        # peaked at 70 MB for the 9 MB margin.
+        # peaked at 70 MB for the 9 MB int8 margin matrix.
         values = [p.values for p in build_graph(6000, 2).nodes]
         tracemalloc.start()
         try:
-            margin = _margins(values)
+            dtypes = {block.dtype for block in _margins(values)}
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert margin.dtype == np.int8
-        assert peak < 2 * margin.nbytes
+        assert dtypes == {np.dtype(np.int8)}
+        assert peak < 2 * len(values) ** 2
 
     @given(small_spaces, st.sampled_from(TILE_ROWS))
     def test_column_blocks_keep_values_and_dtype(self, space, rows):
@@ -267,7 +300,9 @@ class TestMarginKernel:
         values = [p.values for p in nodes]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dominance_module, "_block_rows", lambda n: rows)
-            margin = _margins(values)
+            blocks = [block.copy() for block in _margins(values)]
+        assert all(block.shape[1] == rows for block in blocks[:-1])
+        margin = np.concatenate(blocks, axis=1)
         assert margin.dtype == np.min_scalar_type(-k * k)
         for i, a in enumerate(nodes):
             for j, b in enumerate(nodes):
@@ -280,11 +315,10 @@ class TestMarginKernel:
         # float64, where top + 1 and top are the same number.
         rows = [Allocation((top + 1, 0)), Allocation((top, 1))]
         values = [a.values for a in rows]
-        margin = _margins(values)
-        assert margin.tolist() == [[0, 0], [0, 0]]
+        assert margin_matrix(values).tolist() == [[0, 0], [0, 0]]
         t = matchup_table(*rows)
         assert (t.wins_a, t.wins_b) == (2, 2)
-        assert _margins([(top + 1, top), (top, top)]).tolist() == [[0, 2], [-2, 0]]
+        assert margin_matrix([(top + 1, top), (top, top)]).tolist() == [[0, 2], [-2, 0]]
 
 
 class TestThreeCycles:
@@ -331,7 +365,7 @@ class TestThreeCycles:
         oracle_edges, _ = _oracles.graph_relations(nodes)
         oracle = _oracles.three_cycles(nodes, oracle_edges)
         assert count == len(list(find_three_cycles(graph))) == len(oracle)
-        assert count == _oracles.three_cycle_count(graph.margin > 0)
+        assert count == _oracles.three_cycle_count(oracle_margins(graph) > 0)
 
     @pytest.mark.parametrize(
         "budget, k, count",
@@ -341,8 +375,8 @@ class TestThreeCycles:
         # (40, 4), (30, 6) and (60, 4) have 632, 1,206 and 1,906 nodes: 5, 10
         # and 15 tiles of the real size, 128 rows.
         graph = build_graph(budget, k)
-        adjacency = graph.margin > 0
-        assert len(find_three_cycles(graph)) == _oracles.three_cycle_count(adjacency) == count
+        oracle = _oracles.three_cycle_count(adjacency(graph))
+        assert len(find_three_cycles(graph)) == oracle == count
 
     def test_count_memory_stays_in_tiles(self):
         # 1,206 and 1,906 nodes, both in 128-row tiles: the bound is a few
@@ -358,6 +392,13 @@ class TestThreeCycles:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 128 * 128 * 4, (budget, k, peak)
+
+    def test_count_refuses_where_float32_sums_stop_being_exact(self):
+        # Paths are summed in float32, exact for integers below 2^24. The
+        # plane has no columns, so nothing of its size is allocated.
+        graph = SimpleNamespace(beats=np.zeros((2**24, 0), np.uint8), nodes=())
+        with pytest.raises(SpaceTooLargeError, match=r"2\^24 = 16777216"):
+            len(ThreeCycles(graph))
 
     @pytest.mark.parametrize(
         "n, rows", [(1, 128), (632, 128), (1206, 128), (2048, 256), (8037, 512), (10**5, 1024)]
@@ -406,7 +447,7 @@ class TestThreeCycles:
         # densest block's share of its B x n cells.
         for budget, k in [(30, 6), (60, 4)]:
             graph = build_graph(budget, k)
-            n = len(graph.margin)
+            n = len(graph.nodes)
             rows = dominance_module._block_rows(n)
             walk = find_three_cycles(graph).index_blocks()
             tracemalloc.start()
@@ -457,11 +498,12 @@ class TestComponents:
         assert max(map(len, sccs)) == {0: 1, 20: 1, 30: 88}[budget]
 
     def test_search_memory_stays_in_row_blocks(self):
-        # A block gathers _block_rows(n) rows of the int8 margin and its sign;
-        # the whole search once gathered every frontier row at a time.
+        # A block gathers _block_rows(n) rows or columns of the plane and
+        # unpacks them; the whole search once gathered every frontier row at
+        # a time.
         for (budget, k), largest in [((30, 6), 1186), ((60, 4), 1885)]:
             graph = build_graph(budget, k)
-            n = len(graph.margin)
+            n = len(graph.nodes)
             tracemalloc.start()
             try:
                 sccs = strongly_connected_components(graph)
@@ -616,11 +658,11 @@ class TestBestCounters:
         # small_spaces have k <= 4, so int8 margins; (10, 12) has 42 nodes
         # and needs int16.
         graph = build_graph(10, 12)
-        assert graph.margin.dtype == np.int16
+        assert next(_margins([p.values for p in graph.nodes])).dtype == np.int16
         assert_counters_match_oracle(graph, rows)
 
-    def test_counter_table_reads_row_blocks(self):
-        # An argmax over the whole reversed margin copied all of it.
+    def test_counter_table_reads_column_blocks(self):
+        # An argmax over the whole reversed margin matrix copied all of it.
         for budget, k in [(30, 6), (60, 4)]:
             graph = build_graph(budget, k)
             n = len(graph.nodes)
@@ -631,7 +673,7 @@ class TestBestCounters:
             finally:
                 tracemalloc.stop()
             assert sum(entry.counter is None for entry in best) == len(undominated(graph))
-            assert peak < 2 * dominance_module._block_rows(n) * n < graph.margin.nbytes
+            assert peak < 2 * dominance_module._block_rows(n) * n < n**2
 
 
 class TestClaim:
@@ -662,7 +704,7 @@ class TestClaim:
 class TestAnalysisSummary:
     def test_dropped_analysis_is_freed_at_once(self):
         # The graph caches its derived fields; none may refer back to it, or
-        # its margin would outlive it until a garbage collector pass.
+        # its plane would outlive it until a garbage collector pass.
         graph = analyze(6, 3)
         graph.scc, graph.undominated, graph.counters, len(graph.three_cycles)
         freed = weakref.ref(graph)
@@ -672,6 +714,24 @@ class TestAnalysisSummary:
             assert freed() is None
         finally:
             gc.enable()
+
+    def test_stages_past_the_build_stay_under_a_quarter_byte_per_pair(self):
+        # (60, 4) has 1,906 nodes. Once the graph is built, the plane is all
+        # it holds; the stages read it or make margin blocks again, and the
+        # int8 margin matrix they once read was n^2 bytes on its own.
+        graph = build_graph(60, 4)
+        n = len(graph.nodes)
+        tracemalloc.start()
+        try:
+            assert len(graph.three_cycles) == 32_143_068
+            assert max(graph.scc_sizes) == 1885
+            graph.undominated, graph.counters
+            edges = sum(len(winners) for winners, _, _ in graph.edge_blocks())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges == graph.n_edges
+        assert peak < n**2 / 4
 
     def test_showcase_bundle(self):
         report = analyze(6, 3)

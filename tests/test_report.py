@@ -13,6 +13,8 @@ import capcycle.dominance as dominance_module
 import capcycle.report as report_module
 from capcycle import (
     Allocation,
+    DominanceGraph,
+    Partition,
     SimConfig,
     SpaceTooLargeError,
     analysis_json_pieces,
@@ -32,6 +34,7 @@ from capcycle import (
     simulation_json_dict,
 )
 from capcycle.allocations import composition_tuples
+from capcycle.dominance import _margins
 from capcycle.report import _allocation_lines, analysis_json_dict, to_json_text
 
 from . import _oracles
@@ -265,11 +268,46 @@ class TestGraphExports:
         # Three and two nodes, but win counts up to 33 and 78 and an int16
         # margin: the number table must reach past the node indices.
         report = analyze(budget, k)
-        assert report.margin.dtype == np.int16
+        assert next(_margins([p.values for p in report.nodes])).dtype == np.int16
         assert emit_dot(report) == _oracles.dot(report)
         assert "".join(graph_json_pieces(report)) == json.dumps(
             _oracles.graph_json_dict(report)
         )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_graph(10, 12),
+            # (7, 3)'s nodes with 2^63 added to every face: each pair compares
+            # as at (7, 3), and the kernel ranks the faces as Python ints.
+            lambda: DominanceGraph(
+                7 + 3 * 2**63,
+                3,
+                tuple(
+                    Partition(tuple(v + 2**63 for v in p.values)) for p in build_graph(7, 3).nodes
+                ),
+            ),
+        ],
+        ids=["10-12", "faces-past-2^63"],
+    )
+    def test_printed_margins_match_oracle(self, make):
+        # The graph holds signs only: the counter table and the JSON edge
+        # margins come from margins computed again, on the int16 path at
+        # (10, 12) and the object path past 2^63, and the DOT labels from
+        # each edge's matchup table.
+        graph = make()
+        nodes = [p.values for p in graph.nodes]
+        oracle_edges = sorted(_oracles.graph_relations(nodes)[0])
+        assert list(graph.edges) == oracle_edges
+        payload = json.loads("".join(analysis_json_pieces(graph)))
+        assert payload["edges"] == [
+            {"winner": w, "loser": l, "margin": m} for w, l, m in oracle_edges
+        ]
+        assert [
+            None if entry.counter is None else (entry.counter.values, entry.margin)
+            for entry in graph.counters
+        ] == [_oracles.counter(values, nodes) for values in nodes]
+        assert emit_dot(graph) == _oracles.dot(graph)
 
     def test_dot_builds_no_edge_tuples(self):
         graph = build_graph(12, 4)
