@@ -14,8 +14,8 @@ numpy; simulate adds simulate; counter adds dominance; enumerate, analyze
 and graph add report and dominance, and none of them loads simulate.
 
 Output is written as it is produced, one write call a piece: the JSON and
-DOT listings come in pieces of at most dominance._RECORD_ROWS records, and
-the enumerate listing in pieces of about that many values, so no output is
+DOT listings in pieces of at most report._PIECE_BYTES of text or one record,
+enumerate in pieces of about dominance._RECORD_ROWS values, so no output is
 held whole. Every refusal happens before the first byte is written.
 """
 

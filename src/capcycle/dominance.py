@@ -30,9 +30,11 @@ from .errors import SpaceTooLargeError
 Edge = tuple[int, int, int]  # (winner index, loser index, margin > 0)
 Cycle = tuple[Partition, Partition, Partition]
 
-# Pairs, candidates or records handled at a time: a block of the pair
-# listings and the counter search, and a piece of every written listing.
-# A block and its text take a few MB whatever the space's size.
+# Pairs or candidates handled at a time: a block of the pair listings and
+# a batch of the counter search, and about the values of an enumerate piece.
+# The DOT and JSON listings are written in pieces bounded in bytes instead
+# (report._PIECE_BYTES), at most one block each. A block takes a few hundred
+# KB whatever the space's size.
 _RECORD_ROWS = 8_192
 
 
@@ -128,7 +130,8 @@ class DominanceGraph:
     def pair_blocks(self, strict: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Index arrays (first, second) of the strict edges (winner, loser),
         or of the drawn pairs (first < second) when not ``strict``, in blocks
-        of at most _RECORD_ROWS pairs: each written listing piece is a block.
+        of at most _RECORD_ROWS pairs; a written listing cuts each block into
+        pieces of at most report._PIECE_BYTES.
 
         The pairs of max(1, _RECORD_ROWS // n) plane rows are found at a
         time and cut into blocks of _RECORD_ROWS, the last one shorter; rows
@@ -420,7 +423,9 @@ class ThreeCycles:
             ys = np.flatnonzero(_row_bits(plane[x : x + 1], 0, x))[::-1]  # x beats y
             zs = np.flatnonzero(_column_bits(plane[:x], np.array([x])))[::-1]  # z beats x
             for part in _slices(len(ys), size):
-                rows, cols = np.nonzero(_row_bits(plane[ys[part]], 0, x)[:, zs])  # y beats z
+                found = np.flatnonzero(_row_bits(plane[ys[part]], 0, x)[:, zs])  # y beats z
+                rows, cols = np.divmod(found, len(zs))
+                del found
                 if rows.size:
                     block = np.empty((rows.size, 3), dtype=np.int32)
                     block[:, 0] = x

@@ -16,7 +16,7 @@ import numpy as np
 
 from .allocations import Allocation, format_allocation
 from . import dominance
-from .dominance import _slices, Cycle, DominanceGraph, build_graph
+from .dominance import Cycle, DominanceGraph, build_graph
 from .errors import SpaceTooLargeError
 from .matchups import matchup_table
 
@@ -32,6 +32,11 @@ _TEXT_CYCLE_CAP = 20  # text report prints all cycles up to this many
 # JSON exports list every 3-cycle; above this many the listing alone runs to
 # gigabytes, so they refuse and leave the count to the text report.
 MAX_LISTED_CYCLES = 10**7
+
+# Padded bytes of a written listing piece, at least one record: Linux's
+# default pipe capacity. A piece's size depends on neither its block's
+# record count nor k.
+_PIECE_BYTES = 1 << 16
 
 
 def analyze(budget: int, k: int) -> DominanceGraph:
@@ -53,27 +58,46 @@ def _text_rows(texts: Iterable[str]) -> np.ndarray:
     return rows.view(f"V{rows.itemsize}")
 
 
-def _records(fields: list[bytes | np.ndarray]) -> str:
-    """The text of every row run together; a row is the concatenation of
+def _records(fields: list[bytes | tuple[np.ndarray, np.ndarray]]) -> Iterator[str]:
+    """The text of every row run together, in pieces of at most _PIECE_BYTES
+    padded bytes and at least one row; a row is the concatenation of
     ``fields``.
 
-    A field is a literal byte string, the same in every row, or a
-    ``_text_rows`` array with one entry per row. The rows are filled into a
-    fresh byte buffer, viewed as one structured array, and the buffer is read
-    out without the zero padding. That is exact because every text comes from
-    json.dumps or str, and neither writes a NUL byte. The padded buffer is
-    freed before the text is decoded, so a piece is held at most twice.
+    A field is a literal byte string, the same in every row, or a pair
+    (texts, index): the ``_text_rows`` array ``texts`` read at the index
+    array ``index``, one entry per row. A piece's texts are gathered only
+    when that piece is made, so no field is held for more rows than a piece.
     """
-    n_rows = next(len(field) for field in fields if isinstance(field, np.ndarray))
+    n_rows = next(len(field[1]) for field in fields if isinstance(field, tuple))
     dtype = np.dtype(
         [
-            (f"f{i}", f"S{len(field)}" if isinstance(field, bytes) else field.dtype)
+            (f"f{i}", f"S{len(field)}" if isinstance(field, bytes) else field[0].dtype)
             for i, field in enumerate(fields)
         ]
     )
-    text = bytearray(n_rows * dtype.itemsize)
+    size = max(1, _PIECE_BYTES // dtype.itemsize)
+    for start in range(0, n_rows, size):
+        yield _piece(fields, dtype, slice(start, min(start + size, n_rows)))
+
+
+def _piece(
+    fields: list[bytes | tuple[np.ndarray, np.ndarray]], dtype: np.dtype, rows: slice
+) -> str:
+    """The text of ``rows`` of _records' ``fields``.
+
+    The rows are filled into a fresh byte buffer, viewed as one structured
+    array, and the buffer is read out without the zero padding. That is
+    exact because every text comes from json.dumps or str, and neither
+    writes a NUL byte. The padded buffer is freed before the text is
+    decoded, so a piece is held at most twice, and none of it is kept once
+    the text is returned.
+    """
+    text = bytearray((rows.stop - rows.start) * dtype.itemsize)
     rec = np.frombuffer(text, dtype=dtype)
     for i, field in enumerate(fields):
+        if isinstance(field, tuple):
+            texts, index = field
+            field = texts[index[rows]]
         rec[f"f{i}"] = field
     del rec
     text = text.translate(None, b"\0")
@@ -108,7 +132,8 @@ def _allocation_lines(values: Iterator[tuple[int, ...]], k: int) -> Iterator[str
 
 def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
     """emit_dot's text in pieces: the header and node lines, then the edge
-    lines and the draw lines one pair block a piece, then the closing brace."""
+    lines and the draw lines in pieces of at most _PIECE_BYTES, then the
+    closing brace."""
     nodes = graph.nodes
     yield "\n".join(
         ["digraph dominance {", "  rankdir=LR;"]
@@ -121,22 +146,28 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
         # Flat, then reshaped: fromiter with an (intp, 2) dtype took 20% longer.
         counts = chain.from_iterable(map(attrgetter("wins_a", "wins_b"), tables))
         wins = np.fromiter(counts, dtype=np.intp, count=2 * len(w)).reshape(-1, 2)
-        yield _records(
+        yield from _records(
             [
                 b"\n  n",
-                numbers[w],
+                (numbers, w),
                 b" -> n",
-                numbers[l],
+                (numbers, l),
                 b' [label="',
-                numbers[wins[:, 0]],
+                (numbers, wins[:, 0]),
                 b"-",
-                numbers[wins[:, 1]],
+                (numbers, wins[:, 1]),
                 b'"];',
             ]
         )
     for first, second in graph.pair_blocks(False):
-        yield _records(
-            [b"\n  n", numbers[first], b" -> n", numbers[second], b" [dir=none, style=dashed];"]
+        yield from _records(
+            [
+                b"\n  n",
+                (numbers, first),
+                b" -> n",
+                (numbers, second),
+                b" [dir=none, style=dashed];",
+            ]
         )
     yield "\n}"
 
@@ -195,40 +226,42 @@ def _json_pieces(graph: DominanceGraph, tail: str) -> Iterator[str]:
     numbers = _numbers(graph)
     yield '], "edges": ['
     yield from _list_body(
-        _records(
+        piece
+        for w, l, m in graph.edge_blocks()
+        for piece in _records(
             [
                 b', {"winner": ',
-                numbers[w],
+                (numbers, w),
                 b', "loser": ',
-                numbers[l],
+                (numbers, l),
                 b', "margin": ',
-                numbers[m],
+                (numbers, m),
                 b"}",
             ]
         )
-        for w, l, m in graph.edge_blocks()
     )
     yield '], "draws": ['
     yield from _list_body(
-        _records([b", [", numbers[first], b", ", numbers[second], b"]"])
+        piece
         for first, second in graph.pair_blocks(False)
+        for piece in _records([b", [", (numbers, first), b", ", (numbers, second), b"]"])
     )
     yield '], "three_cycles": ['
-    # One piece per slice of an index block: every cycle in it starts at
-    # the same x, so that node's text is written once for the piece.
+    # Every cycle of an index block starts at the same x, so that node's
+    # text is part of a literal field, not gathered for each row.
     node_rows = _text_rows(node_texts)
     yield from _list_body(
-        _records(
+        piece
+        for block in graph.three_cycles.index_blocks()
+        for piece in _records(
             [
                 f", [{node_texts[block[0, 0]]}, ".encode("ascii"),
-                node_rows[block[part, 1]],
+                (node_rows, block[:, 1]),
                 b", ",
-                node_rows[block[part, 2]],
+                (node_rows, block[:, 2]),
                 b"]",
             ]
         )
-        for block in graph.three_cycles.index_blocks()
-        for part in _slices(len(block), dominance._RECORD_ROWS)
     )
     yield "], " + tail + "}"
 

@@ -545,6 +545,7 @@ class TestStreamedOutput:
     @pytest.fixture(autouse=True)
     def small_pieces(self, monkeypatch):
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 5)
+        monkeypatch.setattr(report_module, "_PIECE_BYTES", 100)
 
     @SPACES
     def test_exports_equal_library_text(self, capsys, budget, k):
@@ -615,8 +616,9 @@ def _exports(budget, k):
 
 class TestBlockSizeInvariance:
     """No block or piece size shows in stdout: every matrix stage's rows at
-    a time (_block_rows) and every listing's records at a time (_RECORD_ROWS)
-    leave every command's output as it is at the defaults."""
+    a time (_block_rows), every pair block's records (_RECORD_ROWS) and every
+    listing piece's bytes (_PIECE_BYTES) leave every command's output as it
+    is at the defaults."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -636,10 +638,12 @@ class TestBlockSizeInvariance:
         assert code == 0 and expected
         for block in (1, 2, 7):
             for records in (1, 3):
-                with monkeypatch.context() as patch:
-                    patch.setattr(dominance_module, "_block_rows", lambda n: block)
-                    patch.setattr(dominance_module, "_RECORD_ROWS", records)
-                    assert run(capsys, *argv) == (0, expected, "")
+                for piece_bytes in (1, 200):
+                    with monkeypatch.context() as patch:
+                        patch.setattr(dominance_module, "_block_rows", lambda n: block)
+                        patch.setattr(dominance_module, "_RECORD_ROWS", records)
+                        patch.setattr(report_module, "_PIECE_BYTES", piece_bytes)
+                        assert run(capsys, *argv) == (0, expected, "")
 
 
 class TestUsageAndOutput:

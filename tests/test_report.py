@@ -96,6 +96,15 @@ def report_6_3():
     return analyze(6, 3)
 
 
+def _listing_pieces(pieces: list[str], dot: bool) -> list[str]:
+    """The pieces of a DOT or JSON export that list edges, draws or 3-cycles:
+    all but the header, the node list, the list openers and the tail."""
+    if dot:
+        return pieces[1:-1]
+    openers = {'], "edges": [', '], "draws": [', '], "three_cycles": ['}
+    return [piece for piece in pieces[3:-1] if piece not in openers]
+
+
 def assert_text_matches_oracle(report):
     assert "".join(graph_json_pieces(report)) == json.dumps(_oracles.graph_json_dict(report))
     assert "".join(analysis_json_pieces(report)) == json.dumps(
@@ -489,29 +498,76 @@ class TestGraphExports:
     @pytest.mark.parametrize(
         "make, bound",
         [
-            (lambda: analysis_json_pieces(analyze(40, 4)), 4.0),
-            (lambda: dot_pieces(build_graph(20, 5)), 4.75),
+            (lambda: analysis_json_pieces(analyze(40, 4)), 704 << 10),
+            (lambda: dot_pieces(build_graph(20, 5)), 440 << 10),
         ],
         ids=["analysis-json-40-4", "dot-20-5"],
     )
-    def test_listing_holds_few_copies_of_a_piece(self, make, bound):
+    def test_listing_peak_stays_under_a_fixed_bound(self, make, bound):
         # Read as the CLI writes it, dropping each piece before the next is
-        # made, a listing's traced peak is a few copies of its longest piece:
-        # the gathered fields, the padded buffer, the stripped bytes and the
-        # text. A writer that keeps its buffer between pieces, or copies each
-        # piece once more, peaks at 4.9x (JSON) and 5.4x (DOT).
+        # made, a listing's traced peak is its pair or walk block plus a few
+        # copies of one piece of at most _PIECE_BYTES: 536 KiB (JSON) and
+        # 393 KiB (DOT). A writer that gathers a whole block's texts before
+        # cutting them peaks at 774 and 456 KiB, and one that cuts pieces of
+        # _RECORD_ROWS records at 1,347 and 681 KiB.
         pieces = make()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            longest = 0
             for piece in pieces:
-                longest = max(longest, len(piece))
                 del piece
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < bound * longest
+        assert peak < bound
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: analyze(10, 3),
+            lambda: analyze(10, 12),
+            # (7, 3)'s nodes with 2^63 added to every face: records of
+            # hundreds of bytes, wider than most piece sizes here.
+            lambda: DominanceGraph(
+                7 + 3 * 2**63,
+                3,
+                tuple(
+                    Partition(tuple(v + 2**63 for v in p.values)) for p in build_graph(7, 3).nodes
+                ),
+            ),
+        ],
+        ids=["10-3", "10-12", "faces-past-2^63"],
+    )
+    def test_listing_pieces_hold_at_most_piece_bytes(self, make, monkeypatch):
+        # A listing piece is at most _PIECE_BYTES of text, or one record when
+        # a record is wider. At one byte every piece is a single record, so
+        # those pieces give the widest record; at 200 bytes records share.
+        graph = make()
+        pairs = graph.n_edges + sum(len(first) for first, _ in graph.pair_blocks(False))
+        oracles = {
+            dot_pieces: (_oracles.dot(graph), pairs),
+            graph_json_pieces: (
+                json.dumps(_oracles.graph_json_dict(graph)),
+                pairs + len(graph.three_cycles),
+            ),
+            analysis_json_pieces: (
+                json.dumps(_oracles.analysis_json_dict(graph)),
+                pairs + len(graph.three_cycles),
+            ),
+        }
+        widest = {}
+        for piece_bytes in (1, 40, 200):
+            monkeypatch.setattr(report_module, "_PIECE_BYTES", piece_bytes)
+            for write, (oracle, records) in oracles.items():
+                pieces = list(write(graph))
+                assert "".join(pieces) == oracle
+                listed = _listing_pieces(pieces, write is dot_pieces)
+                if piece_bytes == 1:
+                    assert len(listed) == records
+                    widest[write] = max(map(len, listed))
+                if piece_bytes == 200:
+                    assert len(listed) < records
+                assert max(map(len, listed)) <= max(piece_bytes, widest[write])
 
 
 class TestAnalysisText:
