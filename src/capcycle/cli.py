@@ -22,13 +22,13 @@ held whole. Every refusal happens before the first byte is written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
 from numbers import Rational
-from typing import TextIO
 
 from .allocations import (
     composition_tuples,
@@ -219,33 +219,25 @@ def _cmd_simulate(args) -> str:
     return "\n".join(lines)
 
 
-def _write_text(stream: TextIO, output: str | Iterable[str]) -> None:
-    """Write ``output``, one text or its pieces in order, then a newline."""
-    for piece in [output] if isinstance(output, str) else output:
-        stream.write(piece)
-        del piece  # freed before the generator makes the next piece
-    stream.write("\n")
-
-
 def _write(output: str | Iterable[str], out_path: str | None) -> int:
-    """Write the output; returns the exit code, 1 if it cannot be written."""
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                _write_text(fh, output)
-        except OSError as exc:
-            print(f"capcycle: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
-            return 1
-        return 0
+    """Write the output, one text or its pieces in order, then a newline, to
+    out_path or stdout; returns the exit code, 1 if it cannot be written."""
     try:
-        _write_text(sys.stdout, output)
-        sys.stdout.flush()
+        stream = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
+        with stream if out_path else contextlib.nullcontext():  # closes a file, not stdout
+            for piece in [output] if isinstance(output, str) else output:
+                stream.write(piece)
+                del piece  # freed before the generator makes the next piece
+            stream.write("\n")
+            stream.flush()
     except OSError as exc:
-        # Point stdout at the null device, so the flush at interpreter exit
-        # does not fail again. A closed pipe means the reader has gone: quiet.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):
-            print(f"capcycle: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        if not out_path:
+            # Point stdout at the null device, so the flush at interpreter exit
+            # does not fail again. A closed pipe means the reader has gone: quiet.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return 1
+        print(f"capcycle: cannot write {out_path or 'stdout'}: {exc.strerror}", file=sys.stderr)
         return 1
     return 0
 

@@ -111,8 +111,7 @@ class DominanceGraph:
         from the margin kernel's column blocks, so no n x n array is made."""
         n = len(self.nodes)
         plane = np.zeros((n, -(-n // 8)), dtype=np.uint8)
-        blocks = _margins([p.values for p in self.nodes])
-        for part, block in zip(_slices(n, _block_rows(n)), blocks):
+        for part, block in _margins([p.values for p in self.nodes]):
             # The block's columns fill the bytes from part.start >> 3 on; one
             # that starts inside a byte shares it with the block before, so
             # its bits are shifted by the columns before it and ORed in.
@@ -163,18 +162,15 @@ class DominanceGraph:
         holds column w. One column block is held at a time.
         """
         blocks = _margins([p.values for p in self.nodes])
-        block = next(blocks)
-        stop = block.shape[1]  # block holds the margin's columns [stop - its width, stop)
+        part, block = next(blocks)
         for winners, losers in self.pair_blocks(True):
             margins = np.empty(len(winners), dtype=block.dtype)
             done = 0
             while done < len(winners):
-                while winners[done] >= stop:
-                    block = next(blocks)
-                    stop += block.shape[1]
-                end = np.searchsorted(winners, stop)
-                columns = winners[done:end] - (stop - block.shape[1])
-                margins[done:end] = -block[losers[done:end], columns]
+                while winners[done] >= part.stop:
+                    part, block = next(blocks)
+                end = np.searchsorted(winners, part.stop)
+                margins[done:end] = -block[losers[done:end], winners[done:end] - part.start]
                 done = end
             yield winners, losers, margins
 
@@ -227,9 +223,9 @@ class DominanceGraph:
         return tuple(best_counters(self))
 
 
-def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
-    """The margin matrix as column blocks: margin[:, part] for each slice
-    part of _slices(n, _block_rows(n)), an (n, len(part)) array, where
+def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[tuple[slice, np.ndarray]]:
+    """The margin matrix as column blocks: (part, margin[:, part]) for each
+    slice part of _slices(n, _block_rows(n)), an (n, len(part)) array, where
     margin[i, j] = cells values[i] takes from values[j] minus cells values[j]
     takes back and values holds allocations' value tuples. The matrix is
     antisymmetric, so a row block is minus a column block transposed. The
@@ -285,7 +281,7 @@ def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[np.ndarray]:
             total = block[rows]
             for face in ranks[rows].T:
                 total += score[face]
-        yield block
+        yield part, block
 
 
 def _strongest_beaters(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -566,7 +562,7 @@ def best_counters(graph: DominanceGraph) -> list[CounterEntry]:
     size = _block_rows(n)
     rows = np.zeros(n, dtype=np.intp)
     values = np.full(n, -1, dtype=np.intp)  # a column's largest entry is >= 0, its node's own
-    for part, block in zip(_slices(n, size), _margins([p.values for p in nodes])):
+    for part, block in _margins([p.values for p in nodes]):
         best_rows, best = rows[part], values[part]
         for candidates in _slices(n, size):
             found, value = _strongest_beaters(block[candidates])

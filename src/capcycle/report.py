@@ -16,7 +16,7 @@ import numpy as np
 
 from .allocations import Allocation, format_allocation
 from . import dominance
-from .dominance import Cycle, DominanceGraph, build_graph
+from .dominance import Cycle, DominanceGraph, build_graph as analyze
 from .errors import SpaceTooLargeError
 from .matchups import matchup_table
 
@@ -37,14 +37,6 @@ MAX_LISTED_CYCLES = 10**7
 # default pipe capacity. A piece's size depends on neither its block's
 # record count nor k.
 _PIECE_BYTES = 1 << 16
-
-
-def analyze(budget: int, k: int) -> DominanceGraph:
-    """The analysis of the capped strategy space: the graph is built now, its
-    cycles, components and counters on first read."""
-    # A function of its own, not an alias: perfbench/traced.py times
-    # analyze and build_graph as separate layers.
-    return build_graph(budget, k)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +123,9 @@ def _allocation_lines(values: Iterator[tuple[int, ...]], k: int) -> Iterator[str
 
 
 def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
-    """emit_dot's text in pieces: the header and node lines, then the edge
-    lines and the draw lines in pieces of at most _PIECE_BYTES, then the
-    closing brace."""
+    """DOT digraph, strict edges labelled with their cell score and dashed
+    draws, in pieces: the header and node lines, then the edge lines and the
+    draw lines in pieces of at most _PIECE_BYTES, then the closing brace."""
     nodes = graph.nodes
     yield "\n".join(
         ["digraph dominance {", "  rankdir=LR;"]
@@ -173,7 +165,7 @@ def dot_pieces(graph: DominanceGraph) -> Iterator[str]:
 
 
 def emit_dot(graph: DominanceGraph) -> str:
-    """DOT digraph: strict edges labelled with their cell score, dashed draws."""
+    """dot_pieces joined into one text."""
     return "".join(dot_pieces(graph))
 
 

@@ -15,7 +15,6 @@ from capcycle import (
     SimConfig,
     analysis_json_pieces,
     analyze,
-    build_graph,
     counter_strategy,
     matchup_json_dict,
     matchup_table,
@@ -23,7 +22,12 @@ from capcycle import (
     simulate_best_of,
     simulate_games,
 )
-from capcycle.dominance import find_three_cycles, strongly_connected_components, undominated
+from capcycle.dominance import (
+    build_graph,
+    find_three_cycles,
+    strongly_connected_components,
+    undominated,
+)
 from capcycle.simulate import _outputs
 
 from . import _oracles

@@ -13,9 +13,7 @@ from capcycle import (
     SpaceTooLargeError,
     analysis_json_pieces,
     analyze,
-    build_graph,
     counter_strategy,
-    emit_dot,
     enumerate_partitions,
     format_allocation,
     graph_json_pieces,
@@ -24,7 +22,8 @@ from capcycle import (
     simulate_games,
 )
 from capcycle.allocations import composition_tuples
-from capcycle.report import analysis_json_dict
+from capcycle.dominance import build_graph
+from capcycle.report import analysis_json_dict, emit_dot
 from capcycle.cli import run_cli
 
 from .test_report import EXPECTED_DOT, EXPECTED_GRID
@@ -746,6 +745,18 @@ class TestUsageAndOutput:
         assert proc.stderr.splitlines() == [
             "capcycle: cannot write stdout: No space left on device"
         ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze"], ["graph", "--budget", "12", "--k", "4"]],
+        ids=["flush", "write"],
+    )
+    def test_full_out_file_exits_1_with_one_line(self, capsys, argv):
+        # The file path takes the same writer as stdout, and fails the same way.
+        code, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["capcycle: cannot write /dev/full: No space left on device"]
 
     def test_identical_invocations_are_byte_identical(self, capsys):
         args = ["analyze", "--format", "json"]

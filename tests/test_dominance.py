@@ -14,7 +14,6 @@ from capcycle import (
     Partition,
     SpaceTooLargeError,
     analyze,
-    build_graph,
     counter_strategy,
     matchup_json_dict,
     matchup_table,
@@ -24,6 +23,7 @@ from capcycle.dominance import (
     ThreeCycles,
     _margins,
     best_counters,
+    build_graph,
     find_three_cycles,
     strongly_connected_components,
     undominated,
@@ -70,7 +70,7 @@ TILE_ROWS = [1, 2, 7, 128]
 def margin_matrix(values):
     """The margin kernel's column blocks joined into the whole matrix. Each
     block is copied: the next one refills its buffer."""
-    return np.concatenate([block.copy() for block in _margins(values)], axis=1)
+    return np.concatenate([block.copy() for _, block in _margins(values)], axis=1)
 
 
 def oracle_margins(graph):
@@ -284,7 +284,7 @@ class TestMarginKernel:
         values = [p.values for p in build_graph(6000, 2).nodes]
         tracemalloc.start()
         try:
-            dtypes = {block.dtype for block in _margins(values)}
+            dtypes = {block.dtype for _, block in _margins(values)}
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,8 +300,12 @@ class TestMarginKernel:
         values = [p.values for p in nodes]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dominance_module, "_block_rows", lambda n: rows)
-            blocks = [block.copy() for block in _margins(values)]
+            parts, blocks = zip(*((part, block.copy()) for part, block in _margins(values)))
         assert all(block.shape[1] == rows for block in blocks[:-1])
+        # Each part names the margin columns its block holds, all of them in order.
+        columns = [range(len(nodes))[part] for part in parts]
+        assert [j for held in columns for j in held] == list(range(len(nodes)))
+        assert [len(held) for held in columns] == [block.shape[1] for block in blocks]
         margin = np.concatenate(blocks, axis=1)
         assert margin.dtype == np.min_scalar_type(-k * k)
         for i, a in enumerate(nodes):
@@ -658,7 +662,7 @@ class TestBestCounters:
         # small_spaces have k <= 4, so int8 margins; (10, 12) has 42 nodes
         # and needs int16.
         graph = build_graph(10, 12)
-        assert next(_margins([p.values for p in graph.nodes])).dtype == np.int16
+        assert next(_margins([p.values for p in graph.nodes]))[1].dtype == np.int16
         assert_counters_match_oracle(graph, rows)
 
     def test_counter_table_reads_column_blocks(self):

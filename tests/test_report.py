@@ -19,9 +19,7 @@ from capcycle import (
     SpaceTooLargeError,
     analysis_json_pieces,
     analyze,
-    build_graph,
     dot_pieces,
-    emit_dot,
     emit_matchup_csv,
     emit_matchup_grid,
     format_allocation,
@@ -34,8 +32,8 @@ from capcycle import (
     simulation_json_dict,
 )
 from capcycle.allocations import composition_tuples
-from capcycle.dominance import _margins
-from capcycle.report import _allocation_lines, analysis_json_dict, to_json_text
+from capcycle.dominance import _margins, build_graph
+from capcycle.report import _allocation_lines, analysis_json_dict, emit_dot, to_json_text
 
 from . import _oracles
 from .test_dominance import small_spaces
@@ -277,7 +275,7 @@ class TestGraphExports:
         # Three and two nodes, but win counts up to 33 and 78 and an int16
         # margin: the number table must reach past the node indices.
         report = analyze(budget, k)
-        assert next(_margins([p.values for p in report.nodes])).dtype == np.int16
+        assert next(_margins([p.values for p in report.nodes]))[1].dtype == np.int16
         assert emit_dot(report) == _oracles.dot(report)
         assert "".join(graph_json_pieces(report)) == json.dumps(
             _oracles.graph_json_dict(report)

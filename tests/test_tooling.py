@@ -20,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import capcycle
+import capcycle.dominance
+import capcycle.report
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,8 +122,12 @@ def test_traced_analysis_sizes_match_its_report():
     # cycle counts through the layer wrappers; they must be the report's own.
     command = ["analyze", "--budget", "12", "--k", "4", "--format", "json"]
     traced = _run([sys.executable, "perfbench/traced.py", *command])
-    sizes = json.loads(traced.stderr.splitlines()[-1])["sizes"]
+    record = json.loads(traced.stderr.splitlines()[-1])
+    sizes = record["sizes"]
     report = json.loads(traced.stdout)
+    # analyze is build_graph under a second name: one call shows in both layers.
+    assert capcycle.report.analyze is capcycle.dominance.build_graph
+    assert record["calls"]["analyze"] == record["calls"]["build_graph"] == 1
     assert len(report["nodes"]) == report["partition_count"]
     assert sizes == {
         "n_nodes": report["partition_count"],
