@@ -16,8 +16,8 @@ __version__ = "0.1.0"
 
 # What the CLI, the scripts and the README use, plus the types those
 # names return or raise, each with the submodule that defines it. Tests
-# import other helpers from their submodules, as perfbench/traced.py
-# wraps build_graph (which analyze binds) and emit_dot there.
+# import other helpers from their submodules, such as build_graph (which
+# analyze binds) and emit_dot, which perfbench/traced.py wraps there.
 _SUBMODULE = {
     "Allocation": "allocations",
     "Partition": "allocations",
