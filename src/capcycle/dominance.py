@@ -45,7 +45,8 @@ def _block_rows(n: int) -> int:
     SCC's degree sums, trim and frontier gathers, and the counter table's
     candidate rows. The largest power of two at most n / 8, clamped to
     [128, 1024], so 128 at the 1,206 nodes of (30, 6) and 512 at the 8,037
-    of (100, 4).
+    of (100, 4). It is a multiple of 8, so a block of columns fills whole
+    bytes of the sign plane.
 
     Each stage's transients are a few arrays of B x n values for B rows, at
     most c * B * n bytes, where the margin kernel's n counts the distinct
@@ -89,9 +90,11 @@ class DominanceGraph:
     antisymmetric, so bit (i, j) set means node i beats node j, bit (j, i)
     set means j beats i, and neither means a draw. The count, the walk,
     components, draws and the undominated set read those bits a block of
-    rows or columns at a time. The win margins themselves are not held:
-    the counter table and the edge listings with margins (edge_blocks,
-    edges) run the margin kernel again, one column block at a time.
+    rows or columns at a time. The margin kernel's column blocks fill whole
+    bytes of the plane. The win margins themselves are not held: the
+    counter table and the edge listings with margins (edge_blocks, edges)
+    run the kernel again, and an edge's margin is read from the column
+    block that holds its winner.
     Every unordered node pair appears exactly once, either as a strict
     edge (with its positive win margin) or as a draw pair. Nodes are in
     lexicographically descending order, matching enumerate_partitions.
@@ -112,13 +115,7 @@ class DominanceGraph:
         n = len(self.nodes)
         plane = np.zeros((n, -(-n // 8)), dtype=np.uint8)
         for part, block in _margins([p.values for p in self.nodes]):
-            # The block's columns fill the bytes from part.start >> 3 on; one
-            # that starts inside a byte shares it with the block before, so
-            # its bits are shifted by the columns before it and ORed in.
-            lead = part.start & 7
-            bits = np.zeros((n, lead + block.shape[1]), dtype=bool)
-            np.greater(block, 0, out=bits[:, lead:])
-            plane[:, part.start >> 3 : (part.stop + 7) >> 3] |= np.packbits(bits, axis=1)
+            plane[:, part.start >> 3 : (part.stop + 7) >> 3] = np.packbits(block > 0, axis=1)
         return plane
 
     @property
@@ -126,10 +123,13 @@ class DominanceGraph:
         """The number of strict edges: the set bits of the plane."""
         return int(np.bitwise_count(self.beats).sum())
 
-    def pair_blocks(self, strict: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def pair_blocks(
+        self, strict: bool, rows: slice = slice(None)
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Index arrays (first, second) of the strict edges (winner, loser),
-        or of the drawn pairs (first < second) when not ``strict``, in blocks
-        of at most _RECORD_ROWS pairs; a written listing cuts each block into
+        or of the drawn pairs (first < second) when not ``strict``, whose
+        first index is in ``rows`` (all nodes by default), in blocks of at
+        most _RECORD_ROWS pairs; a written listing cuts each block into
         pieces of at most report._PIECE_BYTES.
 
         The pairs of max(1, _RECORD_ROWS // n) plane rows are found at a
@@ -142,37 +142,27 @@ class DominanceGraph:
         plane = self.beats
         n = len(plane)
         pairs = _RECORD_ROWS
-        for rows in _slices(n, max(1, pairs // max(n, 1))):
-            block = _row_bits(plane[rows], 0, n)
+        span, step = range(n)[rows], max(1, pairs // n)
+        for start in span[::step]:
+            stop = min(start + step, span.stop)
+            block = _row_bits(plane[start:stop], n)
             if not strict:  # row start + i draws column j > start + i
-                beaten = _column_bits(plane, np.arange(n)[rows]).T
-                block = np.triu(~(block | beaten), rows.start + 1)
+                beaten = _column_bits(plane, np.arange(start, stop)).T
+                block = np.triu(~(block | beaten), start + 1)
             first, second = np.nonzero(block)
-            first += rows.start
+            first += start
             for part in _slices(len(first), pairs):
                 yield first[part], second[part]
 
     def edge_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """pair_blocks(True) with each edge's margin: (winners, losers,
-        margins) arrays.
-
-        The plane holds no margins, so the margin kernel runs again. Its
-        column blocks are read in step with the pairs, which are sorted by
-        winner: margin[w, l] is minus entry (l, w) of the column block that
-        holds column w. One column block is held at a time.
+        margins) arrays. The plane holds no margins, so the margin kernel
+        runs again, and each of its column blocks lists the edges of the
+        winners it holds: margin[w, l] is minus its entry (l, w - part.start).
         """
-        blocks = _margins([p.values for p in self.nodes])
-        part, block = next(blocks)
-        for winners, losers in self.pair_blocks(True):
-            margins = np.empty(len(winners), dtype=block.dtype)
-            done = 0
-            while done < len(winners):
-                while winners[done] >= part.stop:
-                    part, block = next(blocks)
-                end = np.searchsorted(winners, part.stop)
-                margins[done:end] = -block[losers[done:end], winners[done:end] - part.start]
-                done = end
-            yield winners, losers, margins
+        for part, block in _margins([p.values for p in self.nodes]):
+            for w, l in self.pair_blocks(True, part):
+                yield w, l, -block[l, w - part.start]
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
@@ -306,12 +296,10 @@ def build_graph(budget: int, k: int) -> DominanceGraph:
     return graph
 
 
-def _row_bits(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Columns [start, stop) of packed plane rows, unpacked: a bool
-    (len(rows), stop - start) array."""
-    lead = start & 7
-    bits = np.unpackbits(rows[:, start >> 3 : (stop + 7) >> 3], axis=1, count=lead + stop - start)
-    return bits[:, lead:].view(bool)
+def _row_bits(rows: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` columns of packed plane rows, unpacked: a bool
+    (len(rows), count) array."""
+    return np.unpackbits(rows[:, : (count + 7) >> 3], axis=1, count=count).view(bool)
 
 
 def _column_bits(rows: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -372,9 +360,10 @@ class ThreeCycles:
 
         def bits(tile: np.ndarray, r0: int, c0: int) -> np.ndarray:
             """``tile`` refilled with the bits of the plane's rows and columns
-            from (r0, c0) on, as 0/1."""
+            from (r0, c0) on, as 0/1. c0 is a multiple of the block size, so
+            column c0 starts byte c0 >> 3."""
             m, c = tile.shape
-            np.copyto(tile, _row_bits(plane[r0 : r0 + m], c0, c0 + c))
+            np.copyto(tile, _row_bits(plane[r0 : r0 + m, c0 >> 3 :], c))
             return tile
 
         rows = _block_rows(n)
@@ -416,10 +405,10 @@ class ThreeCycles:
         plane = self.beats
         size = _block_rows(len(plane))
         for x in range(len(plane) - 1, -1, -1):
-            ys = np.flatnonzero(_row_bits(plane[x : x + 1], 0, x))[::-1]  # x beats y
+            ys = np.flatnonzero(_row_bits(plane[x : x + 1], x))[::-1]  # x beats y
             zs = np.flatnonzero(_column_bits(plane[:x], np.array([x])))[::-1]  # z beats x
             for part in _slices(len(ys), size):
-                found = np.flatnonzero(_row_bits(plane[ys[part]], 0, x)[:, zs])  # y beats z
+                found = np.flatnonzero(_row_bits(plane[ys[part]], x)[:, zs])  # y beats z
                 rows, cols = np.divmod(found, len(zs))
                 del found
                 if rows.size:
@@ -480,7 +469,7 @@ def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]
     n = len(plane)
 
     def successors(block: np.ndarray | slice) -> np.ndarray:
-        return _row_bits(plane[block], 0, n)
+        return _row_bits(plane[block], n)
 
     def predecessors(block: np.ndarray) -> np.ndarray:
         return _column_bits(plane, block).T
@@ -517,7 +506,7 @@ def undominated(graph: DominanceGraph) -> list[Partition]:
     """Nodes with no incoming strict edge, in node order: the clear bits of
     the OR of every plane row."""
     plane = graph.beats
-    beaten = _row_bits(np.bitwise_or.reduce(plane, axis=0, keepdims=True), 0, len(plane))
+    beaten = _row_bits(np.bitwise_or.reduce(plane, axis=0, keepdims=True), len(plane))
     return [graph.nodes[i] for i in np.flatnonzero(~beaten[0]).tolist()]
 
 

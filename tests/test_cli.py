@@ -453,6 +453,24 @@ class TestSimulateCommand:
         assert "series: best-of-301 x 1000" in out
         assert "series wins: a 968, b 32" in out
 
+    def test_best_of_plays_no_games_of_its_own(self, capsys):
+        # --games is required, but --best-of plays only the series' games: the
+        # text is the same whatever --games is, and JSON echoes it as n_games.
+        out = {}
+        for games in ("1", "1000"):
+            for fmt in ("text", "json"):
+                code, out[games, fmt], _ = run(
+                    capsys,
+                    "simulate", "--a", "1,1,4", "--b", "3,3,0",
+                    "--games", games, "--seed", "7",
+                    "--best-of", "7", "--series", "5", "--format", fmt,
+                )
+                assert code == 0
+        assert out["1", "text"] == out["1000", "text"]
+        one, many = (json.loads(out[games, "json"])["simulation"] for games in ("1", "1000"))
+        assert (one.pop("n_games"), many.pop("n_games")) == (1, 1000)
+        assert one == many
+
     def test_nogame_policy(self, capsys):
         code, out, _ = run(
             capsys,
@@ -635,7 +653,7 @@ class TestBlockSizeInvariance:
     def test_stdout_equals_the_default(self, capsys, monkeypatch, argv):
         code, expected, _ = run(capsys, *argv)
         assert code == 0 and expected
-        for block in (1, 2, 7):
+        for block in (8, 16):
             for records in (1, 3):
                 for piece_bytes in (1, 200):
                     with monkeypatch.context() as patch:

@@ -57,14 +57,15 @@ CYCLES_6_3 = [
 ]
 
 small_spaces = st.tuples(
-    st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=4)
+    st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=4)
 )
 
 # Values of the one block rule, _block_rows: the margin kernel's column
 # blocks, the 3-cycle count's row tiles, and the row blocks of the SCC search
 # and the counter table. Sizes that split small spaces, and the smallest real
-# size, which no small space exceeds.
-TILE_ROWS = [1, 2, 7, 128]
+# size, which no small space exceeds. Every value is a multiple of 8, as
+# _block_rows' are, so a block of columns fills whole bytes of the plane.
+TILE_ROWS = [8, 16, 128]
 
 
 def margin_matrix(values):
@@ -166,7 +167,8 @@ def assert_blocks_concatenate(graph, rows):
     """pair_blocks, with blocks of ``rows`` pairs asked, concatenated, lists
     the strict edges and the draws of the whole matrix in order. Its blocks
     are the pairs of max(1, rows // n) matrix rows at a time, cut into
-    blocks of ``rows``, and none is empty. Returns the block sizes, strict
+    blocks of ``rows``, and none is empty. The blocks of consecutive slices
+    of the rows join into the same listing. Returns the block sizes, strict
     then draw."""
     n = len(graph.nodes)
     step = max(1, rows // n)
@@ -177,6 +179,14 @@ def assert_blocks_concatenate(graph, rows):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dominance_module, "_RECORD_ROWS", rows)
             blocks = list(graph.pair_blocks(strict))
+            for span in (1, 5):
+                joined = [], []
+                for start in range(0, n, span):
+                    for first, second in graph.pair_blocks(strict, slice(start, start + span)):
+                        assert start <= first.min() and first.max() < start + span
+                        joined[0].extend(first.tolist())
+                        joined[1].extend(second.tolist())
+                assert list(joined) == [want.tolist() for want in whole]
         sizes.append([len(first) for first, _ in blocks])
         per_row_block = np.bincount(whole[0] // step, minlength=-(-n // step)).tolist()
         assert sizes[-1] == [
@@ -237,7 +247,8 @@ class TestMarginKernel:
 
     @given(small_spaces, st.sampled_from(TILE_ROWS))
     def test_plane_bits_are_the_oracle_relation(self, space, rows):
-        # Column blocks of 1, 2 and 7 start inside a byte of the plane.
+        # Column blocks of 8 and 16 split the larger spaces, each block
+        # filling whole bytes of the plane.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dominance_module, "_block_rows", lambda n: rows)
             graph = build_graph(*space)
@@ -409,6 +420,12 @@ class TestThreeCycles:
     )
     def test_count_tiles_grow_with_n(self, n, rows):
         assert dominance_module._block_rows(n) == rows
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 127, 1206, 8037, 10**8])
+    def test_blocks_fill_whole_plane_bytes(self, n):
+        # The plane is packed from, and the count reads, blocks of columns
+        # that start on a byte.
+        assert dominance_module._block_rows(n) % 8 == 0
 
     @given(small_spaces, st.sampled_from(TILE_ROWS))
     def test_index_blocks_match_bitmask_oracle(self, space, rows):

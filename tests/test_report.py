@@ -282,28 +282,39 @@ class TestGraphExports:
         )
 
     @pytest.mark.parametrize(
-        "make",
+        "make, rows",
         [
-            lambda: build_graph(10, 12),
+            (lambda: build_graph(10, 12), None),
             # (7, 3)'s nodes with 2^63 added to every face: each pair compares
             # as at (7, 3), and the kernel ranks the faces as Python ints.
-            lambda: DominanceGraph(
-                7 + 3 * 2**63,
-                3,
-                tuple(
-                    Partition(tuple(v + 2**63 for v in p.values)) for p in build_graph(7, 3).nodes
+            (
+                lambda: DominanceGraph(
+                    7 + 3 * 2**63,
+                    3,
+                    tuple(
+                        Partition(tuple(v + 2**63 for v in p.values))
+                        for p in build_graph(7, 3).nodes
+                    ),
                 ),
+                None,
             ),
+            # 34 nodes in five kernel blocks of up to 8 columns: edge_blocks
+            # reads each edge's margin from the block that holds its winner.
+            (lambda: build_graph(12, 4), 8),
         ],
-        ids=["10-12", "faces-past-2^63"],
+        ids=["10-12", "faces-past-2^63", "12-4-blocks-of-8"],
     )
-    def test_printed_margins_match_oracle(self, make):
+    def test_printed_margins_match_oracle(self, make, rows, monkeypatch):
         # The graph holds signs only: the counter table and the JSON edge
         # margins come from margins computed again, on the int16 path at
-        # (10, 12) and the object path past 2^63, and the DOT labels from
-        # each edge's matchup table.
+        # (10, 12), the object path past 2^63 and several column blocks at
+        # (12, 4), and the DOT labels from each edge's matchup table.
+        if rows is not None:
+            monkeypatch.setattr(dominance_module, "_block_rows", lambda n: rows)
         graph = make()
         nodes = [p.values for p in graph.nodes]
+        if rows is not None:
+            assert len(list(_margins(nodes))) == 5
         oracle_edges = sorted(_oracles.graph_relations(nodes)[0])
         assert list(graph.edges) == oracle_edges
         payload = json.loads("".join(analysis_json_pieces(graph)))

@@ -64,6 +64,12 @@ def test_runs_and_repeats_exactly(argv):
     assert _run([sys.executable, *argv]).stdout == first
 
 
+def test_corpus_table_regenerates_verbatim():
+    table = _run([sys.executable, "scripts/corpus_digests.py"]).stdout
+    assert table.startswith("CORPUS = [\n")
+    assert table in (ROOT / "tests" / "test_corpus.py").read_text(encoding="utf-8")
+
+
 def test_readme_transcript_is_the_cli_output():
     argv, output = _readme_transcript()
     assert _run([sys.executable, "-m", "capcycle", *argv]).stdout == output
