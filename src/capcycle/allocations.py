@@ -69,7 +69,9 @@ class Partition(Allocation):
 def parse_allocation(text: str) -> Allocation:
     """Parse the comma-separated text form, e.g. ``"1,1,4"``.
 
-    Raises :class:`AllocationError` on malformed input.
+    Raises :class:`AllocationError` on malformed input, and on a budget
+    with more digits than ``sys.get_int_max_str_digits()`` lets an int
+    turn into text, since no output could print it.
     """
     tokens = [t.strip() for t in text.split(",")]
     if tokens == [""]:
@@ -82,7 +84,12 @@ def parse_allocation(text: str) -> Allocation:
             raise AllocationError(
                 f"allocation entries must be whole numbers, got {tok!r} in {text!r}"
             ) from None
-    return Allocation(tuple(values))
+    allocation = Allocation(tuple(values))
+    try:
+        str(allocation.budget)
+    except ValueError:
+        raise AllocationError("the budget has too many digits to print") from None
+    return allocation
 
 
 def format_allocation(a: Allocation | Sequence[int]) -> str:

@@ -27,7 +27,7 @@ from .matchups import MatchupTable, TiePolicy, matchup_table
 
 _MASK64 = 2**64 - 1
 _GAMMA = 0x9E3779B97F4A7C15
-_BLOCK = 4096  # outputs per block; bounds the simulator's working memory
+_BLOCK = 8192  # outputs per block; bounds the simulator's working memory
 _SERIES_BLOCK = 32_768  # series played at a time, about 48 bytes of state each
 
 MAX_BEST_OF = 10**6
@@ -64,6 +64,11 @@ def _play(table: MatchupTable, states: np.ndarray | list[int], done: Callable) -
     fewer outputs than ``floor``. It plays the whole rolls that every one of
     its rows holds, so no tally depends on the width or on which rows share
     a block.
+
+    An output is rejected with probability below k / 2^64, so nearly every
+    block is clean: its rolls are its columns as drawn, and each row that
+    plays r rolls moves on 2r outputs. Only a block that holds a rejected
+    output sorts each row's kept outputs to the front.
     """
     k = len(table.a_values)
     # threshold - 1, because the threshold at k = 1 is 2^64, which uint64 cannot hold
@@ -86,17 +91,21 @@ def _play(table: MatchupTable, states: np.ndarray | list[int], done: Callable) -
         rows = live[: max(1, _BLOCK // width)]
         out = _outputs(states[rows], width)
         rejected = out > last_kept
-        rolls = (width - rejected.sum(axis=1).max()) // 2
-        if rolls == 0:
-            # Nothing was consumed, so the block is replayed twice as wide.
-            # Fewer than k outputs of a period are rejected (the mix is a
-            # bijection of the counter), so the doubling ends by width k + 1.
-            floor = 2 * width
-            continue
         row = np.arange(rows.size)
-        # each row's first 2 * rolls kept columns, in stream order
-        cols = np.argsort(rejected, axis=1, kind="stable")[:, : 2 * rolls]
-        x = out.ravel()[cols + width * row[:, None]]
+        if not rejected.any():
+            rolls, cols = width // 2, None
+            x = out[:, : 2 * rolls]
+        else:
+            rolls = (width - rejected.sum(axis=1).max()) // 2
+            if rolls == 0:
+                # Nothing was consumed, so the block is replayed twice as wide.
+                # Fewer than k outputs of a period are rejected (the mix is a
+                # bijection of the counter), so the doubling ends by width k + 1.
+                floor = 2 * width
+                continue
+            # each row's first 2 * rolls kept columns, in stream order
+            cols = np.argsort(rejected, axis=1, kind="stable")[:, : 2 * rolls]
+            x = out.ravel()[cols + width * row[:, None]]
         faces = (x - x // np.uint64(k) * np.uint64(k)).astype(np.intp)  # x % k, but faster
         run = np.cumsum(count[ra[faces[:, ::2]] - rb[faces[:, 1::2]]], axis=1)
         a0, b0, t0 = tallies[:, rows, None]
@@ -106,7 +115,8 @@ def _play(table: MatchupTable, states: np.ndarray | list[int], done: Callable) -
         over = stop.any(axis=1)
         last = np.where(over, stop.argmax(axis=1), rolls - 1)
         tallies[:, rows] = ta[row, last], tb[row, last], tt[row, last]
-        states[rows] += (cols[row, 2 * last + 1] + 1).astype(np.uint64) * np.uint64(_GAMMA)
+        used = 2 * last + 2 if cols is None else cols[row, 2 * last + 1] + 1
+        states[rows] += used.astype(np.uint64) * np.uint64(_GAMMA)
         unfinished = rows[~over]
         live = live[rows.size - unfinished.size :]
         live[: unfinished.size] = unfinished

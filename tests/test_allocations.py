@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -115,6 +116,17 @@ class TestParsing:
     def test_parse_negative(self):
         with pytest.raises(AllocationError, match="salaries must be nonnegative, got -1"):
             parse_allocation("-1,7")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    def test_parse_budget_too_long_to_print(self):
+        # the budget of the largest salary that parses still prints; one more is refused
+        digits = sys.get_int_max_str_digits()
+        assert parse_allocation("9" * digits + ",0").budget == 10**digits - 1
+        with pytest.raises(AllocationError, match="too many digits to print"):
+            parse_allocation("9" * digits + ",1")
 
     @given(small_values)
     def test_format_parse_round_trip(self, values):

@@ -132,6 +132,29 @@ class TestMatchupCommand:
         assert err.startswith("capcycle: invalid allocation:")
         assert err.count("\n") == 1
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counter"],
+            ["matchup", "--b", "0,1"],
+            ["matchup", "--b", "0,1", "--format", "json"],
+            ["simulate", "--b", "0,1", "--games", "10", "--seed", "1"],
+        ],
+        ids=["counter", "matchup-grid", "matchup-json", "simulate"],
+    )
+    def test_budget_too_long_to_print_exits_2(self, capsys, argv):
+        # two salaries of as many nines as an int may have digits in text
+        # make a budget one digit longer, which no output could print
+        huge = "9" * sys.get_int_max_str_digits()
+        code, out, err = run(capsys, *argv, "--a", f"{huge},{huge}")
+        assert (code, out) == (2, "")
+        assert err.startswith("capcycle: invalid allocation:") and "digits" in err
+        assert err.count("\n") == 1
+
     def test_dimension_mismatch_exits_1(self, capsys):
         code, _, err = run(capsys, "matchup", "--a", "1,2", "--b", "3,3,0")
         assert code == 1

@@ -171,6 +171,22 @@ class TestSimulateGames:
         stats = simulate_games(MTL, NY, SimConfig(seed=seed, n_games=n))
         assert abs(stats.empirical_a_frequency - p) < bound
 
+    def test_lone_row_draws_a_full_block(self, monkeypatch):
+        # a run of games is one row, and its blocks are as wide as the whole
+        # budget: at least 4,096 rolls (8,192 outputs) each
+        drawn = []
+
+        def counted(state, n):
+            drawn.append(np.size(state) * n)
+            return _outputs(state, n)
+
+        monkeypatch.setattr(simulate_module, "_outputs", counted)
+        n = 100_000
+        stats = simulate_games(MTL, NY, SimConfig(7, n, TiePolicy.NOGAME))
+        assert stats.a_game_wins + stats.b_game_wins + stats.tie_games == n
+        assert drawn == [_BLOCK] * len(drawn)
+        assert len(drawn) <= -(-n // 4096)
+
 
 class TestSimulateBestOf:
     def test_requires_best_of(self):
@@ -373,10 +389,12 @@ class TestIndexSampling:
         assert _first_roll(MTL, NY, seed) == _oracles.roll(MTL.values, NY.values, seed)[1]
 
         drawish = Allocation((3, 2, 1))  # 1/3 of rolls tie against BOS
+        # a game takes at least one roll of two outputs, so 5/4 _BLOCK games pass 2 * _BLOCK + 1
+        n_games = 5 * _BLOCK // 4
         for policy in TiePolicy:
             reroll = policy is TiePolicy.REROLL
-            stats = simulate_games(BOS, drawish, SimConfig(seed, 5000, policy))
-            tallies = _oracles.sim_games(BOS.values, drawish.values, seed, 5000, reroll)
+            stats = simulate_games(BOS, drawish, SimConfig(seed, n_games, policy))
+            tallies = _oracles.sim_games(BOS.values, drawish.values, seed, n_games, reroll)
             assert (stats.a_game_wins, stats.b_game_wins, stats.tie_games) == tallies
             assert 2 * sum(tallies) > m  # the stream reached position m
 

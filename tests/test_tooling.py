@@ -3,7 +3,8 @@ users run them, the public names are the ones they use, the README's error
 sentence names the error types there are, the benchmark's
 reference commands print their recorded stdout, and the benchmark trace finds
 its layers, counts one matchup per DOT edge and sizes an analysis as its
-report does."""
+report does, and the CI-only gates that need no install hold: the peak
+memory of a large analysis and the console script's target."""
 
 import hashlib
 import importlib
@@ -20,8 +21,11 @@ from pathlib import Path
 import pytest
 
 import capcycle
+import capcycle.cli
 import capcycle.dominance
 import capcycle.report
+
+from .test_cli import run_with_peak_rss
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -73,6 +77,23 @@ def test_corpus_table_regenerates_verbatim():
 def test_readme_transcript_is_the_cli_output():
     argv, output = _readme_transcript()
     assert _run([sys.executable, "-m", "capcycle", *argv]).stdout == output
+
+
+def test_large_analysis_peak_memory():
+    # CI's step of the same bound: 8,037 nodes, whose relation is an 8 MB
+    # sign plane; an n x n int8 margin matrix held again would take 104 MB
+    code, peak_mb = run_with_peak_rss(os.devnull, "analyze", "--budget", "100", "--k", "4")
+    assert code == 0
+    assert peak_mb <= 60
+
+
+def test_console_script_is_cli_main():
+    # read without tomllib, which Python 3.10 lacks; running the script itself needs an install
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    (target,) = re.findall(r'^capcycle\s*=\s*"(.*)"\s*$', section, re.M)
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is capcycle.cli.main
 
 
 def test_traced_layers_resolve():
