@@ -199,6 +199,18 @@ def _descending_tuples(budget: int, k: int, capped: bool) -> Iterator[tuple[int,
         rest = tail
 
 
+def _refuse_above(limit: int, prefix: str, count: int, noun: str, budget: int, k: int) -> None:
+    """Refuse a space of ``prefix`` ``count`` ``noun`` above the limit. A count
+    with more digits than Python turns into text is named by the power of two
+    at or below it."""
+    if count > limit:
+        try:
+            shown = f"{prefix}{count}"
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            shown = f"at least 2^{count.bit_length() - 1}"
+        raise SpaceTooLargeError(f"{shown} {noun} for budget {budget}, k {k} exceeds limit {limit}")
+
+
 def composition_tuples(budget: int, k: int) -> Iterator[tuple[int, ...]]:
     """All ordered k-tuples of nonnegative ints summing to the budget, in
     lexicographically descending order, made as they are read: the lines
@@ -208,11 +220,7 @@ def composition_tuples(budget: int, k: int) -> Iterator[tuple[int, ...]]:
     there are more of them than the enumeration limit (see _space_limit).
     """
     limit = _space_limit()
-    count = composition_count(budget, k)
-    if count > limit:
-        raise SpaceTooLargeError(
-            f"{count} compositions for budget {budget}, k {k} exceeds limit {limit}"
-        )
+    _refuse_above(limit, "", composition_count(budget, k), "compositions", budget, k)
     return _descending_tuples(budget, k, capped=False)
 
 
@@ -220,11 +228,7 @@ def partition_tuples(budget: int, k: int) -> Iterator[tuple[int, ...]]:
     """The value tuples of enumerate_partitions, made as they are read;
     refuses above the enumeration limit as composition_tuples does."""
     limit = _space_limit()
-    count = partition_count(budget, k, limit)
-    if count > limit:
-        raise SpaceTooLargeError(
-            f"at least {count} partitions for budget {budget}, k {k} exceeds limit {limit}"
-        )
+    _refuse_above(limit, "at least ", partition_count(budget, k, limit), "partitions", budget, k)
     return _descending_tuples(budget, k, capped=True)
 
 

@@ -42,7 +42,7 @@ def _block_rows(n: int) -> int:
     """Rows or columns of a matrix over n nodes that a stage reads or fills
     at once: the margin kernel's column blocks and the score-table rows it
     gathers, the 3-cycle count tiles, the 3-cycle walk's candidate rows,
-    SCC's degree sums, trim and frontier gathers, and the counter table's
+    the rows SCC tests against a node set, and the counter table's
     candidate rows. The largest power of two at most n / 8, clamped to
     [128, 1024], so 128 at the 1,206 nodes of (30, 6) and 512 at the 8,037
     of (100, 4). It is a multiple of 8, so a block of columns fills whole
@@ -240,9 +240,8 @@ def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[tuple[slice, np.ndar
     # every process. Object faces compare as Python ints, so they stay exact.
     distinct = np.sort(faces, axis=None)
     distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    # Ranks at the narrowest dtype that holds len(distinct), which face + 1
-    # below reaches: each pass holds them whole.
-    ranks = np.searchsorted(distinct, faces).astype(np.min_scalar_type(len(distinct)))
+    # Ranks at the narrowest dtype that holds them: each pass holds them whole.
+    ranks = np.searchsorted(distinct, faces).astype(np.min_scalar_type(len(distinct) - 1))
     del faces
     n, k = ranks.shape
     # Every score is in [-k, k], and every partial sum of k of them in
@@ -250,21 +249,16 @@ def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[tuple[slice, np.ndar
     # int8 for k <= 11, int16 for k <= 181.
     dtype = np.min_scalar_type(-k * k)
     size = _block_rows(n)
+    levels = np.arange(len(distinct), dtype=ranks.dtype)[:, None]
     margin = np.empty((n, min(size, n)), dtype=dtype)  # refilled for every block
     for part in _slices(n, size):
         columns = ranks[part]
-        # counts[j, v + 1] is how many faces of column j have rank v, so
-        # below[j, v] counts its faces under rank v and score = below - (k -
-        # faces up to v). Each of these lies in [-k, 2k]: inside +-k^2 for
-        # k >= 2, and int8 holds it at k = 1, so none is wider than the margin.
-        # The sums run along contiguous rows, then the table is transposed
-        # once: down the columns of a (faces x columns) table they took twice
-        # as long at (6000, 2) once 256 columns outgrew the cache.
-        counts = np.zeros((len(columns), len(distinct) + 1), dtype=dtype)
+        score = np.zeros((len(distinct), len(columns)), dtype=dtype)
+        # The comparisons are added as 0/1 int8 bytes: adding bools to int8
+        # casts through a buffer, which raised the peak RSS of (30, 6) 128 KB.
         for face in columns.T:
-            counts[np.arange(len(columns)), face + 1] += 1  # one face per column: no pair repeats
-        below = np.cumsum(counts, axis=1, dtype=dtype)
-        score = np.ascontiguousarray((below[:, :-1] + below[:, 1:] - k).T)
+            score += (levels > face).view(np.int8)
+            score -= (levels < face).view(np.int8)
         block = margin[:, : len(columns)]
         block.fill(0)
         for rows in _slices(n, size):
@@ -434,80 +428,67 @@ def find_three_cycles(graph: DominanceGraph) -> ThreeCycles:
     return ThreeCycles(graph)
 
 
-def _reach(
-    rows: Callable[[np.ndarray], np.ndarray], root: int, allowed: np.ndarray
-) -> np.ndarray:
-    """Mask of the nodes that ``root`` reaches within ``allowed``, which holds
-    root, where ``rows(block)`` gives the boolean adjacency rows of the nodes
-    in ``block``: _block_rows(len(allowed)) frontier rows are gathered at a
-    time."""
-    seen = np.zeros_like(allowed)
-    seen[root] = True
-    frontier = seen.copy()
-    while frontier.any():
-        step = np.zeros_like(seen)
-        nodes = np.flatnonzero(frontier)
-        for part in _slices(len(nodes), _block_rows(len(allowed))):
-            step |= rows(nodes[part]).any(axis=0)
-        frontier = step & allowed & ~seen
-        seen |= frontier
-    return seen
+def _beaten(plane: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """Mask of the nodes that some node of the mask ``among`` beats: the set
+    bits of the OR of those nodes' plane rows, which copies no row."""
+    union = np.bitwise_or.reduce(plane, axis=0, where=among[:, None], keepdims=True)
+    return _row_bits(union, len(plane))[0]
+
+
+def _beating(plane: np.ndarray, among: np.ndarray) -> np.ndarray:
+    """Mask of the nodes that beat some node of the mask ``among``: the plane
+    rows that share a bit with np.packbits(among), read _block_rows(n) rows
+    at a time."""
+    n = len(plane)
+    packed = np.packbits(among)
+    found = np.empty(n, dtype=bool)
+    for rows in _slices(n, _block_rows(n)):
+        np.any(plane[rows] & packed, axis=1, out=found[rows])
+    return found
 
 
 def strongly_connected_components(graph: DominanceGraph) -> list[tuple[int, ...]]:
     """SCCs over strict edges as sorted index tuples, ordered by smallest member.
 
-    First the trim step of McLendon et al. (JPDC 2005): a node with no
-    in-edge or no out-edge from the unassigned nodes is its own component,
-    and assigning it can leave more such nodes. Then forward-backward search
-    (Fleischer, Hendrickson & Pinar, 2000) over boolean node masks: the
-    component of the lowest unassigned node is what it reaches forward along
-    the rows of the plane, searched backward from it within that set along
-    the plane's columns: the nodes that beat i are the set bits of column i.
+    Two steps over node masks do all the work: the nodes that a set beats
+    (_beaten) and the nodes that beat it (_beating). While some unassigned
+    node has no in-edge or no out-edge from the unassigned nodes, each such
+    node is its own component: the trim step of McLendon et al. (JPDC
+    2005). Otherwise forward-backward search (Fleischer, Hendrickson &
+    Pinar, 2000) takes the component of the lowest unassigned node: what
+    it reaches forward, searched backward from it within that set.
     """
     plane = graph.beats
-    n = len(plane)
 
-    def successors(block: np.ndarray | slice) -> np.ndarray:
-        return _row_bits(plane[block], n)
+    def reach(step: Callable[..., np.ndarray], allowed: np.ndarray) -> np.ndarray:
+        """Mask of the nodes that the lowest node of allowed reaches within
+        it, one step of the whole frontier at a time."""
+        seen = np.zeros_like(allowed)
+        seen[np.argmax(allowed)] = True
+        frontier = seen
+        while frontier.any():
+            frontier = step(plane, frontier) & allowed & ~seen
+            seen |= frontier
+        return seen
 
-    def predecessors(block: np.ndarray) -> np.ndarray:
-        return _column_bits(plane, block).T
-
-    rows = _block_rows(n)
-    in_degree = np.zeros(n, dtype=np.intp)
-    out_degree = np.empty(n, dtype=np.intp)
-    for block in _slices(n, rows):
-        beaten = successors(block)
-        out_degree[block] = beaten.sum(axis=1)
-        in_degree += beaten.sum(axis=0)
-    unassigned = np.ones(n, dtype=bool)
+    unassigned = np.ones(len(plane), dtype=bool)
     components = []
-    while True:
-        trimmed = np.flatnonzero(unassigned & ((in_degree == 0) | (out_degree == 0)))
-        if not trimmed.size:
-            break
-        unassigned[trimmed] = False
-        components += ((i,) for i in trimmed.tolist())
-        for part in _slices(len(trimmed), rows):
-            in_degree -= successors(trimmed[part]).sum(axis=0)
-            out_degree -= predecessors(trimmed[part]).sum(axis=0)
     while unassigned.any():
-        root = int(np.argmax(unassigned))
-        forward = _reach(successors, root, unassigned)
-        component = _reach(predecessors, root, forward)
-        unassigned &= ~component
-        components.append(tuple(np.flatnonzero(component).tolist()))
+        assigned = unassigned & ~(_beaten(plane, unassigned) & _beating(plane, unassigned))
+        if assigned.any():  # trimmed: each is its own component
+            components += ((i,) for i in np.flatnonzero(assigned).tolist())
+        else:  # the lowest unassigned node is also the lowest that it reaches
+            assigned = reach(_beating, reach(_beaten, unassigned))
+            components.append(tuple(np.flatnonzero(assigned).tolist()))
+        unassigned &= ~assigned
     components.sort()
     return components
 
 
 def undominated(graph: DominanceGraph) -> list[Partition]:
-    """Nodes with no incoming strict edge, in node order: the clear bits of
-    the OR of every plane row."""
-    plane = graph.beats
-    beaten = _row_bits(np.bitwise_or.reduce(plane, axis=0, keepdims=True), len(plane))
-    return [graph.nodes[i] for i in np.flatnonzero(~beaten[0]).tolist()]
+    """Nodes with no incoming strict edge, in node order: those no node beats."""
+    beaten = _beaten(graph.beats, np.ones(len(graph.nodes), dtype=bool))
+    return [graph.nodes[i] for i in np.flatnonzero(~beaten).tolist()]
 
 
 def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:

@@ -209,6 +209,30 @@ class TestEnumerateCommand:
         assert out == ""
         assert "exceeds limit 5" in err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    @pytest.mark.parametrize(
+        "argv, noun",
+        [
+            (["analyze"], "partitions"),
+            (["enumerate"], "compositions"),
+            (["enumerate", "--partitions"], "partitions"),
+        ],
+        ids=["analyze", "enumerate", "enumerate-partitions"],
+    )
+    def test_count_too_long_to_print_exits_3(self, capsys, monkeypatch, argv, noun):
+        # At k 3 the count has about twice the budget's digits: more than an
+        # int may have in text, so the refusal names a power of two below it.
+        monkeypatch.delenv("CAPCYCLE_MAX_SPACE", raising=False)
+        budget = "1" + "0" * (sys.get_int_max_str_digits() // 2 + 50)
+        code, out, err = run(capsys, *argv, "--budget", budget, "--k", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("capcycle: at least 2^")
+        assert err.endswith(f" {noun} for budget {budget}, k 3 exceeds limit 100000000\n")
+        assert err.count("\n") == 1
+
     def test_negative_env_limit_exits_1(self, capsys, monkeypatch):
         monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "-5")
         code, out, err = run(capsys, "enumerate", "--budget", "3", "--k", "2")

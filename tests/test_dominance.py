@@ -507,24 +507,25 @@ class TestComponents:
             sccs = strongly_connected_components(graph)
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
 
-    @pytest.mark.parametrize("budget, k", [(0, 3), (20, 2), (30, 3)])
+    @pytest.mark.parametrize("budget, k", [(0, 3), (20, 2), (30, 3), (12, 12)])
     def test_pinned_spaces_match_oracle(self, budget, k):
         # Past small_spaces: budget 0 has one node, every pair of (20, 2)
-        # draws, and 88 of the 91 nodes of (30, 3) share one component.
+        # draws, and 88 of the 91 nodes of (30, 3) share one component. The
+        # 77 nodes of (12, 12) take 22 trim rounds between 5 searches.
         graph = build_graph(budget, k)
         nodes = [p.values for p in graph.nodes]
         oracle_edges, _ = _oracles.graph_relations(nodes)
         sccs = strongly_connected_components(graph)
         assert sccs == _oracles.strong_components(len(nodes), oracle_edges)
-        assert max(map(len, sccs)) == {0: 1, 20: 1, 30: 88}[budget]
+        assert max(map(len, sccs)) == {0: 1, 20: 1, 30: 88, 12: 13}[budget]
 
     def test_search_memory_stays_in_row_blocks(self):
-        # A block gathers _block_rows(n) rows or columns of the plane and
-        # unpacks them; the whole search once gathered every frontier row at
-        # a time.
-        for (budget, k), largest in [((30, 6), 1186), ((60, 4), 1885)]:
+        # Each step reads the plane in place, or _block_rows(n) of its packed
+        # rows at a time, so the search holds less than the plane itself.
+        # Degree counts, gathered columns and unpacked row blocks once held
+        # more than the plane at (30, 6) and (60, 4).
+        for (budget, k), largest in [((30, 6), 1186), ((60, 4), 1885), ((100, 4), 8003)]:
             graph = build_graph(budget, k)
-            n = len(graph.nodes)
             tracemalloc.start()
             try:
                 sccs = strongly_connected_components(graph)
@@ -532,7 +533,7 @@ class TestComponents:
             finally:
                 tracemalloc.stop()
             assert max(map(len, sccs)) == largest
-            assert peak < 3 * dominance_module._block_rows(n) * n
+            assert peak < graph.beats.nbytes
 
     def test_components_partition_nodes(self, graph_6_3):
         sccs = strongly_connected_components(graph_6_3)
