@@ -199,16 +199,20 @@ def _descending_tuples(budget: int, k: int, capped: bool) -> Iterator[tuple[int,
         rest = tail
 
 
+def _shown(number: int, prefix: str = "") -> str:
+    """``prefix`` and ``number`` as text, or the power of two at or below a
+    number with more digits than Python turns into text."""
+    try:
+        return f"{prefix}{number}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return f"at least 2^{number.bit_length() - 1}"
+
+
 def _refuse_above(limit: int, prefix: str, count: int, noun: str, budget: int, k: int) -> None:
-    """Refuse a space of ``prefix`` ``count`` ``noun`` above the limit. A count
-    with more digits than Python turns into text is named by the power of two
-    at or below it."""
+    """Refuse a space of ``prefix`` ``count`` ``noun`` above the limit."""
     if count > limit:
-        try:
-            shown = f"{prefix}{count}"
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            shown = f"at least 2^{count.bit_length() - 1}"
-        raise SpaceTooLargeError(f"{shown} {noun} for budget {budget}, k {k} exceeds limit {limit}")
+        space = f"{_shown(count, prefix)} {noun} for budget {_shown(budget)}, k {_shown(k)}"
+        raise SpaceTooLargeError(f"{space} exceeds limit {limit}")
 
 
 def composition_tuples(budget: int, k: int) -> Iterator[tuple[int, ...]]:

@@ -42,11 +42,11 @@ def _block_rows(n: int) -> int:
     """Rows or columns of a matrix over n nodes that a stage reads or fills
     at once: the margin kernel's column blocks and the score-table rows it
     gathers, the 3-cycle count tiles, the 3-cycle walk's candidate rows,
-    the rows SCC tests against a node set, and the counter table's
-    candidate rows. The largest power of two at most n / 8, clamped to
-    [128, 1024], so 128 at the 1,206 nodes of (30, 6) and 512 at the 8,037
-    of (100, 4). It is a multiple of 8, so a block of columns fills whole
-    bytes of the sign plane.
+    the rows SCC tests against a node set, and, B / 8 at a time, the
+    counter table's candidate rows. The largest power of two at most n / 8,
+    clamped to [128, 1024], so 128 at the 1,206 nodes of (30, 6) and 512 at
+    the 8,037 of (100, 4). It is a multiple of 8, so a block of columns
+    fills whole bytes of the sign plane.
 
     Each stage's transients are a few arrays of B x n values for B rows, at
     most c * B * n bytes, where the margin kernel's n counts the distinct
@@ -59,7 +59,8 @@ def _block_rows(n: int) -> int:
     up, so c * B * n is at most c times the n^2 / 8 bytes of the sign plane;
     below, it is at most 128 * c * n bytes. The 3-cycle count holds c * B^2
     bytes whatever n is, with c = 16: four float32 B x B tiles, beside
-    einsum's fixed 130 KB of cast buffers.
+    einsum's fixed 130 KB of cast buffers; the counter table's, with c = 1,
+    an intp key tile of B / 8 x B keys beside the kernel's block.
     Larger blocks make fewer, faster BLAS calls, so B grows with n: on a
     2-vCPU host, (100, 4) took 4.9 s with 128-row tiles and 3.6 s with 512.
     """
@@ -266,21 +267,6 @@ def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[tuple[slice, np.ndar
             for face in ranks[rows].T:
                 total += score[face]
         yield part, block
-
-
-def _strongest_beaters(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of a margin block, one node's column against the
-    candidate rows: the highest row that holds the column's largest entry,
-    and that entry, in the block's dtype.
-
-    That row is the candidate that beats the node by the most, and the
-    value is its margin over the node, positive only if it beats the node at
-    all. Ties go to the highest row: with candidates in descending node
-    order, that is the lexicographically smallest partition. argmax copies
-    the block to make each column contiguous, so callers pass a few rows.
-    """
-    rows = len(block) - 1 - np.argmax(block[::-1], axis=0)
-    return rows, block[rows, np.arange(block.shape[1])]
 
 
 def build_graph(budget: int, k: int) -> DominanceGraph:
@@ -503,7 +489,8 @@ def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:
     # > v} cells net: the sum of v's two searchsorted positions in a's sorted
     # faces, minus k. So the batch's margins over a are the row sums of
     # those positions minus k^2. Faces of 2^63 and up stay Python ints, as
-    # in _margins. A later batch wins a tie, as the higher row does within one.
+    # in _margins. A batch's best has its largest key, margin * len(batch) +
+    # row, as in best_counters, and a later batch wins a tie.
     exact = np.int64 if a.budget < 2**63 else object
     faces = np.array(sorted(a.values), dtype=exact)
     candidates = partition_tuples(a.budget, a.k)
@@ -511,36 +498,44 @@ def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:
     while batch := list(islice(candidates, _RECORD_ROWS)):
         values = np.array(batch, dtype=exact)
         taken = np.searchsorted(faces, values, "left") + np.searchsorted(faces, values, "right")
-        (row,), (value,) = _strongest_beaters(taken.sum(axis=1)[:, None] - a.k * a.k)
+        keys = (taken.sum(axis=1) - a.k * a.k) * len(batch) + np.arange(len(batch))
+        value, row = divmod(int(keys.max()), len(batch))
         if value > 0 and (best is None or value >= best[1]):
-            best = batch[row], int(value)
+            best = batch[row], value
     return None if best is None else (Partition(best[0]), best[1])
 
 
 def best_counters(graph: DominanceGraph) -> list[CounterEntry]:
-    """Per node, in node order, its maximum-margin strict dominator (same
-    tie-break) and margin, or None for both.
+    """Per node, in node order, its maximum-margin strict dominator and
+    margin, or None for both.
 
     Same answer as running counter_strategy on every node, read off the
     margin kernel's column blocks: the nodes that beat node j are the
-    positive entries of column j. A block's candidates are answered
-    _block_rows(n) rows at a time, and a later slice of rows wins a tie, as
-    in counter_strategy, so argmax copies only B x B values at a time.
+    positive entries of column j. Each entry becomes one intp key, margin *
+    n + row, and each column keeps its largest key: the largest margin and,
+    among equal margins, the highest row, which in descending node order is
+    the lexicographically smallest partition. counter_strategy breaks ties
+    the same way. np.divmod gives back the margin, at least the 0 of the
+    node's own entry, and the row. Keys are made max(1, _block_rows(n) // 8)
+    rows at a time, so a key tile takes B^2 bytes, from the last row up: a
+    block is done once each column holds a key of its largest entry.
     """
     nodes = graph.nodes
     n = len(nodes)
-    size = _block_rows(n)
-    rows = np.zeros(n, dtype=np.intp)
-    values = np.full(n, -1, dtype=np.intp)  # a column's largest entry is >= 0, its node's own
+    keys, index = np.zeros(n, dtype=np.intp), np.arange(n)[:, None]
+    upward = list(_slices(n, max(1, _block_rows(n) // 8)))[::-1]
     for part, block in _margins([p.values for p in nodes]):
-        best_rows, best = rows[part], values[part]
-        for candidates in _slices(n, size):
-            found, value = _strongest_beaters(block[candidates])
-            later = value >= best
-            best_rows[later] = candidates.start + found[later]
-            best[later] = value[later]
+        best, top = keys[part], block.max(axis=0).astype(np.intp) * n
+        for rows in upward:
+            tile = block[rows].astype(np.intp)
+            tile *= n
+            tile += index[rows]
+            np.maximum(best, tile.max(axis=0), out=best)
+            if (best >= top).all():
+                break
     del block  # a view of the kernel's buffer: free it before the entries are made
+    margins, rows = np.divmod(keys, n)
     return [
-        CounterEntry(node, nodes[row], value) if value > 0 else CounterEntry(node, None, None)
-        for node, row, value in zip(nodes, rows.tolist(), values.tolist())
+        CounterEntry(node, nodes[row], margin) if margin > 0 else CounterEntry(node, None, None)
+        for node, row, margin in zip(nodes, rows.tolist(), margins.tolist())
     ]

@@ -12,11 +12,17 @@ from capcycle import (
     AllocationError,
     Partition,
     SpaceTooLargeError,
+    counter_strategy,
     enumerate_partitions,
     format_allocation,
     parse_allocation,
 )
-from capcycle.allocations import composition_count, composition_tuples, partition_count
+from capcycle.allocations import (
+    composition_count,
+    composition_tuples,
+    partition_count,
+    partition_tuples,
+)
 
 from . import _oracles
 
@@ -253,6 +259,48 @@ class TestEnumeration:
         monkeypatch.setenv("CAPCYCLE_MAX_SPACE", str(limit))
         with pytest.raises(SpaceTooLargeError, match=r"^at least \d+ partitions"):
             enumerate_partitions(budget, k)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    @pytest.mark.parametrize(
+        "refused, noun",
+        [
+            (composition_tuples, "compositions"),
+            (partition_tuples, "partitions"),
+            (enumerate_partitions, "partitions"),
+            (lambda budget, k: counter_strategy(Allocation((budget, 0, 0))), "partitions"),
+        ],
+        ids=["composition_tuples", "partition_tuples", "enumerate_partitions", "counter_strategy"],
+    )
+    def test_budget_too_long_to_print_is_refused(self, refused, noun, monkeypatch):
+        # The refusal names the budget as it names the count: by a power of
+        # two at or below it, since Python will not print either.
+        monkeypatch.delenv("CAPCYCLE_MAX_SPACE", raising=False)
+        budget = 10 ** (sys.get_int_max_str_digits() + 100)
+        with pytest.raises(SpaceTooLargeError) as refusal:
+            refused(budget, 3)
+        bits = budget.bit_length() - 1
+        assert str(refusal.value).startswith("at least 2^")
+        assert str(refusal.value).endswith(
+            f" {noun} for budget at least 2^{bits}, k 3 exceeds limit 100000000"
+        )
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this Python turns ints of any length into text",
+    )
+    def test_k_too_long_to_print_is_refused(self, monkeypatch):
+        monkeypatch.delenv("CAPCYCLE_MAX_SPACE", raising=False)
+        k = 10 ** (sys.get_int_max_str_digits() + 100)
+        with pytest.raises(SpaceTooLargeError) as refusal:
+            composition_tuples(1, k)
+        bits = k.bit_length() - 1
+        assert str(refusal.value) == (
+            f"at least 2^{bits} compositions for budget 1, k at least 2^{bits} "
+            "exceeds limit 100000000"
+        )
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=7))
     def test_orders_match_oracle_past_four_parts(self, budget, k):

@@ -61,10 +61,13 @@ small_spaces = st.tuples(
 )
 
 # Values of the one block rule, _block_rows: the margin kernel's column
-# blocks, the 3-cycle count's row tiles, and the row blocks of the SCC search
-# and the counter table. Sizes that split small spaces, and the smallest real
-# size, which no small space exceeds. Every value is a multiple of 8, as
-# _block_rows' are, so a block of columns fills whole bytes of the plane.
+# blocks, the 3-cycle count's row tiles, the row blocks of the SCC search,
+# and the counter table's key tiles of B // 8 candidate rows (1, 2 and 16
+# here). A key is margin * n + row, so a column's largest key is the highest
+# row of its largest margin, the tie-break counter_strategy's batch keys
+# share. Sizes that split small spaces, and the smallest real size, which no
+# small space exceeds. Every value is a multiple of 8, as _block_rows' are,
+# so a block of columns fills whole bytes of the plane.
 TILE_ROWS = [8, 16, 128]
 
 
@@ -682,6 +685,29 @@ class TestBestCounters:
         graph = build_graph(10, 12)
         assert next(_margins([p.values for p in graph.nodes]))[1].dtype == np.int16
         assert_counters_match_oracle(graph, rows)
+
+    @pytest.mark.parametrize(
+        "budget, k, rows", [(30, 6, None), (60, 4, None), (10, 12, 8), (10, 12, 16)]
+    )
+    def test_matches_margin_matrix_at_block_sizes(self, budget, k, rows, monkeypatch):
+        # The strongest beater of node j is the last row that holds column
+        # j's maximum, and there is none when that maximum is 0. (30, 6) and
+        # (60, 4) run at their real size, 128, in 10 and 15 kernel blocks of
+        # 16-row key tiles; no small space fills one block of 128.
+        graph = build_graph(budget, k)
+        margin = margin_matrix([p.values for p in graph.nodes])
+        top = margin.max(axis=0)
+        last = len(margin) - 1 - np.argmax(margin[::-1] == top, axis=0)
+        expected = [
+            (graph.nodes[row], value) if value > 0 else (None, None)
+            for row, value in zip(last.tolist(), top.tolist())
+        ]
+        if rows is None:
+            assert dominance_module._block_rows(len(margin)) == 128 < len(margin) // 8
+            assert ((margin == top).sum(axis=0)[top > 0] > 1).any()  # ties to break
+        else:
+            monkeypatch.setattr(dominance_module, "_block_rows", lambda n: rows)
+        assert [(entry.counter, entry.margin) for entry in best_counters(graph)] == expected
 
     def test_counter_table_reads_column_blocks(self):
         # An argmax over the whole reversed margin matrix copied all of it.
