@@ -27,7 +27,6 @@ _SUBMODULE = {
     "CounterEntry": "dominance",
     "DominanceGraph": "dominance",
     "ThreeCycles": "dominance",
-    "counter_strategy": "dominance",
     "AllocationError": "errors",
     "AllTiesError": "errors",
     "CapcycleError": "errors",
@@ -35,6 +34,7 @@ _SUBMODULE = {
     "SpaceTooLargeError": "errors",
     "MatchupTable": "matchups",
     "TiePolicy": "matchups",
+    "counter_strategy": "matchups",
     "emit_matchup_csv": "matchups",
     "emit_matchup_grid": "matchups",
     "matchup_json_dict": "matchups",

@@ -14,6 +14,7 @@ import math
 import operator
 import os
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Iterator, Sequence
 
 from .errors import AllocationError, SpaceTooLargeError
@@ -21,6 +22,9 @@ from .errors import AllocationError, SpaceTooLargeError
 # Enumeration guard: refuse to materialize strategy spaces bigger than this,
 # unless the CAPCYCLE_MAX_SPACE environment variable sets another limit.
 DEFAULT_SPACE_LIMIT = 100_000_000
+
+# About the values in one piece of allocation_lines, however wide its lines.
+_PIECE_VALUES = 8_192
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,18 @@ def partition_tuples(budget: int, k: int) -> Iterator[tuple[int, ...]]:
     limit = _space_limit()
     _refuse_above(limit, "at least ", partition_count(budget, k, limit), "partitions", budget, k)
     return _descending_tuples(budget, k, capped=True)
+
+
+def allocation_lines(values: Iterator[tuple[int, ...]], k: int) -> Iterator[str]:
+    """The text form of each k-value tuple, newline-separated, in pieces of
+    max(1, _PIECE_VALUES // k) lines: what ``enumerate`` writes. A piece is
+    one % format of as many "%d,...,%d" lines as it holds tuples."""
+    lines = max(1, _PIECE_VALUES // k)
+    line = ",".join(["%d"] * k)
+    separator = ""
+    while batch := list(islice(values, lines)):
+        yield separator + "\n".join([line] * len(batch)) % tuple(chain.from_iterable(batch))
+        separator = "\n"
 
 
 def enumerate_partitions(budget: int, k: int) -> list[Partition]:

@@ -9,14 +9,14 @@ the CAPCYCLE_MAX_SPACE environment variable when it is set, so only the
 commands that enumerate read it, and a bad value exits 1 as a ValueError.
 
 Each command imports the modules it runs only when it is run. matchup,
---help and a usage error load allocations, errors and matchups, and no
-numpy; simulate adds simulate; counter adds dominance; enumerate, analyze
-and graph add report and dominance, and none of them loads simulate.
+counter, enumerate, --help and a usage error load allocations, errors and
+matchups, and no numpy; simulate adds simulate; analyze and graph add
+report and dominance, and neither loads simulate.
 
 Output is written as it is produced, one write call a piece: the JSON and
 DOT listings in pieces of at most report._PIECE_BYTES of text or one record,
-enumerate in pieces of about dominance._RECORD_ROWS values, so no output is
-held whole. Every refusal happens before the first byte is written.
+enumerate in pieces of about allocations._PIECE_VALUES values, so no output
+is held whole. Every refusal happens before the first byte is written.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from collections.abc import Iterable, Iterator
 from numbers import Rational
 
 from .allocations import (
+    allocation_lines,
     composition_tuples,
     format_allocation,
     parse_allocation,
@@ -39,6 +40,7 @@ from .allocations import (
 from .errors import AllocationError, SpaceTooLargeError
 from .matchups import (
     TiePolicy,
+    counter_strategy,
     emit_matchup_csv,
     emit_matchup_grid,
     matchup_json_dict,
@@ -138,10 +140,8 @@ def _cmd_matchup(args) -> str:
 
 
 def _cmd_enumerate(args) -> Iterator[str]:
-    from .report import _allocation_lines
-
     tuples = partition_tuples if args.partitions else composition_tuples
-    return _allocation_lines(tuples(args.budget, args.k), args.k)
+    return allocation_lines(tuples(args.budget, args.k), args.k)
 
 
 def _cmd_graph(args) -> Iterator[str]:
@@ -152,8 +152,6 @@ def _cmd_graph(args) -> Iterator[str]:
 
 
 def _cmd_counter(args) -> str:
-    from .dominance import counter_strategy
-
     a = parse_allocation(args.a)
     if args.budget is not None and args.budget != a.budget:
         raise ValueError(

@@ -14,25 +14,17 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
-from .allocations import (
-    Allocation,
-    Partition,
-    composition_count,
-    enumerate_partitions,
-    partition_tuples,
-)
+from .allocations import Partition, composition_count, enumerate_partitions
 from .errors import SpaceTooLargeError
 
 Edge = tuple[int, int, int]  # (winner index, loser index, margin > 0)
 Cycle = tuple[Partition, Partition, Partition]
 
-# Pairs or candidates handled at a time: a block of the pair listings and
-# a batch of the counter search, and about the values of an enumerate piece.
-# The DOT and JSON listings are written in pieces bounded in bytes instead
+# Pairs handled at a time: a block of the edge and draw listings. The DOT
+# and JSON listings are written in pieces bounded in bytes instead
 # (report._PIECE_BYTES), at most one block each. A block takes a few hundred
 # KB whatever the space's size.
 _RECORD_ROWS = 8_192
@@ -477,48 +469,21 @@ def undominated(graph: DominanceGraph) -> list[Partition]:
     return [graph.nodes[i] for i in np.flatnonzero(~beaten).tolist()]
 
 
-def counter_strategy(a: Allocation) -> tuple[Partition, int] | None:
-    """Best same-cap answer to ``a``: a strict dominator of maximum margin.
-
-    Ties on margin break to the lexicographically smallest partition.
-    Returns None when nothing beats ``a``, which is a legitimate finding,
-    not an error.
-    """
-    # Scored as value tuples, _RECORD_ROWS at a time: only the winner becomes
-    # a Partition. A candidate's face v takes #{a's faces < v} - #{a's faces
-    # > v} cells net: the sum of v's two searchsorted positions in a's sorted
-    # faces, minus k. So the batch's margins over a are the row sums of
-    # those positions minus k^2. Faces of 2^63 and up stay Python ints, as
-    # in _margins. A batch's best has its largest key, margin * len(batch) +
-    # row, as in best_counters, and a later batch wins a tie.
-    exact = np.int64 if a.budget < 2**63 else object
-    faces = np.array(sorted(a.values), dtype=exact)
-    candidates = partition_tuples(a.budget, a.k)
-    best = None
-    while batch := list(islice(candidates, _RECORD_ROWS)):
-        values = np.array(batch, dtype=exact)
-        taken = np.searchsorted(faces, values, "left") + np.searchsorted(faces, values, "right")
-        keys = (taken.sum(axis=1) - a.k * a.k) * len(batch) + np.arange(len(batch))
-        value, row = divmod(int(keys.max()), len(batch))
-        if value > 0 and (best is None or value >= best[1]):
-            best = batch[row], value
-    return None if best is None else (Partition(best[0]), best[1])
-
-
 def best_counters(graph: DominanceGraph) -> list[CounterEntry]:
     """Per node, in node order, its maximum-margin strict dominator and
     margin, or None for both.
 
-    Same answer as running counter_strategy on every node, read off the
-    margin kernel's column blocks: the nodes that beat node j are the
+    Same answer as running matchups.counter_strategy on every node, read off
+    the margin kernel's column blocks: the nodes that beat node j are the
     positive entries of column j. Each entry becomes one intp key, margin *
     n + row, and each column keeps its largest key: the largest margin and,
     among equal margins, the highest row, which in descending node order is
-    the lexicographically smallest partition. counter_strategy breaks ties
-    the same way. np.divmod gives back the margin, at least the 0 of the
-    node's own entry, and the row. Keys are made max(1, _block_rows(n) // 8)
-    rows at a time, so a key tile takes B^2 bytes, from the last row up: a
-    block is done once each column holds a key of its largest entry.
+    the lexicographically smallest partition, the one that
+    counter_strategy's scan keeps last. np.divmod gives back the margin, at
+    least the 0 of the node's own entry, and the row. Keys are made max(1,
+    _block_rows(n) // 8) rows at a time, so a key tile takes B^2 bytes, from
+    the last row up: a block is done once each column holds a key of its
+    largest entry.
     """
     nodes = graph.nodes
     n = len(nodes)

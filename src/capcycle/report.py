@@ -15,7 +15,6 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from .allocations import Allocation, format_allocation
-from . import dominance
 from .dominance import Cycle, DominanceGraph, build_graph as analyze
 from .errors import SpaceTooLargeError
 from .matchups import matchup_table
@@ -109,17 +108,6 @@ def _numbers(graph: DominanceGraph) -> np.ndarray:
     faces = max((len(p.values) - p.values.count(0) for p in graph.nodes), default=0)
     largest = max(len(graph.nodes) - 1, graph.k * faces)
     return _text_rows(map(str, range(largest + 1)))
-
-
-def _allocation_lines(values: Iterator[tuple[int, ...]], k: int) -> Iterator[str]:
-    """One line per k-value tuple, newline-separated, about _RECORD_ROWS values
-    a piece: max(1, _RECORD_ROWS // k) lines, so a piece is small however
-    wide its lines are."""
-    lines = max(1, dominance._RECORD_ROWS // k)
-    separator = ""
-    while batch := list(islice(values, lines)):
-        yield separator + "\n".join(map(format_allocation, batch))
-        separator = "\n"
 
 
 def dot_pieces(graph: DominanceGraph) -> Iterator[str]:

@@ -17,7 +17,9 @@ from capcycle import (
     format_allocation,
     parse_allocation,
 )
+import capcycle.allocations as allocations_module
 from capcycle.allocations import (
+    allocation_lines,
     composition_count,
     composition_tuples,
     partition_count,
@@ -323,3 +325,39 @@ class TestEnumeration:
         monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "5")
         with pytest.raises(SpaceTooLargeError, match="28 compositions"):
             composition_tuples(6, 3)
+
+
+class TestAllocationLines:
+    @pytest.mark.parametrize("budget, k, lines", [(10, 3, 2), (10, 7, 1), (3, 8, 1)])
+    def test_allocation_pieces_hold_about_piece_values(self, monkeypatch, budget, k, lines):
+        # max(1, 7 // k) lines a piece: a line of k values never shares a
+        # piece past 7 values, but a line wider than that still gets one.
+        monkeypatch.setattr(allocations_module, "_PIECE_VALUES", 7)
+        values = list(composition_tuples(budget, k))
+        pieces = list(allocation_lines(iter(values), k))
+        assert [len(piece.lstrip("\n").split("\n")) for piece in pieces[:-1]] == [lines] * (
+            len(pieces) - 1
+        )
+        assert len(pieces) == -(-len(values) // lines)
+        assert "".join(pieces) == "\n".join(map(format_allocation, values))
+
+    @given(
+        st.integers(min_value=1, max_value=300).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(min_value=0, max_value=2**70), min_size=k, max_size=k).map(
+                    tuple
+                ),
+                max_size=6,
+            )
+        ),
+        st.integers(min_value=1, max_value=600),
+    )
+    def test_lines_are_the_text_forms(self, values, piece_values):
+        # %d writes an int as str does, past 2^64 too, and a small
+        # piece_values makes a listing span pieces.
+        k = len(values[0]) if values else 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(allocations_module, "_PIECE_VALUES", piece_values)
+            text = "".join(allocation_lines(iter(values), k))
+        assert text == "\n".join(map(format_allocation, values))
+

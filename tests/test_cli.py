@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import capcycle.allocations as allocations_module
 import capcycle.dominance as dominance_module
 import capcycle.report as report_module
 from capcycle import (
@@ -608,6 +609,7 @@ class TestStreamedOutput:
 
     @pytest.fixture(autouse=True)
     def small_pieces(self, monkeypatch):
+        monkeypatch.setattr(allocations_module, "_PIECE_VALUES", 5)
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 5)
         monkeypatch.setattr(report_module, "_PIECE_BYTES", 100)
 
@@ -680,9 +682,9 @@ def _exports(budget, k):
 
 class TestBlockSizeInvariance:
     """No block or piece size shows in stdout: every matrix stage's rows at
-    a time (_block_rows), every pair block's records (_RECORD_ROWS) and every
-    listing piece's bytes (_PIECE_BYTES) leave every command's output as it
-    is at the defaults."""
+    a time (_block_rows), every pair block's records (_RECORD_ROWS), every
+    listing piece's bytes (_PIECE_BYTES) and every enumerate piece's values
+    (_PIECE_VALUES) leave every command's output as it is at the defaults."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -706,6 +708,7 @@ class TestBlockSizeInvariance:
                     with monkeypatch.context() as patch:
                         patch.setattr(dominance_module, "_block_rows", lambda n: block)
                         patch.setattr(dominance_module, "_RECORD_ROWS", records)
+                        patch.setattr(allocations_module, "_PIECE_VALUES", records)
                         patch.setattr(report_module, "_PIECE_BYTES", piece_bytes)
                         assert run(capsys, *argv) == (0, expected, "")
 
@@ -882,16 +885,19 @@ class TestUsageAndOutput:
             (["matchup", "--a", "1,1,4"], []),
             (["simulate", "--a", "1,1,4", "--b", "3,3,0", "--games", "9", "--seed", "1"],
              ["capcycle.simulate", "numpy"]),
-            (["counter", "--a", "3,2,1"], ["capcycle.dominance", "numpy"]),
+            (["counter", "--a", "3,2,1"], []),
+            (["enumerate"], []),
+            (["enumerate", "--partitions"], []),
             (["analyze"], ["capcycle.dominance", "capcycle.report", "numpy"]),
             (["graph", "--format", "json"], ["capcycle.dominance", "capcycle.report", "numpy"]),
         ],
-        ids=["grid", "json", "csv", "help", "parse-error", "simulate", "counter", "analyze",
-             "graph"],
+        ids=["grid", "json", "csv", "help", "parse-error", "simulate", "counter", "enumerate",
+             "enumerate-partitions", "analyze", "graph"],
     )
     def test_runs_import_only_what_they_run(self, argv, loaded):
-        # matchup, --help and a usage error start without numpy; simulate
-        # without the analysis modules, and the analysis without simulate.
+        # matchup, counter, enumerate, --help and a usage error start without
+        # numpy; simulate without the analysis modules, and the analysis
+        # without simulate.
         proc = subprocess.run(
             [
                 sys.executable,

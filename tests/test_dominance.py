@@ -19,6 +19,7 @@ from capcycle import (
     matchup_table,
 )
 import capcycle.dominance as dominance_module
+import capcycle.matchups as matchups_module
 from capcycle.dominance import (
     ThreeCycles,
     _margins,
@@ -64,8 +65,8 @@ small_spaces = st.tuples(
 # blocks, the 3-cycle count's row tiles, the row blocks of the SCC search,
 # and the counter table's key tiles of B // 8 candidate rows (1, 2 and 16
 # here). A key is margin * n + row, so a column's largest key is the highest
-# row of its largest margin, the tie-break counter_strategy's batch keys
-# share. Sizes that split small spaces, and the smallest real size, which no
+# row of its largest margin, the candidate counter_strategy's scan keeps
+# last. Sizes that split small spaces, and the smallest real size, which no
 # small space exceeds. Every value is a multiple of 8, as _block_rows' are,
 # so a block of columns fills whole bytes of the plane.
 TILE_ROWS = [8, 16, 128]
@@ -598,38 +599,51 @@ class TestCounterStrategy:
         assert margin == max(rival_margins) == 3
         assert counter.values == (2, 2, 2)
 
-    @pytest.mark.parametrize("budget", range(0, 13))
-    def test_matches_oracle_through_budget_12(self, budget):
-        candidates = _oracles.partitions(budget, 3)
-        for values in candidates:
-            got = counter_strategy(Allocation(values))
-            expected = _oracles.counter(values, candidates)
-            if expected is None:
-                assert got is None
-            else:
-                assert (got[0].values, got[1]) == expected
-
-    @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("budget, k", [(10, 3), (12, 4)])
-    def test_batches_match_oracle(self, budget, k, rows, monkeypatch):
-        # Candidates ranked ``rows`` at a time: a later batch must win a tie
-        # on margin, as the lexicographically smaller partition.
-        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", rows)
+    @pytest.mark.parametrize(
+        "budget, k",
+        [*((budget, 3) for budget in range(13)), (12, 4)],
+        ids=[*map(str, range(13)), "12-4"],
+    )
+    def test_matches_oracle_through_budget_12(self, budget, k):
+        # From budget 9 up, at least 7 allocations have several best
+        # counters, so the scan must keep the lexicographically smallest.
         candidates = _oracles.partitions(budget, k)
-        tied_across_batches = 0
+        tied = 0
         for values in candidates:
             counts = (_oracles.cell_counts(p, values) for p in candidates)
             margins = [wa - wb for wa, wb, _ in counts]
             top = max(margins)
-            batches = {i // rows for i, m in enumerate(margins) if m == top}
-            tied_across_batches += top > 0 and len(batches) > 1
+            tied += top > 0 and margins.count(top) > 1
             got = counter_strategy(Allocation(values))
             expected = _oracles.counter(values, candidates)
             if expected is None:
                 assert got is None
             else:
                 assert (got[0].values, got[1]) == expected
-        assert tied_across_batches >= 7
+        assert budget < 9 or tied >= 7
+
+    @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6))
+    def test_bisections_match_the_table(self, values):
+        # Budgets from _TABLE_BUDGET up bisect each face instead of a lookup.
+        a = Allocation(values)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matchups_module, "_TABLE_BUDGET", 0)
+            bisected = counter_strategy(a)
+        assert bisected == counter_strategy(a)
+
+    def test_scan_memory_does_not_grow_with_the_values(self):
+        # 150,001 candidates and 300,001 distinct face values, none of which
+        # beats (300000, 0). The scan holds one candidate at a time, about
+        # 2 KiB traced; holding a batch of candidates, or a score for each
+        # value seen, takes megabytes here.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert counter_strategy(Allocation((300000, 0))) is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_space_guard(self, monkeypatch):
         monkeypatch.setenv("CAPCYCLE_MAX_SPACE", "3")
@@ -673,8 +687,7 @@ def assert_counters_match_oracle(graph, rows):
 class TestBestCounters:
     @given(small_spaces, st.sampled_from(TILE_ROWS))
     def test_agrees_with_counter_strategy(self, space, rows):
-        # Each block of rows answers its nodes in full, whatever its size;
-        # only counter_strategy's batches pass ties on to a later batch.
+        # Each block of rows answers its nodes in full, whatever its size.
         budget, k = space
         assert_counters_match_oracle(build_graph(budget, k), rows)
 

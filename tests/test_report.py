@@ -22,7 +22,6 @@ from capcycle import (
     dot_pieces,
     emit_matchup_csv,
     emit_matchup_grid,
-    format_allocation,
     graph_json_pieces,
     matchup_json_dict,
     matchup_summary_line,
@@ -31,9 +30,8 @@ from capcycle import (
     simulate_games,
     simulation_json_dict,
 )
-from capcycle.allocations import composition_tuples
 from capcycle.dominance import _margins, build_graph
-from capcycle.report import _allocation_lines, analysis_json_dict, emit_dot, to_json_text
+from capcycle.report import analysis_json_dict, emit_dot, to_json_text
 
 from . import _oracles
 from .test_dominance import small_spaces
@@ -464,21 +462,6 @@ class TestGraphExports:
         assert [piece.count('"winner"') for piece in listed] == edges
         listed = json_pieces[draws_at + 1 : cycles_at]
         assert [piece.count("[") for piece in listed] == draws
-
-    @pytest.mark.parametrize("budget, k, lines", [(10, 3, 2), (10, 7, 1), (3, 8, 1)])
-    def test_allocation_pieces_hold_about_record_rows_values(
-        self, monkeypatch, budget, k, lines
-    ):
-        # max(1, 7 // k) lines a piece: a line of k values never shares a
-        # piece past 7 values, but a line wider than that still gets one.
-        monkeypatch.setattr(dominance_module, "_RECORD_ROWS", 7)
-        values = list(composition_tuples(budget, k))
-        pieces = list(_allocation_lines(iter(values), k))
-        assert [len(piece.lstrip("\n").split("\n")) for piece in pieces[:-1]] == [lines] * (
-            len(pieces) - 1
-        )
-        assert len(pieces) == -(-len(values) // lines)
-        assert "".join(pieces) == "\n".join(map(format_allocation, values))
 
     def test_rebuilt_report_writes_the_same_text(self):
         report = analyze(10, 3)  # 22 cycles in 5 blocks
