@@ -599,15 +599,11 @@ class TestCounterStrategy:
         assert margin == max(rival_margins) == 3
         assert counter.values == (2, 2, 2)
 
-    @pytest.mark.parametrize(
-        "budget, k",
-        [*((budget, 3) for budget in range(13)), (12, 4)],
-        ids=[*map(str, range(13)), "12-4"],
-    )
-    def test_matches_oracle_through_budget_12(self, budget, k):
+    @pytest.mark.parametrize("budget", range(0, 13))
+    def test_matches_oracle_through_budget_12(self, budget):
         # From budget 9 up, at least 7 allocations have several best
         # counters, so the scan must keep the lexicographically smallest.
-        candidates = _oracles.partitions(budget, k)
+        candidates = _oracles.partitions(budget, 3)
         tied = 0
         for values in candidates:
             counts = (_oracles.cell_counts(p, values) for p in candidates)
@@ -621,6 +617,28 @@ class TestCounterStrategy:
             else:
                 assert (got[0].values, got[1]) == expected
         assert budget < 9 or tied >= 7
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("budget, k", [(10, 3), (12, 4)])
+    def test_batches_match_oracle(self, budget, k, rows):
+        # The scan meets the candidates in descending order, so a best
+        # counter must carry past runs of ``rows`` candidates until a later
+        # run ties it on margin, as the lexicographically smaller partition.
+        candidates = _oracles.partitions(budget, k)
+        tied_across_batches = 0
+        for values in candidates:
+            counts = (_oracles.cell_counts(p, values) for p in candidates)
+            margins = [wa - wb for wa, wb, _ in counts]
+            top = max(margins)
+            batches = {i // rows for i, m in enumerate(margins) if m == top}
+            tied_across_batches += top > 0 and len(batches) > 1
+            got = counter_strategy(Allocation(values))
+            expected = _oracles.counter(values, candidates)
+            if expected is None:
+                assert got is None
+            else:
+                assert (got[0].values, got[1]) == expected
+        assert tied_across_batches >= 7
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=6))
     def test_bisections_match_the_table(self, values):
