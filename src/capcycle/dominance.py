@@ -14,11 +14,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .allocations import Partition, composition_count, enumerate_partitions
-from .errors import SpaceTooLargeError
+from .errors import DimensionMismatchError, SpaceTooLargeError
 
 Edge = tuple[int, int, int]  # (winner index, loser index, margin > 0)
 Cycle = tuple[Partition, Partition, Partition]
@@ -99,6 +100,11 @@ class DominanceGraph:
     budget: int
     k: int
     nodes: tuple[Partition, ...]
+
+    def __post_init__(self) -> None:
+        for node in self.nodes:
+            if node.k != self.k:
+                raise DimensionMismatchError(f"node {node} has {node.k} values, not k = {self.k}")
 
     @cached_property
     def beats(self) -> np.ndarray:
@@ -223,30 +229,24 @@ def _margins(values: Sequence[tuple[int, ...]]) -> Iterator[tuple[slice, np.ndar
     accumulated in place from _block_rows(n) rows at a time, so besides it
     the kernel holds only B x B gathers of the table.
     """
-    # Faces of 2^63 and up are ranked as Python ints: a mix of those and
-    # small values would otherwise be inferred as float64 and lose bits.
-    exact = np.int64 if max(map(max, values)) < 2**63 else object
-    faces = np.array(values, dtype=exact)
-    # The distinct faces come from one sort, not np.unique: its inverse
-    # takes four n x k intp arrays, and numpy >= 2.3's hash path for the bare
-    # call imports numpy.ma for a masked-array check, about 15 ms and 1 MB of
-    # every process. Object faces compare as Python ints, so they stay exact.
-    distinct = np.sort(faces, axis=None)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    # Ranks at the narrowest dtype that holds them: each pass holds them whole.
-    ranks = np.searchsorted(distinct, faces).astype(np.min_scalar_type(len(distinct) - 1))
-    del faces
-    n, k = ranks.shape
+    # Faces are ranked as Python ints, so every face stays exact, and by
+    # sorted: a process's first numpy sort adds 384 KB to its peak RSS. The
+    # ranks take the narrowest dtype that holds them: each pass holds them
+    # whole. fromiter reads n * k faces, so DominanceGraph checks each length.
+    n, k = len(values), len(values[0])
+    rank = {face: r for r, face in enumerate(sorted({f for v in values for f in v}))}
+    faces = map(rank.__getitem__, chain.from_iterable(values))
+    ranks = np.fromiter(faces, np.min_scalar_type(len(rank) - 1), n * k).reshape(n, k)
     # Every score is in [-k, k], and every partial sum of k of them in
     # [-k^2, k^2], so the smallest signed dtype that holds -k^2 is exact:
     # int8 for k <= 11, int16 for k <= 181.
     dtype = np.min_scalar_type(-k * k)
     size = _block_rows(n)
-    levels = np.arange(len(distinct), dtype=ranks.dtype)[:, None]
+    levels = np.arange(len(rank), dtype=ranks.dtype)[:, None]
     margin = np.empty((n, min(size, n)), dtype=dtype)  # refilled for every block
     for part in _slices(n, size):
         columns = ranks[part]
-        score = np.zeros((len(distinct), len(columns)), dtype=dtype)
+        score = np.zeros((len(rank), len(columns)), dtype=dtype)
         # The comparisons are added as 0/1 int8 bytes: adding bools to int8
         # casts through a buffer, which raised the peak RSS of (30, 6) 128 KB.
         for face in columns.T:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from capcycle import (
     Allocation,
+    DimensionMismatchError,
+    DominanceGraph,
     Partition,
     SpaceTooLargeError,
     analyze,
@@ -126,6 +128,7 @@ class TestBuildGraph:
 
     @given(small_spaces)
     def test_matches_oracle(self, space):
+        # Every small space also passes DominanceGraph's node length check.
         budget, k = space
         graph = build_graph(budget, k)
         nodes = [p.values for p in graph.nodes]
@@ -165,6 +168,20 @@ class TestBuildGraph:
     def test_determinism(self, graph_6_3):
         again = build_graph(6, 3)
         assert again == graph_6_3
+
+    @pytest.mark.parametrize(
+        "budget, k, nodes",
+        [
+            (6, 3, [(6, 0, 0), (5, 1)]),
+            (3, 2, [(3, 0, 0), (2, 1, 0)]),
+        ],
+        ids=["ragged", "uniform-not-k"],
+    )
+    def test_nodes_must_have_k_values(self, budget, k, nodes):
+        # The margin kernel reads the nodes' values as one run of n * k
+        # faces, so a node of another length would shift the rows after it.
+        with pytest.raises(DimensionMismatchError):
+            DominanceGraph(budget, k, tuple(map(Partition, nodes)))
 
 
 def assert_blocks_concatenate(graph, rows):
@@ -328,10 +345,31 @@ class TestMarginKernel:
                 t = matchup_table(a, b)
                 assert margin[i, j] == t.wins_a - t.wins_b
 
+    @pytest.mark.parametrize("k, shared, dtype", [(128, 0, np.uint8), (129, 1, np.uint16)])
+    def test_rank_dtype_boundary(self, k, shared, dtype, monkeypatch):
+        # 256 distinct faces are the most that uint8 ranks hold, and 257 take
+        # uint16: a takes the even faces, b the odd ones, and with ``shared``
+        # b's last face is a's 0 instead, so 2k - shared faces are distinct.
+        a = tuple(range(0, 2 * k, 2))
+        b = (*range(1, 2 * (k - shared), 2), *(0,) * shared)
+        assert len({*a, *b}) == 2 * k - shared
+        made, fromiter = [], np.fromiter
+
+        def spy(*args):
+            made.append(fromiter(*args))
+            return made[-1]
+
+        monkeypatch.setattr(np, "fromiter", spy)
+        margin = margin_matrix([a, b])
+        assert [ranks.dtype for ranks in made] == [np.dtype(dtype)]
+        t = matchup_table(Allocation(a), Allocation(b))
+        assert t.wins_a != t.wins_b
+        assert margin.tolist() == [[0, t.wins_a - t.wins_b], [t.wins_b - t.wins_a, 0]]
+
     @pytest.mark.parametrize("top", [2**63, 2**64, 10**30])
     def test_faces_past_int64_stay_exact(self, top):
-        # Mixed with small values, faces from 2^63 up would be inferred as
-        # float64, where top + 1 and top are the same number.
+        # Faces from 2^63 up fit no numpy integer; ranked as Python ints, top
+        # + 1 and top stay two faces, where float64 would hold one number.
         rows = [Allocation((top + 1, 0)), Allocation((top, 1))]
         values = [a.values for a in rows]
         assert margin_matrix(values).tolist() == [[0, 0], [0, 0]]

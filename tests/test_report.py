@@ -304,9 +304,9 @@ class TestGraphExports:
     )
     def test_printed_margins_match_oracle(self, make, rows, monkeypatch):
         # The graph holds signs only: the counter table and the JSON edge
-        # margins come from margins computed again, on the int16 path at
-        # (10, 12), the object path past 2^63 and several column blocks at
-        # (12, 4), and the DOT labels from each edge's matchup table.
+        # margins come from margins computed again, with int16 margins at
+        # (10, 12), faces past 2^63 ranked as Python ints and several column
+        # blocks at (12, 4), and the DOT labels from each edge's matchup table.
         if rows is not None:
             monkeypatch.setattr(dominance_module, "_block_rows", lambda n: rows)
         graph = make()
@@ -324,6 +324,20 @@ class TestGraphExports:
             for entry in graph.counters
         ] == [_oracles.counter(values, nodes) for values in nodes]
         assert emit_dot(graph) == _oracles.dot(graph)
+
+    @pytest.mark.parametrize("budget, k", [(12, 4), (10, 12)])
+    def test_analysis_runs_no_numpy_sort(self, budget, k, monkeypatch):
+        # The margin kernel ranks faces with Python's sorted. A process's
+        # first numpy sort adds about 384 KB to its peak RSS.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy sort called")
+
+        for name in ("sort", "searchsorted", "unique"):
+            monkeypatch.setattr(np, name, refuse)
+        graph = build_graph(budget, k)
+        assert len(graph.counters) == len(graph.nodes)
+        assert "".join(analysis_json_pieces(graph))
+        assert "".join(dot_pieces(graph))
 
     def test_dot_builds_no_edge_tuples(self):
         graph = build_graph(12, 4)
@@ -442,8 +456,9 @@ class TestGraphExports:
 
     @pytest.mark.parametrize("rows", [1, 3, 13])
     def test_pair_pieces_are_the_pair_blocks(self, rows, monkeypatch):
-        # The piece size has one owner, dominance: each DOT and JSON piece of
-        # edges or draws is one pair block, of at most ``rows`` records.
+        # Each DOT and JSON piece of edges or draws is one pair block here, of
+        # at most ``rows`` records: report._PIECE_BYTES cuts a block only past
+        # 64 KiB of text, and these blocks are far below that.
         # (10, 3) has 14 nodes, so one matrix row holds up to 13 pairs.
         monkeypatch.setattr(dominance_module, "_RECORD_ROWS", rows)
         graph = analyze(10, 3)
