@@ -11,7 +11,8 @@ commands that enumerate read it, and a bad value exits 1 as a ValueError.
 Each command imports the modules it runs only when it is run. matchup,
 counter, enumerate, --help and a usage error load allocations, errors and
 matchups, and no numpy; simulate adds simulate; analyze and graph add
-report and dominance, and neither loads simulate.
+report and dominance, and neither loads simulate. main sets
+OPENBLAS_NUM_THREADS to 1, unless it is set, before any command loads numpy.
 
 Output is written as it is produced, one write call a piece: the JSON and
 DOT listings in pieces of at most report._PIECE_BYTES of text or one record,
@@ -264,6 +265,11 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # OpenBLAS sizes its thread pool when numpy loads, which no command has
+    # done yet. One BLAS thread: the 3-cycle count runs its own two threads
+    # (dominance.ThreeCycles._count), and a BLAS pool spins a second core
+    # and sometimes stalls a process's first count. A value the user set is kept.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run_cli())
 
 

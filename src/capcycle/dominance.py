@@ -15,6 +15,8 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+import os
+import threading
 
 import numpy as np
 
@@ -51,13 +53,30 @@ def _block_rows(n: int) -> int:
     (30, 6) and 0.16 at (60, 4), so c < 13 there. B <= n / 8 from n = 1,024
     up, so c * B * n is at most c times the n^2 / 8 bytes of the sign plane;
     below, it is at most 128 * c * n bytes. The 3-cycle count holds c * B^2
-    bytes whatever n is, with c = 16: four float32 B x B tiles, beside
-    einsum's fixed 130 KB of cast buffers; the counter table's, with c = 1,
-    an intp key tile of B / 8 x B keys beside the kernel's block.
+    bytes per thread whatever n is, with c = 16: four float32 B x B tiles,
+    beside einsum's fixed 130 KB of cast buffers, so 4 MB a thread at B = 512
+    and at most two threads (_count_threads); the counter table's, with
+    c = 1, an intp key tile of B / 8 x B keys beside the kernel's block.
     Larger blocks make fewer, faster BLAS calls, so B grows with n: on a
     2-vCPU host, (100, 4) took 4.9 s with 128-row tiles and 3.6 s with 512.
     """
     return min(1024, max(128, 1 << (max(1, n // 8).bit_length() - 1)))
+
+
+def _count_threads(n: int) -> int:
+    """Threads the 3-cycle count over n nodes runs on: 2 when BLAS runs one
+    thread (OPENBLAS_NUM_THREADS is "1", as the CLI sets it), at least two
+    CPUs are usable and the tiles have 256 rows or more (n >= 2,048), else 1.
+    Beside BLAS's own threads, two would oversubscribe the cores. Below
+    256-row tiles, the count takes tens of ms, and a second thread's tiles
+    raised the peak RSS of (30, 6) and (60, 4) about 0.4 MB.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    serial_blas = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+    return 2 if serial_blas and usable >= 2 and _block_rows(n) >= 256 else 1
 
 
 def _slices(length: int, size: int) -> Iterator[slice]:
@@ -102,6 +121,10 @@ class DominanceGraph:
     nodes: tuple[Partition, ...]
 
     def __post_init__(self) -> None:
+        # Every budget and k enumerate at least one partition, and the margin
+        # kernel reads k from the first node.
+        if not self.nodes:
+            raise ValueError("a DominanceGraph needs at least one node")
         for node in self.nodes:
             if node.k != self.k:
                 raise DimensionMismatchError(f"node {node} has {node.k} values, not k = {self.k}")
@@ -314,13 +337,21 @@ class ThreeCycles:
         summed over the y-slices Y of B rows below b0, A[M, Y] @ A[Y, C], as
         blocked matrix products split their inner index, so every operand is
         B x B and the work is still about n^3 / 3 multiply-adds. Four float32
-        B x B tiles (left, right, product, paths) are made once and refilled
-        in place: each tile of bits is unpacked and copied into one as 0/1,
-        and each product goes into the product tile, so nothing grows with n.
+        B x B tiles (left, right, product, paths) are made once per thread
+        and refilled in place, 16 * B^2 bytes: each tile of bits is unpacked
+        and copied into one as 0/1, and each product goes into the product
+        tile, so nothing grows with n.
         Every entry of paths counts two-step paths, at most n, so the float32
         sums are exact while n < 2^24; a larger graph is refused before the
         first tile. The masked sums are float64 and the traces at most
         1024^3, all far below 2^53, so exact.
+
+        The row tiles are independent, so from n = 2,048 the calling thread
+        and one threading.Thread count them side by side when BLAS runs one
+        thread (_count_threads), each with its own four tiles, and their
+        exact integer counts are added: the sum is the same in any order.
+        At (100, 4), with one BLAS thread, the count took 1.5-2.3 s on two
+        threads against 3.0-3.3 s on one, in process on a 2-vCPU host.
         """
         plane = self.beats
         n = len(plane)
@@ -338,27 +369,55 @@ class ThreeCycles:
             np.copyto(tile, _row_bits(plane[r0 : r0 + m, c0 >> 3 :], c))
             return tile
 
+        def count_tiles(starts: Iterator[int]) -> int:
+            """The cycles of the row tiles that start at the b0 taken from
+            ``starts``, in tiles of this thread's own."""
+            side = min(rows, n)
+            left, right, product, paths = np.empty((4, side, side), dtype=np.float32)
+            count = 0
+            for b0 in starts:
+                b1 = min(b0 + rows, n)
+                m = b1 - b0
+                inside = bits(left[:m, :m], b0, b0)
+                squared = np.matmul(inside, inside, out=product[:m, :m])
+                count += int(np.einsum("ij,ji->", squared, inside, dtype=np.float64)) // 3
+                for c0 in range(0, b1, rows):
+                    c = min(c0 + rows, b1) - c0
+                    summed = paths[:m, :c]
+                    summed.fill(0)
+                    for y0 in range(0, b0, rows):  # b0 is a multiple of rows
+                        out = bits(left[:m], b0, y0)  # x beats y
+                        on = bits(right[:, :c], y0, c0)  # y beats z
+                        summed += np.matmul(out, on, out=product[:m, :c])
+                    closing = bits(right[:c, :m], c0, b0)  # z beats x
+                    count += int(np.einsum("ij,ji->", summed, closing, dtype=np.float64))
+            return count
+
         rows = _block_rows(n)
-        side = min(rows, n)
-        left, right, product, paths = np.empty((4, side, side), dtype=np.float32)
-        count = 0
-        for b0 in range(0, n, rows):
-            b1 = min(b0 + rows, n)
-            m = b1 - b0
-            inside = bits(left[:m, :m], b0, b0)
-            squared = np.matmul(inside, inside, out=product[:m, :m])
-            count += int(np.einsum("ij,ji->", squared, inside, dtype=np.float64)) // 3
-            for c0 in range(0, b1, rows):
-                c = min(c0 + rows, b1) - c0
-                summed = paths[:m, :c]
-                summed.fill(0)
-                for y0 in range(0, b0, rows):  # b0 is a multiple of rows
-                    out = bits(left[:m], b0, y0)  # x beats y
-                    on = bits(right[:, :c], y0, c0)  # y beats z
-                    summed += np.matmul(out, on, out=product[:m, :c])
-                closing = bits(right[:c, :m], c0, b0)  # z beats x
-                count += int(np.einsum("ij,ji->", summed, closing, dtype=np.float64))
-        return count
+        # A tile's work grows with b0, so the tiles are taken heaviest first,
+        # each by whichever thread is free; next() on the iterator holds the
+        # GIL, so no tile is taken twice.
+        starts = iter(range(0, n, rows)[::-1])
+        if _count_threads(n) == 1:
+            return count_tiles(starts)
+        counted: list[int | BaseException] = []
+
+        def work() -> None:
+            try:
+                counted.append(count_tiles(starts))
+            except BaseException as exc:  # re-raised in the calling thread
+                counted.append(exc)
+
+        worker = threading.Thread(target=work, name="capcycle-count", daemon=True)
+        worker.start()
+        try:
+            count = count_tiles(starts)
+        finally:
+            worker.join()
+        (other,) = counted
+        if isinstance(other, BaseException):
+            raise other
+        return count + other
 
     def __len__(self) -> int:
         return self._count

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -939,3 +940,27 @@ class TestUsageAndOutput:
             text=True,
         )
         assert proc.stderr == "0 False False\n"
+
+    @pytest.mark.parametrize("given, seen", [(None, "1"), ("3", "3")], ids=["default", "kept"])
+    def test_cli_loads_numpy_with_one_blas_thread(self, given, seen):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS when numpy loads, so the child
+        # reports the value at that import; one the caller set is kept.
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        probe = (
+            "import os, sys\n"
+            "import capcycle.cli\n"
+            "class Probe:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy':\n"
+            "            print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
+            "sys.meta_path.insert(0, Probe())\n"
+            "sys.argv = ['capcycle', 'analyze', '--out', os.devnull]\n"
+            "capcycle.cli.main()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == f"{seen}\n"

@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 from itertools import islice
@@ -182,6 +184,12 @@ class TestBuildGraph:
         # faces, so a node of another length would shift the rows after it.
         with pytest.raises(DimensionMismatchError):
             DominanceGraph(budget, k, tuple(map(Partition, nodes)))
+
+    def test_graph_needs_a_node(self):
+        # No budget and k enumerate zero partitions; a graph built by hand
+        # with none is refused, before any relation is read.
+        with pytest.raises(ValueError, match="at least one node"):
+            DominanceGraph(6, 3, ())
 
 
 def assert_blocks_concatenate(graph, rows):
@@ -434,6 +442,40 @@ class TestThreeCycles:
         graph = build_graph(budget, k)
         oracle = _oracles.three_cycle_count(adjacency(graph))
         assert len(find_three_cycles(graph)) == oracle == count
+
+    @pytest.mark.parametrize("budget, k, rows", [(12, 4, 8), (20, 5, 16), (6, 3, 128)])
+    def test_two_thread_count_matches_serial_and_oracle(self, budget, k, rows):
+        # Two threads count from n = 2,048 only, with one BLAS thread and two
+        # CPUs: the gate is forced here. (12, 4) and (20, 5) take 8- and
+        # 16-row tiles, so each thread may take several; (6, 3) is one tile,
+        # so one thread takes none. The threads share one iterator of tiles:
+        # switching between them often would show a tile taken twice or lost.
+        graph = build_graph(budget, k)
+        counts = []
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dominance_module, "_block_rows", lambda n: rows)
+                for threads in (1, 2):
+                    patch.setattr(dominance_module, "_count_threads", lambda n, t=threads: t)
+                    counts.append(len(ThreeCycles(graph)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before
+        assert counts[0] == counts[1] == _oracles.three_cycle_count(adjacency(graph))
+
+    def test_count_threads_gate(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(dominance_module.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert [dominance_module._count_threads(n) for n in (2047, 2048, 8037)] == [1, 2, 2]
+        monkeypatch.setattr(dominance_module.os, "sched_getaffinity", lambda pid: {0})
+        assert dominance_module._count_threads(8037) == 1
+        monkeypatch.setattr(dominance_module.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert dominance_module._count_threads(8037) == 2
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")  # BLAS's own threads
+        assert dominance_module._count_threads(8037) == 1
 
     def test_count_memory_stays_in_tiles(self):
         # 1,206 and 1,906 nodes, both in 128-row tiles: the bound is a few
